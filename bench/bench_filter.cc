@@ -1,15 +1,17 @@
 /// \file bench_filter.cc
 /// \brief Scan-filter benchmarks: vectorized kernels vs the row-at-a-time
-/// path, plus zone-map pruning (see sql/vector_eval.h and DESIGN.md "Scan
-/// pipeline").
+/// path, zone-map pruning, and columnar vs boxed aggregation (see
+/// sql/vector_eval.h and DESIGN.md "Scan pipeline").
 ///
 /// Run as part of the `perf-smoke` CTest target with QSERV_METRICS_JSON set;
-/// the exit snapshot (BENCH_filter.json) records the measured speedups as
-/// gauges so later PRs have a trajectory to compare against. The process
-/// aborts if the two paths disagree on any result, or if the zone-prunable
-/// predicate fails to report a pruned scan with zero rows scanned.
+/// the exit snapshot (BENCH_filter.json) records the measured speedups and
+/// aggregation rows/s as gauges so later PRs have a trajectory to compare
+/// against. The process aborts if the two paths disagree on any result, if
+/// the zone-prunable predicate fails to report a pruned scan with zero rows
+/// scanned, or if an aggregate case does not run columnar.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -93,6 +95,14 @@ const char* kConjunction =
 const char* kZonePrunable =
     "SELECT COUNT(*) FROM ScanT WHERE subChunkId = 999";  // table holds 0..99
 
+// The two aggregate classes: an HV3-style density GROUP BY on an INT key,
+// and an HV4-style filtered COUNT/MIN/MAX (plus a SUM).
+const char* kAggGroupBy =
+    "SELECT subChunkId, COUNT(*) FROM ScanT GROUP BY subChunkId";
+const char* kAggFiltered =
+    "SELECT COUNT(*), MIN(decl), MAX(decl), SUM(flux) FROM ScanT "
+    "WHERE ra BETWEEN 30 AND 300";
+
 void benchQuery(benchmark::State& state, const char* query, bool vectorized) {
   sql::Database* db = scanDb();
   sql::setVectorizedFilterEnabled(vectorized);
@@ -138,6 +148,34 @@ BENCHMARK(BM_RowScanConjunction);
 BENCHMARK(BM_VectorScanConjunction);
 BENCHMARK(BM_RowScanZonePrunable);
 BENCHMARK(BM_VectorScanZonePrunable);
+
+/// Aggregate cases: items are table rows aggregated per second.
+void benchAggregate(benchmark::State& state, const char* query,
+                    bool columnar) {
+  sql::Database* db = scanDb();
+  sql::setVectorizedFilterEnabled(columnar);
+  for (auto _ : state) benchmark::DoNotOptimize(runCount(*db, query));
+  sql::setVectorizedFilterEnabled(true);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kRows));
+}
+
+void BM_BoxedAggGroupBy(benchmark::State& s) {
+  benchAggregate(s, kAggGroupBy, false);
+}
+void BM_ColumnarAggGroupBy(benchmark::State& s) {
+  benchAggregate(s, kAggGroupBy, true);
+}
+void BM_BoxedAggFiltered(benchmark::State& s) {
+  benchAggregate(s, kAggFiltered, false);
+}
+void BM_ColumnarAggFiltered(benchmark::State& s) {
+  benchAggregate(s, kAggFiltered, true);
+}
+BENCHMARK(BM_BoxedAggGroupBy);
+BENCHMARK(BM_ColumnarAggGroupBy);
+BENCHMARK(BM_BoxedAggFiltered);
+BENCHMARK(BM_ColumnarAggFiltered);
 
 /// Kernel-level comparison, no SQL/executor overhead: ScanFilter::run vs a
 /// CompiledExpr eval loop over the same predicate.
@@ -200,8 +238,46 @@ void requireEqual(std::int64_t a, std::int64_t b, const char* what) {
   }
 }
 
+/// Run \p query on both aggregation paths; abort unless the result tables
+/// match cell for cell (type and bit pattern) and the columnar run counted
+/// exactly one columnar aggregate.
+void requireAggregateParity(sql::Database& db, const char* query) {
+  sql::ExecStats stats;
+  sql::setVectorizedFilterEnabled(true);
+  auto columnar = db.execute(query, &stats);
+  sql::setVectorizedFilterEnabled(false);
+  auto boxed = db.execute(query);
+  sql::setVectorizedFilterEnabled(true);
+  if (!columnar.isOk() || !boxed.isOk()) {
+    std::fprintf(stderr, "AGGREGATE FAILURE: query failed: %s\n", query);
+    std::abort();
+  }
+  const sql::Table& a = **columnar;
+  const sql::Table& b = **boxed;
+  bool same = a.numRows() == b.numRows() && a.numColumns() == b.numColumns();
+  for (std::size_t c = 0; same && c < a.numColumns(); ++c) {
+    same = a.schema().column(c).type == b.schema().column(c).type;
+    for (std::size_t r = 0; same && r < a.numRows(); ++r) {
+      sql::Value x = a.cell(r, c), y = b.cell(r, c);
+      same = x.isDouble() && y.isDouble()
+                 ? std::bit_cast<std::uint64_t>(x.asDouble()) ==
+                       std::bit_cast<std::uint64_t>(y.asDouble())
+                 : x == y;
+    }
+  }
+  if (!same || stats.columnarAggregates != 1) {
+    std::fprintf(stderr,
+                 "AGGREGATE FAILURE (%s): parity=%d columnar_aggregates=%llu\n",
+                 query, same ? 1 : 0,
+                 static_cast<unsigned long long>(stats.columnarAggregates));
+    std::abort();
+  }
+}
+
 void verifyParityAndPruning() {
   sql::Database* db = scanDb();
+  requireAggregateParity(*db, kAggGroupBy);
+  requireAggregateParity(*db, kAggFiltered);
   for (const char* q :
        {kNonSelective, kSelective, kConjunction, kZonePrunable}) {
     sql::setVectorizedFilterEnabled(true);
@@ -273,6 +349,29 @@ void reportSpeedups() {
                    speedup);
       std::abort();
     }
+  }
+
+  const Case aggCases[] = {
+      {"GROUP BY subChunkId COUNT(*)", "agg_groupby", kAggGroupBy},
+      {"filtered COUNT/MIN/MAX/SUM", "agg_filtered", kAggFiltered},
+  };
+  // Gauges are integers: rows/s as is, speedups in hundredths.
+  std::printf("---- columnar vs boxed aggregation (end-to-end execute) ----\n");
+  for (const Case& c : aggCases) {
+    double boxedSec = secondsPerExec(*db, c.query, false, 7);
+    double columnarSec = secondsPerExec(*db, c.query, true, 7);
+    double speedup = boxedSec / columnarSec;
+    std::string prefix = std::string("bench.filter.") + c.metric;
+    reg.gauge(prefix + "_boxed_rows_per_s")
+        .set(static_cast<std::int64_t>(kRows / boxedSec));
+    reg.gauge(prefix + "_columnar_rows_per_s")
+        .set(static_cast<std::int64_t>(kRows / columnarSec));
+    reg.gauge(prefix + "_speedup_x100")
+        .set(static_cast<std::int64_t>(speedup * 100.0));
+    std::printf("  %-28s boxed %8.3f ms   columnar %8.3f ms   speedup %5.2fx"
+                "   (%.1f Mrows/s)\n",
+                c.label, boxedSec * 1e3, columnarSec * 1e3, speedup,
+                kRows / columnarSec / 1e6);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "qserv/worker.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "datagen/partitioner.h"
@@ -41,6 +42,8 @@ struct WorkerMetrics {
   util::Counter& vectorRowsOut;
   util::Counter& zoneMapPrunes;
   util::Counter& zoneMapRowsSkipped;
+  util::Counter& columnarAggregates;
+  util::Counter& columnarAggRows;
   util::Counter& spatialJoins;
   util::Counter& zoneJoinPairsPruned;
   util::Counter& zoneJoinCandidates;
@@ -71,6 +74,8 @@ struct WorkerMetrics {
         reg.counter("worker.vector_rows_out"),
         reg.counter("worker.zone_map_prunes"),
         reg.counter("worker.zone_map_rows_skipped"),
+        reg.counter("worker.columnar_aggregates"),
+        reg.counter("worker.columnar_agg_rows"),
         reg.counter("worker.spatial_joins"),
         reg.counter("worker.zone_join_pairs_pruned"),
         reg.counter("worker.zone_join_candidates"),
@@ -531,7 +536,7 @@ void Worker::runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
 }
 
-std::vector<std::int32_t> Worker::parseSubchunksHeader(
+Result<std::vector<std::int32_t>> Worker::parseSubchunksHeader(
     const std::string& payload) {
   std::vector<std::int32_t> out;
   constexpr std::string_view kHeader = "-- SUBCHUNKS:";
@@ -548,8 +553,15 @@ std::vector<std::int32_t> Worker::parseSubchunksHeader(
       for (const auto& part : util::split(line.substr(kHeader.size()), ',')) {
         auto token = util::trim(part);
         if (token.empty()) continue;
-        out.push_back(
-            static_cast<std::int32_t>(std::stol(std::string(token))));
+        std::int32_t id = 0;
+        auto [end, ec] =
+            std::from_chars(token.data(), token.data() + token.size(), id);
+        if (ec != std::errc() || end != token.data() + token.size()) {
+          return Status::invalidArgument(util::format(
+              "bad subchunk id '%.*s' in SUBCHUNKS header",
+              static_cast<int>(token.size()), token.data()));
+        }
+        out.push_back(id);
       }
       return out;
     }
@@ -697,7 +709,21 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
   execSpan.attr("worker", id_);
   util::Stopwatch execWatch;
   std::string resultPath = xrd::makeResultPath(task.hash);
-  std::vector<std::int32_t> subChunks = parseSubchunksHeader(task.payload);
+  // A failing chunk answers with an error result (or error frame); the
+  // worker keeps serving.
+  auto fail = [&](const Status& status) {
+    metrics.taskFailures.add();
+    if (task.batch) {
+      publishBatchFrame(task, encodeErrorFrame(task.chunkId, status));
+      finishBatchChunk(task.batch);
+    } else {
+      results_.publishError(resultPath, status);
+    }
+    return false;
+  };
+  auto parsedSubChunks = parseSubchunksHeader(task.payload);
+  if (!parsedSubChunks.isOk()) return fail(parsedSubChunks.status());
+  const std::vector<std::int32_t>& subChunks = *parsedSubChunks;
 
   util::Result<sql::ExecStats> buildStats = sql::ExecStats{};
   {
@@ -712,17 +738,7 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
                      static_cast<std::int64_t>(subChunks.size()));
     }
   }
-  if (!buildStats.isOk()) {
-    metrics.taskFailures.add();
-    if (task.batch) {
-      publishBatchFrame(task,
-                        encodeErrorFrame(task.chunkId, buildStats.status()));
-      finishBatchChunk(task.batch);
-    } else {
-      results_.publishError(resultPath, buildStats.status());
-    }
-    return false;
-  }
+  if (!buildStats.isOk()) return fail(buildStats.status());
 
   sql::ExecStats stats;
   auto result = db_->executeScript(task.payload, &stats);
@@ -736,14 +752,7 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
   if (!result.isOk()) {
     QLOG(kWarn, "worker") << id_ << " chunk " << task.chunkId
                           << " failed: " << result.status().toString();
-    metrics.taskFailures.add();
-    if (task.batch) {
-      publishBatchFrame(task, encodeErrorFrame(task.chunkId, result.status()));
-      finishBatchChunk(task.batch);
-    } else {
-      results_.publishError(resultPath, result.status());
-    }
-    return false;
+    return fail(result.status());
   }
 
   std::string dump =
@@ -800,8 +809,8 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
   tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
   metrics.tasksExecuted.add();
   metrics.executeSeconds.observe(execWatch.elapsedSeconds());
-  // Vectorized-scan / zone-map observability (counters are unscaled local
-  // work; see README "Metrics" for the registry names).
+  // Vectorized-scan / columnar-aggregate / zone-map observability (counters
+  // are unscaled local work; see README "Metrics" for the registry names).
   if (stats.vectorizedScans > 0) {
     metrics.vectorizedScans.add(stats.vectorizedScans);
     metrics.vectorRowsIn.add(stats.vectorRowsIn);
@@ -811,6 +820,14 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
         .attr("vectorRowsIn", static_cast<std::int64_t>(stats.vectorRowsIn))
         .attr("vectorRowsOut",
               static_cast<std::int64_t>(stats.vectorRowsOut));
+  }
+  if (stats.columnarAggregates > 0) {
+    metrics.columnarAggregates.add(stats.columnarAggregates);
+    metrics.columnarAggRows.add(stats.columnarAggRows);
+    execSpan.attr("columnarAggregates",
+                  static_cast<std::int64_t>(stats.columnarAggregates))
+        .attr("columnarAggRows",
+              static_cast<std::int64_t>(stats.columnarAggRows));
   }
   if (stats.zoneMapPrunes > 0) {
     metrics.zoneMapPrunes.add(stats.zoneMapPrunes);

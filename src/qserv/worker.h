@@ -171,8 +171,8 @@ class Worker : public xrd::OfsPlugin {
   void removeExport(std::int32_t chunkId);
 
   /// Parse the `-- SUBCHUNKS:` header from the payload's leading comment
-  /// lines; empty when absent.
-  static std::vector<std::int32_t> parseSubchunksHeader(
+  /// lines; empty when absent, kInvalidArgument when an id is not an int32.
+  static util::Result<std::vector<std::int32_t>> parseSubchunksHeader(
       const std::string& payload);
 
   /// True when the chunk query carries the `-- QSERV-AGG` marker: its

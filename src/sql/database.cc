@@ -20,6 +20,8 @@ void ExecStats::add(const ExecStats& o) {
   fallbackRows += o.fallbackRows;
   zoneMapPrunes += o.zoneMapPrunes;
   zoneMapRowsSkipped += o.zoneMapRowsSkipped;
+  columnarAggregates += o.columnarAggregates;
+  columnarAggRows += o.columnarAggRows;
   spatialJoins += o.spatialJoins;
   zoneJoinZonesBuilt += o.zoneJoinZonesBuilt;
   zoneJoinZonesProbed += o.zoneJoinZonesProbed;

@@ -41,6 +41,9 @@ struct ExecStats {
   std::uint64_t fallbackRows = 0;      ///< survivors re-checked row-at-a-time
   std::uint64_t zoneMapPrunes = 0;     ///< scans skipped via zone maps
   std::uint64_t zoneMapRowsSkipped = 0;  ///< rows those scans never touched
+  // Columnar aggregation (sql/executor.cc consumeAggregate):
+  std::uint64_t columnarAggregates = 0;  ///< aggregations run column-at-a-time
+  std::uint64_t columnarAggRows = 0;     ///< input rows those aggregated
   // Zone-based spatial join (sql/spatial_join.h):
   std::uint64_t spatialJoins = 0;        ///< join stages run through zones
   std::uint64_t zoneJoinZonesBuilt = 0;  ///< dec bands across built indexes

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 #include <unordered_map>
 
 #include "sql/expr_eval.h"
@@ -156,19 +158,23 @@ bool containsAggregate(const Expr& expr) {
   }
 }
 
-/// Running accumulator for one aggregate over one group.
+/// Running accumulator for one aggregate over one group. The integer sum
+/// wraps modulo 2^64 on overflow (two's complement, like the hardware add):
+/// a signed int64 overflow would be undefined behaviour.
 struct AggAccumulator {
   std::int64_t count = 0;
-  std::int64_t intSum = 0;
+  std::uint64_t intSum = 0;
   double doubleSum = 0.0;
   bool sawDouble = false;
   Value extreme;  // MIN/MAX
 
+  std::int64_t intTotal() const { return static_cast<std::int64_t>(intSum); }
+
+  /// Fold in one argument value. COUNT(*) has no argument; the executor
+  /// counts its input rows directly.
   void accumulate(AggKind kind, const Value& v) {
     switch (kind) {
       case AggKind::kCountStar:
-        ++count;
-        return;
       case AggKind::kCount:
         if (!v.isNull()) ++count;
         return;
@@ -177,10 +183,10 @@ struct AggAccumulator {
         if (v.isNull() || !v.isNumeric()) return;
         ++count;
         if (v.isInt() && !sawDouble) {
-          intSum += v.asInt();
+          intSum += static_cast<std::uint64_t>(v.asInt());
         } else {
           if (!sawDouble) {
-            doubleSum = static_cast<double>(intSum);
+            doubleSum = static_cast<double>(intTotal());
             sawDouble = true;
           }
           doubleSum += v.toDouble();
@@ -204,10 +210,10 @@ struct AggAccumulator {
         return Value(count);
       case AggKind::kSum:
         if (count == 0) return Value::null();
-        return sawDouble ? Value(doubleSum) : Value(intSum);
+        return sawDouble ? Value(doubleSum) : Value(intTotal());
       case AggKind::kAvg: {
         if (count == 0) return Value::null();
-        double s = sawDouble ? doubleSum : static_cast<double>(intSum);
+        double s = sawDouble ? doubleSum : static_cast<double>(intTotal());
         return Value(s / static_cast<double>(count));
       }
       case AggKind::kMin:
@@ -216,6 +222,116 @@ struct AggAccumulator {
     }
     return Value::null();
   }
+};
+
+/// Column-at-a-time accumulation of one aggregate whose argument is a plain
+/// INT (T = int64_t) or DOUBLE (T = double) column: \p rows holds the
+/// column's table row for each input and \p groupOf each input's group.
+/// The result is bit-identical to feeding AggAccumulator::accumulate the
+/// column's cells in input order: sums run in input order, and MIN/MAX
+/// replace only on a strict `<` / `>`, so the first of tied values (-0.0 vs
+/// 0.0) wins and a NaN neither replaces nor is replaced — Value::compare's
+/// order.
+template <typename T>
+void accumulateColumn(AggKind kind, const std::vector<T>& data,
+                      const std::vector<std::uint8_t>& nulls,
+                      const std::vector<std::size_t>& rows,
+                      const std::vector<std::uint32_t>& groupOf,
+                      std::vector<AggAccumulator>& accs) {
+  const std::size_t n = rows.size();
+  switch (kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!nulls[rows[i]]) ++accs[groupOf[i]].count;
+      }
+      return;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t r = rows[i];
+        if (nulls[r]) continue;
+        AggAccumulator& acc = accs[groupOf[i]];
+        ++acc.count;
+        if constexpr (std::is_same_v<T, std::int64_t>) {
+          acc.intSum += static_cast<std::uint64_t>(data[r]);
+        } else {
+          acc.sawDouble = true;
+          acc.doubleSum += data[r];
+        }
+      }
+      return;
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      const bool isMin = kind == AggKind::kMin;
+      std::vector<T> extreme(accs.size());
+      std::vector<std::uint8_t> seen(accs.size(), 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t r = rows[i];
+        if (nulls[r]) continue;
+        const std::uint32_t g = groupOf[i];
+        const T x = data[r];
+        if (!seen[g] || (isMin ? x < extreme[g] : x > extreme[g])) {
+          extreme[g] = x;
+          seen[g] = 1;
+        }
+      }
+      for (std::size_t g = 0; g < accs.size(); ++g) {
+        if (seen[g]) accs[g].extreme = Value(extreme[g]);
+      }
+      return;
+    }
+  }
+}
+
+/// Open-addressing map from a non-NULL INT group-key value to its group id,
+/// for GROUP BY on one INT column (chunkId, subChunkId, ...): no boxed
+/// GroupKey per row.
+class IntGroupMap {
+ public:
+  /// The group of \p key; an unseen key gets \p next and sets \p inserted.
+  std::uint32_t findOrInsert(std::int64_t key, std::uint32_t next,
+                             bool& inserted) {
+    if ((size_ + 1) * 2 > keys_.size()) grow();
+    const std::size_t mask = keys_.size() - 1;
+    for (std::size_t slot = hashOf(key) & mask;; slot = (slot + 1) & mask) {
+      if (ids_[slot] == kEmpty) {
+        keys_[slot] = key;
+        ids_[slot] = next;
+        ++size_;
+        inserted = true;
+        return next;
+      }
+      if (keys_[slot] == key) {
+        inserted = false;
+        return ids_[slot];
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  static std::size_t hashOf(std::int64_t key) {
+    std::uint64_t h = static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+
+  void grow() {
+    std::vector<std::int64_t> keys = std::move(keys_);
+    std::vector<std::uint32_t> ids = std::move(ids_);
+    keys_.assign(std::max<std::size_t>(16, keys.size() * 2), 0);
+    ids_.assign(keys_.size(), kEmpty);
+    size_ = 0;
+    bool inserted = false;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (ids[i] != kEmpty) findOrInsert(keys[i], ids[i], inserted);
+    }
+  }
+
+  std::vector<std::int64_t> keys_;
+  std::vector<std::uint32_t> ids_;
+  std::size_t size_ = 0;
 };
 
 // ------------------------------------------------------------- where split
@@ -425,9 +541,9 @@ class SelectExec {
       return buildResultTable();
     }
     // Filtered COUNT(*) over one table with a fully kernelizable WHERE:
-    // count survivors straight off the selection vectors, skipping tuple
-    // materialization and the aggregate hash (the scan-heavy paper queries
-    // are mostly of this shape).
+    // count survivors inside the kernels, without materializing the
+    // selection vector (the scan-heavy paper queries are mostly of this
+    // shape).
     if (isAggregateQuery_ && scope_.size() == 1 && sel_.where &&
         sel_.groupBy.empty() && aggs_.size() == 1 &&
         aggs_[0].kind == AggKind::kCountStar && items_.size() == 1 &&
@@ -439,7 +555,7 @@ class SelectExec {
         return buildResultTable();
       }
     }
-    QSERV_RETURN_IF_ERROR(enumerateTuples());
+    QSERV_RETURN_IF_ERROR(enumerateInputs());
     QSERV_RETURN_IF_ERROR(isAggregateQuery_ ? consumeAggregate()
                                             : consumeProjection());
     QSERV_RETURN_IF_ERROR(orderAndLimit());
@@ -786,8 +902,10 @@ class SelectExec {
     return out;
   }
 
-  Status enumerateTuples() {
+  /// Fill rows_/numInputs_ with the FROM clause's rows that pass WHERE.
+  Status enumerateInputs() {
     const std::size_t k = scope_.size();
+    rows_.assign(k, {});
     // Constant conjuncts (no column references) are bound — surfacing
     // unknown-function errors, e.g. an unrewritten qserv_areaspec_box — and
     // evaluated once; a non-true constant predicate empties the result.
@@ -799,24 +917,23 @@ class SelectExec {
       if (!compiled->eval(ctx).isTrue()) return Status::ok();
     }
     if (k == 0) {
-      // SELECT without FROM: one empty tuple, unless WHERE rejects it.
+      // SELECT without FROM: one input, unless WHERE rejects it.
       if (sel_.where) {
         QSERV_ASSIGN_OR_RETURN(auto w,
                                bindExpr(*sel_.where, scope_, registry_));
         EvalCtx ctx{{}, {}, {}};
         if (!w->eval(ctx).isTrue()) return Status::ok();
       }
-      tuples_.push_back({});
+      numInputs_ = 1;
       return Status::ok();
     }
 
-    // Stage 0.
-    QSERV_ASSIGN_OR_RETURN(auto rows0, candidateRows(0));
-    tuples_.reserve(rows0.size());
-    for (std::size_t r : rows0) tuples_.push_back({r});
+    // Stage 0: a single-table query's inputs are this selection vector.
+    QSERV_ASSIGN_OR_RETURN(rows_[0], candidateRows(0));
+    numInputs_ = rows_[0].size();
 
-    // Residual conjuncts spanning >1 table, indexed by their max table.
-    for (std::size_t t = 1; t < k && !tuples_.empty(); ++t) {
+    // Join stage t extends the inputs (over tables < t) with table t.
+    for (std::size_t t = 1; t < k && numInputs_ > 0; ++t) {
       QSERV_ASSIGN_OR_RETURN(auto rows, candidateRows(t));
 
       // Find equi-join conjuncts usable at this stage: expr(lhs over
@@ -892,24 +1009,23 @@ class SelectExec {
         residual.push_back(std::move(compiled));
       }
 
-      std::vector<std::vector<std::size_t>> next;
+      std::vector<std::vector<std::size_t>> next(t + 1);
       std::vector<std::size_t> rowCursor(k, 0);
       EvalCtx ctx{tablesRaw_, rowCursor, {}};
       // Residuals stream per pair: emit() completes the cursor (the caller
-      // has set rowCursor[0..t-1] from the tuple), runs the filters, and
-      // materializes the extended tuple only when every one passes — peak
+      // has set rowCursor[0..t-1] from input i), runs the filters, and
+      // appends the extended input only when every one passes — peak
       // memory is O(surviving pairs), never the O(n^2) cross product.
-      auto setTupleCursor = [&](const std::vector<std::size_t>& tup) {
-        for (std::size_t i = 0; i < tup.size(); ++i) rowCursor[i] = tup[i];
+      auto setInputCursor = [&](std::size_t i) {
+        for (std::size_t s = 0; s < t; ++s) rowCursor[s] = rows_[s][i];
       };
-      auto emit = [&](const std::vector<std::size_t>& tup, std::size_t r) {
+      auto emit = [&](std::size_t i, std::size_t r) {
         rowCursor[t] = r;
         for (const auto& f : residual) {
           if (!f->eval(ctx).isTrue()) return;
         }
-        auto extended = tup;
-        extended.push_back(r);
-        next.push_back(std::move(extended));
+        for (std::size_t s = 0; s < t; ++s) next[s].push_back(rows_[s][i]);
+        next[t].push_back(r);
       };
 
       if (!joinKeys.empty()) {
@@ -935,8 +1051,8 @@ class SelectExec {
           if (hasNull) continue;  // NULL never joins
           hash[std::move(key)].push_back(r);
         }
-        for (const auto& tup : tuples_) {
-          setTupleCursor(tup);
+        for (std::size_t i = 0; i < numInputs_; ++i) {
+          setInputCursor(i);
           GroupKey key;
           bool hasNull = false;
           for (const auto& pk : probeKeys) {
@@ -949,7 +1065,7 @@ class SelectExec {
           if (it == hash.end()) continue;
           for (std::size_t r : it->second) {
             ++stats_.joinMatches;
-            emit(tup, r);
+            emit(i, r);
           }
         }
       } else if (spatial) {
@@ -969,11 +1085,11 @@ class SelectExec {
         QSERV_ASSIGN_OR_RETURN(
             auto outerDec, bindExpr(*spatial->outerDec, scope_, registry_));
         const std::uint64_t totalPairs =
-            static_cast<std::uint64_t>(tuples_.size()) * rows.size();
+            static_cast<std::uint64_t>(numInputs_) * rows.size();
         std::uint64_t candidates = 0;
         std::vector<std::uint32_t> hits;
-        for (const auto& tup : tuples_) {
-          setTupleCursor(tup);
+        for (std::size_t i = 0; i < numInputs_; ++i) {
+          setInputCursor(i);
           Value raV = outerRa->eval(ctx);
           Value decV = outerDec->eval(ctx);
           // NULL/non-numeric/non-finite outer coordinates never join.
@@ -991,7 +1107,7 @@ class SelectExec {
           for (std::uint32_t h : hits) {
             const ZoneIndex::Entry& e = zindex.entry(h);
             if (!spatial->matches(ra, dec, e.raOrig, e.dec)) continue;
-            emit(tup, e.row);
+            emit(i, e.row);
           }
         }
         // The cost model charges pairs actually examined; the pruned
@@ -1001,27 +1117,50 @@ class SelectExec {
         stats_.zoneJoinPairsPruned += totalPairs - candidates;
       } else {
         // Streamed nested loop.
-        stats_.pairsEvaluated += tuples_.size() * rows.size();
-        for (const auto& tup : tuples_) {
-          setTupleCursor(tup);
-          for (std::size_t r : rows) emit(tup, r);
+        stats_.pairsEvaluated += numInputs_ * rows.size();
+        for (std::size_t i = 0; i < numInputs_; ++i) {
+          setInputCursor(i);
+          for (std::size_t r : rows) emit(i, r);
         }
       }
-      tuples_ = std::move(next);
+      for (std::size_t s = 0; s <= t; ++s) rows_[s] = std::move(next[s]);
+      numInputs_ = rows_[t].size();
     }
     return Status::ok();
+  }
+
+  /// Point \p cursor at input \p i's row in every scope table.
+  void setCursor(std::size_t i, std::vector<std::size_t>& cursor) const {
+    for (std::size_t t = 0; t < rows_.size(); ++t) cursor[t] = rows_[t][i];
+  }
+
+  ColumnType columnType(const ColumnSlot& slot) const {
+    return tablesRaw_[slot.tableIdx]->schema().column(slot.columnIdx).type;
+  }
+
+  /// The column behind \p expr when it is a plain reference to an INT or
+  /// DOUBLE column: the argument shape the typed aggregate loops read.
+  std::optional<ColumnSlot> numericColumn(const Expr& expr) const {
+    if (expr.kind() != ExprKind::kColumnRef) return std::nullopt;
+    auto slot = resolveColumn(static_cast<const ColumnRef&>(expr), scope_);
+    if (!slot.isOk()) return std::nullopt;
+    ColumnType type = columnType(*slot);
+    if (type != ColumnType::kInt && type != ColumnType::kDouble) {
+      return std::nullopt;
+    }
+    return *slot;
   }
 
   Status consumeProjection() {
     std::vector<std::size_t> rowCursor(scope_.size(), 0);
     EvalCtx ctx{tablesRaw_, rowCursor, {}};
     bool canShortCircuit = sel_.limit && sel_.orderBy.empty();
-    for (const auto& tup : tuples_) {
+    for (std::size_t i = 0; i < numInputs_; ++i) {
       if (canShortCircuit &&
           static_cast<std::int64_t>(resultRows_.size()) >= *sel_.limit) {
         break;
       }
-      for (std::size_t i = 0; i < tup.size(); ++i) rowCursor[i] = tup[i];
+      setCursor(i, rowCursor);
       std::vector<Value> row;
       row.reserve(itemCompiled_.size());
       for (const auto& item : itemCompiled_) row.push_back(item->eval(ctx));
@@ -1030,39 +1169,110 @@ class SelectExec {
     return Status::ok();
   }
 
-  Status consumeAggregate() {
-    struct Group {
-      std::vector<AggAccumulator> accs;
-      std::vector<std::size_t> representative;
-    };
-    std::unordered_map<GroupKey, Group, GroupKeyHash> groups;
-    std::vector<GroupKey> order;  // first-seen group order
-
+  /// Step 1 of aggregation: the group of every input (\p groupOf) and the
+  /// first input of each group, in first-seen order (\p firstInput: the
+  /// group's representative row). With \p typed set, a GROUP BY on one INT
+  /// column reads the column directly; other keys are evaluated into a
+  /// boxed GroupKey per input. Returns whether the typed path ran.
+  bool assignGroups(bool typed, std::vector<std::uint32_t>& groupOf,
+                    std::vector<std::size_t>& firstInput) {
+    groupOf.assign(numInputs_, 0);
+    if (sel_.groupBy.empty()) {
+      if (numInputs_ > 0) firstInput.push_back(0);
+      return true;
+    }
+    std::optional<ColumnSlot> key;
+    if (typed && sel_.groupBy.size() == 1) {
+      key = numericColumn(*sel_.groupBy[0]);
+    }
+    if (key && columnType(*key) == ColumnType::kInt) {
+      const Table& table = *tablesRaw_[key->tableIdx];
+      const auto& data = table.intColumn(key->columnIdx);
+      const auto& nulls = table.nullMask(key->columnIdx);
+      const auto& rows = rows_[key->tableIdx];
+      IntGroupMap groups;
+      std::optional<std::uint32_t> nullGroup;
+      for (std::size_t i = 0; i < numInputs_; ++i) {
+        const std::size_t r = rows[i];
+        const auto next = static_cast<std::uint32_t>(firstInput.size());
+        bool inserted = false;
+        if (nulls[r]) {
+          inserted = !nullGroup;
+          if (inserted) nullGroup = next;
+          groupOf[i] = *nullGroup;
+        } else {
+          groupOf[i] = groups.findOrInsert(data[r], next, inserted);
+        }
+        if (inserted) firstInput.push_back(i);
+      }
+      return true;
+    }
+    std::unordered_map<GroupKey, std::uint32_t, GroupKeyHash> groups;
     std::vector<std::size_t> rowCursor(scope_.size(), 0);
     EvalCtx ctx{tablesRaw_, rowCursor, {}};
-    for (const auto& tup : tuples_) {
-      for (std::size_t i = 0; i < tup.size(); ++i) rowCursor[i] = tup[i];
+    for (std::size_t i = 0; i < numInputs_; ++i) {
+      setCursor(i, rowCursor);
       GroupKey key;
+      key.values.reserve(groupKeyCompiled_.size());
       for (const auto& g : groupKeyCompiled_) {
         key.values.push_back(g->eval(ctx));
       }
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        Group g;
-        g.accs.resize(aggs_.size());
-        g.representative = tup;
-        it = groups.emplace(key, std::move(g)).first;
-        order.push_back(key);
-      }
-      Group& g = it->second;
-      for (std::size_t a = 0; a < aggs_.size(); ++a) {
-        Value v;
-        if (aggArgCompiled_[a]) v = aggArgCompiled_[a]->eval(ctx);
-        g.accs[a].accumulate(aggs_[a].kind, v);
+      auto [it, inserted] = groups.try_emplace(
+          std::move(key), static_cast<std::uint32_t>(firstInput.size()));
+      if (inserted) firstInput.push_back(i);
+      groupOf[i] = it->second;
+    }
+    return false;
+  }
+
+  /// Aggregate the inputs in two steps: group ids once per input, then
+  /// each aggregate over all inputs. A COUNT(*) counts inputs; an argument
+  /// that is a plain INT/DOUBLE column runs a typed loop over the column
+  /// storage (accumulateColumn); any other argument is evaluated per input
+  /// through its compiled expression. The typed paths ride the
+  /// vectorized-scan switch, so turning it off gives the boxed baseline.
+  Status consumeAggregate() {
+    const bool typed = vectorizedFilterEnabled();
+    std::vector<std::uint32_t> groupOf;
+    std::vector<std::size_t> firstInput;
+    bool columnar = assignGroups(typed, groupOf, firstInput) && typed;
+
+    std::vector<std::vector<AggAccumulator>> accs(
+        aggs_.size(), std::vector<AggAccumulator>(firstInput.size()));
+    std::vector<std::size_t> rowCursor(scope_.size(), 0);
+    EvalCtx ctx{tablesRaw_, rowCursor, {}};
+    for (std::size_t a = 0; a < aggs_.size(); ++a) {
+      const AggKind kind = aggs_[a].kind;
+      std::vector<AggAccumulator>& acc = accs[a];
+      std::optional<ColumnSlot> col;
+      if (typed && aggs_[a].arg) col = numericColumn(*aggs_[a].arg);
+      if (!aggs_[a].arg) {
+        for (std::size_t i = 0; i < numInputs_; ++i) ++acc[groupOf[i]].count;
+      } else if (col) {
+        const Table& table = *tablesRaw_[col->tableIdx];
+        const auto& nulls = table.nullMask(col->columnIdx);
+        const auto& rows = rows_[col->tableIdx];
+        if (columnType(*col) == ColumnType::kInt) {
+          accumulateColumn(kind, table.intColumn(col->columnIdx), nulls, rows,
+                           groupOf, acc);
+        } else {
+          accumulateColumn(kind, table.doubleColumn(col->columnIdx), nulls,
+                           rows, groupOf, acc);
+        }
+      } else {
+        columnar = false;
+        for (std::size_t i = 0; i < numInputs_; ++i) {
+          setCursor(i, rowCursor);
+          acc[groupOf[i]].accumulate(kind, aggArgCompiled_[a]->eval(ctx));
+        }
       }
     }
+    if (columnar) {
+      ++stats_.columnarAggregates;
+      stats_.columnarAggRows += numInputs_;
+    }
 
-    if (groups.empty() && sel_.groupBy.empty()) {
+    if (firstInput.empty() && sel_.groupBy.empty()) {
       // Global aggregate over empty input: one row; COUNT()=0, others NULL.
       std::vector<Value> aggValues;
       AggAccumulator empty;
@@ -1081,16 +1291,13 @@ class SelectExec {
       return Status::ok();
     }
 
-    for (const GroupKey& key : order) {
-      const Group& g = groups.at(key);
+    for (std::size_t g = 0; g < firstInput.size(); ++g) {
       std::vector<Value> aggValues;
       aggValues.reserve(aggs_.size());
       for (std::size_t a = 0; a < aggs_.size(); ++a) {
-        aggValues.push_back(g.accs[a].finalize(aggs_[a].kind));
+        aggValues.push_back(accs[a][g].finalize(aggs_[a].kind));
       }
-      for (std::size_t i = 0; i < g.representative.size(); ++i) {
-        rowCursor[i] = g.representative[i];
-      }
+      setCursor(firstInput[g], rowCursor);
       EvalCtx gctx{tablesRaw_, rowCursor, aggValues};
       if (havingCompiled_ && !havingCompiled_->eval(gctx).isTrue()) continue;
       std::vector<Value> row;
@@ -1223,7 +1430,12 @@ class SelectExec {
   CompiledExprPtr havingCompiled_;
 
   std::vector<Conjunct> conjuncts_;
-  std::vector<std::vector<std::size_t>> tuples_;
+  // The FROM clause's rows that pass WHERE, stored column-wise: input i
+  // joins row rows_[t][i] of every scope table t. A single-table query's
+  // rows_[0] is the selection vector candidateRows(0) returned; a SELECT
+  // without FROM has one input and no tables.
+  std::vector<std::vector<std::size_t>> rows_;
+  std::size_t numInputs_ = 0;
   std::vector<std::vector<Value>> resultRows_;
 };
 

@@ -3,9 +3,11 @@
 ///
 /// The SELECT pipeline: resolve FROM tables -> expand `*` -> extract
 /// aggregates into slots -> split WHERE into per-table filters, equi-join
-/// keys, and residual predicates -> enumerate joined tuples (index probe,
-/// filtered scan, hash join, or nested loop) -> aggregate/group ->
-/// project -> order -> limit. This covers every query shape in the paper's
+/// keys, and residual predicates -> enumerate the input rows (index probe,
+/// filtered scan, hash join, or nested loop; stored column-wise, so a
+/// single-table query's inputs are its scan's selection vector) ->
+/// aggregate/group (column-at-a-time over that selection) -> project ->
+/// order -> limit. This covers every query shape in the paper's
 /// evaluation (§6.2), including the near-neighbor self-join and the
 /// Object x Source equi-join with a residual spatial predicate.
 #pragma once

@@ -1,6 +1,7 @@
 #include "sql/expr_eval.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "util/strings.h"
 
@@ -18,6 +19,13 @@ Truth truthOf(const Value& v) {
   if (v.isNull()) return Truth::kNull;
   return v.isTrue() ? Truth::kTrue : Truth::kFalse;
 }
+
+// INT arithmetic wraps modulo 2^64 (two's complement, like the hardware
+// instruction): computed in uint64_t, because signed overflow is undefined.
+std::uint64_t asUint(const Value& v) {
+  return static_cast<std::uint64_t>(v.asInt());
+}
+std::int64_t wrapInt(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
 class ConstNode final : public CompiledExpr {
  public:
@@ -54,7 +62,7 @@ class UnaryNode final : public CompiledExpr {
     }
     // Negation.
     if (v.isNull()) return Value::null();
-    if (v.isInt()) return Value(-v.asInt());
+    if (v.isInt()) return Value(wrapInt(0 - asUint(v)));
     if (v.isDouble()) return Value(-v.asDouble());
     return Value::null();  // -'string' has no meaning here
   }
@@ -107,13 +115,13 @@ class BinaryNode final : public CompiledExpr {
     bool bothInt = a.isInt() && b.isInt();
     switch (op_) {
       case BinOp::kAdd:
-        if (bothInt) return Value(a.asInt() + b.asInt());
+        if (bothInt) return Value(wrapInt(asUint(a) + asUint(b)));
         return Value(a.toDouble() + b.toDouble());
       case BinOp::kSub:
-        if (bothInt) return Value(a.asInt() - b.asInt());
+        if (bothInt) return Value(wrapInt(asUint(a) - asUint(b)));
         return Value(a.toDouble() - b.toDouble());
       case BinOp::kMul:
-        if (bothInt) return Value(a.asInt() * b.asInt());
+        if (bothInt) return Value(wrapInt(asUint(a) * asUint(b)));
         return Value(a.toDouble() * b.toDouble());
       case BinOp::kDiv: {
         double d = b.toDouble();
@@ -123,6 +131,8 @@ class BinaryNode final : public CompiledExpr {
       case BinOp::kMod: {
         if (bothInt) {
           if (b.asInt() == 0) return Value::null();
+          // INT64_MIN % -1 overflows in C++; the remainder is 0.
+          if (b.asInt() == -1) return Value(std::int64_t{0});
           return Value(a.asInt() % b.asInt());
         }
         double d = b.toDouble();

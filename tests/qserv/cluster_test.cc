@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <thread>
 
 #include "datagen/schemas.h"
+#include "util/metrics.h"
 #include "util/strings.h"
 
 namespace qserv::core {
@@ -109,6 +111,70 @@ TEST(MiniCluster, BinaryTransferAggregates) {
     total += static_cast<std::int64_t>(chunk.objects->numRows());
   }
   EXPECT_EQ(r->result->cell(0, 0).asInt(), total);
+}
+
+TEST(MiniCluster, ScanAggregatesRunColumnarOncePerChunk) {
+  SmallSky sky;
+  ClusterOptions opts;
+  opts.frontend.catalog = sky.catalog;
+  opts.numWorkers = 3;
+  auto cluster = MiniCluster::create(opts, sky.data);
+  ASSERT_TRUE(cluster.isOk());
+
+  // Oracle answers straight from the partitioned tables.
+  std::vector<double> gFlux;
+  std::int64_t idPlusOneSum = 0;
+  for (const auto& chunk : sky.data.chunks) {
+    const sql::Table& t = *chunk.objects;
+    auto id = t.schema().indexOf("objectId");
+    auto g = t.schema().indexOf("gFlux_PS");
+    ASSERT_TRUE(id && g);
+    for (std::size_t r = 0; r < t.numRows(); ++r) {
+      idPlusOneSum += t.intColumn(*id)[r] + 1;
+      if (!t.isNull(r, *g)) gFlux.push_back(t.doubleColumn(*g)[r]);
+    }
+  }
+  ASSERT_FALSE(gFlux.empty());
+  std::sort(gFlux.begin(), gFlux.end());
+  const double lo = gFlux[gFlux.size() * 3 / 10];
+  const double hi = gFlux[gFlux.size() * 7 / 10];
+
+  auto counter = [](const char* name) -> std::uint64_t {
+    auto snap = util::MetricsRegistry::instance().snapshot();
+    return snap.counters.count(name) ? snap.counters.at(name) : 0;
+  };
+  struct Case {
+    std::string sql;
+    bool columnar;
+  };
+  const Case cases[] = {
+      // HV3-shaped: per-chunk density.
+      {"SELECT chunkId, COUNT(*) AS n FROM Object GROUP BY chunkId", true},
+      // HV4-shaped: filtered COUNT/MIN/MAX.
+      {util::format("SELECT COUNT(*), MIN(decl_PS), MAX(decl_PS) FROM Object "
+                    "WHERE gFlux_PS BETWEEN %.17g AND %.17g",
+                    lo, hi),
+       true},
+      // An expression argument takes the per-row expression path.
+      {"SELECT COUNT(*), SUM(objectId + 1) FROM Object", false},
+  };
+  for (const Case& c : cases) {
+    std::uint64_t aggsBefore = counter("worker.columnar_aggregates");
+    std::uint64_t rowsBefore = counter("worker.columnar_agg_rows");
+    auto r = (*cluster)->frontend().query(c.sql);
+    ASSERT_TRUE(r.isOk()) << r.status().toString() << " for " << c.sql;
+    ASSERT_GT(r->chunksDispatched, 0u);
+    std::uint64_t aggs = counter("worker.columnar_aggregates") - aggsBefore;
+    std::uint64_t rows = counter("worker.columnar_agg_rows") - rowsBefore;
+    if (c.columnar) {
+      EXPECT_EQ(aggs, r->chunksDispatched) << c.sql;
+      EXPECT_GT(rows, 0u) << c.sql;
+    } else {
+      EXPECT_EQ(aggs, 0u) << c.sql;
+      EXPECT_EQ(rows, 0u) << c.sql;
+      EXPECT_EQ(r->result->cell(0, 1), sql::Value(idPlusOneSum));
+    }
+  }
 }
 
 TEST(FrontendPool, RoundRobinsQueriesAcrossMasters) {

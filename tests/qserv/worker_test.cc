@@ -387,6 +387,39 @@ TEST_F(WorkerTest, QueuedTasksIncludesClaimedUnfinishedWork) {
   EXPECT_EQ(w->queuedTasks(), 0u);
 }
 
+TEST_F(WorkerTest, MalformedSubchunksHeaderFailsOnlyThatChunk) {
+  // A subchunk id that is not an int32 fails only its chunk: nothing may
+  // throw on an executor thread, which would take the process down.
+  auto w = makeWorker();
+  std::int32_t chunk = populatedChunk_;
+  std::string count =
+      "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) + ";";
+  for (const char* ids : {"abc", "99999999999", "-2147483649", "7x", "1,,-"}) {
+    std::string q = std::string("-- SUBCHUNKS: ") + ids + "\n" + count;
+    ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
+    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+    ASSERT_FALSE(r.isOk()) << ids;
+    EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument) << ids;
+  }
+
+  // The same header inside a batch fails that chunk's frame only.
+  std::string bad = "-- SUBCHUNKS: abc\n" + count;
+  std::string wire = encodeBatchRequest({{chunk, bad}}, 4);
+  std::string batchId = util::Md5::hex(wire);
+  ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
+  auto frame = w->readFile(xrd::makeBatchStreamPath(batchId));
+  ASSERT_TRUE(frame.isOk()) << frame.status().toString();
+  auto decoded = decodeResultFrame(*frame);
+  ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+  EXPECT_EQ(decoded->chunkId, chunk);
+  EXPECT_EQ(decoded->status.code(), util::ErrorCode::kInvalidArgument);
+
+  // The worker still answers the next query.
+  auto next = runQuery(*w, chunk, count);
+  ASSERT_TRUE(next.isOk()) << next.status().toString();
+  EXPECT_NE(next->find("-- QSERV-OBS"), std::string::npos);
+}
+
 TEST_F(WorkerTest, ShutdownRejectsNewWork) {
   auto w = makeWorker();
   w->shutdown();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "sql/parser.h"
 
@@ -26,6 +28,18 @@ TEST(ExprEval, Arithmetic) {
   EXPECT_DOUBLE_EQ(evalConst("7 / 2").asDouble(), 3.5);  // / is always real
   EXPECT_EQ(evalConst("7 % 3").asInt(), 1);
   EXPECT_DOUBLE_EQ(evalConst("7.5 % 2").asDouble(), 1.5);
+}
+
+TEST(ExprEval, IntegerOverflowWraps) {
+  // Two's-complement wraparound, never undefined behaviour (the UBSan
+  // build of this suite checks).
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(evalConst("9223372036854775807 + 1").asInt(), min);
+  EXPECT_EQ(evalConst("-9223372036854775807 - 2").asInt(), max);
+  EXPECT_EQ(evalConst("9223372036854775807 * 2").asInt(), -2);
+  EXPECT_EQ(evalConst("-(-9223372036854775807 - 1)").asInt(), min);
+  EXPECT_EQ(evalConst("(-9223372036854775807 - 1) % -1").asInt(), 0);
 }
 
 TEST(ExprEval, DivisionByZeroIsNull) {

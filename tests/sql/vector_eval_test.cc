@@ -1,9 +1,11 @@
-/// Tests for the vectorized scan-filter path (sql/vector_eval.h): golden
-/// NULL-comparison and INT/DOUBLE coercion semantics, randomized parity
-/// against the row-at-a-time executor, zone-map pruning stats, and the bulk
+/// Tests for the vectorized scan-filter path (sql/vector_eval.h) and the
+/// executor's columnar aggregation: golden NULL-comparison, INT/DOUBLE
+/// coercion and MIN/MAX/SUM edge-case semantics, randomized bit-exact parity
+/// against the row-at-a-time boxed path, zone-map pruning stats, and the bulk
 /// append paths (Table::appendRows / appendFrom) the scan pipeline rides on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -19,33 +21,68 @@
 namespace qserv::sql {
 namespace {
 
+/// Bit-exact cell equality: same type, same int, same double bit pattern
+/// (-0.0 does not match 0.0), same string. Any NaN matches any NaN: when a
+/// sum adds two NaNs, IEEE 754 leaves open which payload and sign survive,
+/// and the compiler is free to commute the operands.
+bool sameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return a.asInt() == b.asInt();
+    case ValueType::kDouble:
+      if (std::isnan(a.asDouble())) return std::isnan(b.asDouble());
+      return std::bit_cast<std::uint64_t>(a.asDouble()) ==
+             std::bit_cast<std::uint64_t>(b.asDouble());
+    case ValueType::kString:
+      return a.asString() == b.asString();
+  }
+  return false;
+}
+
+/// Same column names and types, and bit-identical cells in the same order.
+void expectSameTable(const Table& on, const Table& off,
+                     const std::string& what) {
+  ASSERT_EQ(on.numColumns(), off.numColumns()) << what;
+  for (std::size_t c = 0; c < on.numColumns(); ++c) {
+    EXPECT_EQ(on.schema().column(c).name, off.schema().column(c).name) << what;
+    EXPECT_EQ(on.schema().column(c).type, off.schema().column(c).type)
+        << what << " column " << c;
+  }
+  ASSERT_EQ(on.numRows(), off.numRows()) << what;
+  for (std::size_t r = 0; r < on.numRows(); ++r) {
+    for (std::size_t c = 0; c < on.numColumns(); ++c) {
+      EXPECT_TRUE(sameCell(on.cell(r, c), off.cell(r, c)))
+          << what << " at " << r << "," << c << ": "
+          << on.cell(r, c).toSqlLiteral() << " vs "
+          << off.cell(r, c).toSqlLiteral();
+    }
+  }
+}
+
 /// Restores the global vectorized-filter switch after each test.
 class VectorEval : public ::testing::Test {
  protected:
   void TearDown() override { setVectorizedFilterEnabled(true); }
 
-  /// Run \p sql with the vectorized path on and off; require identical
-  /// results cell by cell. Returns the (shared) result row count.
-  std::size_t expectParity(Database& db, const std::string& sql) {
+  /// Run \p sql with the vectorized scan and columnar aggregation paths on
+  /// and off; require the same column names and types and bit-identical
+  /// cells. Returns the vectorized result (null on error); \p onStats, when
+  /// given, receives its stats.
+  TablePtr expectParity(Database& db, const std::string& sql,
+                        ExecStats* onStats = nullptr) {
     setVectorizedFilterEnabled(true);
-    ExecStats sv, sr;
-    auto vec = db.execute(sql, &sv);
+    auto vec = db.execute(sql, onStats);
     setVectorizedFilterEnabled(false);
-    auto row = db.execute(sql, &sr);
+    auto row = db.execute(sql);
     setVectorizedFilterEnabled(true);
     EXPECT_TRUE(vec.isOk()) << vec.status().toString() << " for " << sql;
     EXPECT_TRUE(row.isOk()) << row.status().toString() << " for " << sql;
-    if (!vec.isOk() || !row.isOk()) return 0;
-    EXPECT_EQ((*vec)->numRows(), (*row)->numRows()) << sql;
-    EXPECT_EQ((*vec)->numColumns(), (*row)->numColumns()) << sql;
-    if ((*vec)->numRows() != (*row)->numRows()) return 0;
-    for (std::size_t r = 0; r < (*vec)->numRows(); ++r) {
-      for (std::size_t c = 0; c < (*vec)->numColumns(); ++c) {
-        EXPECT_EQ((*vec)->cell(r, c), (*row)->cell(r, c))
-            << sql << " at " << r << "," << c;
-      }
-    }
-    return (*vec)->numRows();
+    if (!vec.isOk() || !row.isOk()) return nullptr;
+    expectSameTable(**vec, **row, sql);
+    return *vec;
   }
 
   /// The ids surviving `SELECT id FROM T WHERE <where> ORDER BY id`, with
@@ -483,6 +520,219 @@ TEST_F(VectorEval, RenameTableCarriesIndexes) {
   auto other = std::make_shared<Table>("taken", schema);
   ASSERT_TRUE(db.registerTable(other).isOk());
   EXPECT_FALSE(db.renameTable("fresh", "taken").isOk());
+}
+
+// ------------------------------------------------- columnar aggregation
+
+/// Aggregation fuzz table. g: INT group key, 1/8 NULL; every row of group
+/// 7 has NULL a and x (an all-NULL group). a: INT with NULLs and values
+/// next to INT64_MAX/MIN, so sums wrap. x: DOUBLE with NULLs, NaN, -0.0,
+/// 0.0 and +-inf. s: STRING.
+TablePtr aggTable(const std::string& name, std::size_t rows, util::Rng& rng) {
+  Schema schema({{"id", ColumnType::kInt},
+                 {"g", ColumnType::kInt},
+                 {"a", ColumnType::kInt},
+                 {"x", ColumnType::kDouble},
+                 {"s", ColumnType::kString}});
+  auto t = std::make_shared<Table>(name, schema);
+  const char* words[] = {"lsst", "qserv", "czar"};
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<Value>> batch;
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<Value> row(5);
+    row[0] = Value(static_cast<std::int64_t>(i));
+    if (rng.below(8) != 0) row[1] = Value(rng.range(0, 9));
+    const bool allNull = !row[1].isNull() && row[1].asInt() == 7;
+    if (!allNull && rng.below(10) != 0) {
+      switch (rng.below(20)) {
+        case 0:
+          row[2] = Value(std::numeric_limits<std::int64_t>::max() -
+                         rng.range(0, 5));
+          break;
+        case 1:
+          row[2] = Value(std::numeric_limits<std::int64_t>::min() +
+                         rng.range(0, 5));
+          break;
+        default:
+          row[2] = Value(rng.range(-1000, 1000));
+      }
+    }
+    if (!allNull && rng.below(10) != 0) {
+      switch (rng.below(50)) {
+        case 0: row[3] = Value(std::numeric_limits<double>::quiet_NaN()); break;
+        case 1: row[3] = Value(-0.0); break;
+        case 2: row[3] = Value(0.0); break;
+        case 3: row[3] = Value(rng.below(2) ? inf : -inf); break;
+        default: row[3] = Value(rng.uniform(-100.0, 100.0));
+      }
+    }
+    row[4] = Value(std::string(words[rng.below(3)]));
+    batch.push_back(std::move(row));
+  }
+  EXPECT_TRUE(t->appendRows(batch).isOk());
+  return t;
+}
+
+TEST_F(VectorEval, ColumnarAggregateGoldens) {
+  Database db("agg_golden");
+  Schema schema({{"g", ColumnType::kInt},
+                 {"a", ColumnType::kInt},
+                 {"x", ColumnType::kDouble}});
+  auto t = std::make_shared<Table>("T", schema);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max();
+  // g arrives as 5, NULL, 3, 9; x ties -0.0/0.0 in group 5 and has a
+  // leading NaN in group 3; group 9's a sum wraps past INT64_MAX.
+  const std::vector<std::vector<Value>> rows = {
+      {Value(std::int64_t{5}), Value(std::int64_t{1}), Value(-0.0)},
+      {Value(), Value(std::int64_t{2}), Value(1.0)},
+      {Value(std::int64_t{3}), Value(), Value(nan)},
+      {Value(std::int64_t{5}), Value(std::int64_t{4}), Value(0.0)},
+      {Value(), Value(), Value()},
+      {Value(std::int64_t{9}), Value(big), Value(0.5)},
+      {Value(std::int64_t{3}), Value(std::int64_t{6}), Value(-2.0)},
+      {Value(std::int64_t{9}), Value(std::int64_t{1}), Value(0.25)},
+  };
+  ASSERT_TRUE(t->appendRows(rows).isOk());
+  ASSERT_TRUE(db.registerTable(t).isOk());
+
+  ExecStats stats;
+  TablePtr r = expectParity(
+      db, "SELECT g, COUNT(*), SUM(a), MIN(x), MAX(x), SUM(x) FROM T GROUP BY g",
+      &stats);
+  ASSERT_TRUE(r);
+  EXPECT_EQ(stats.columnarAggregates, 1u);
+  EXPECT_EQ(stats.columnarAggRows, rows.size());
+  ASSERT_EQ(r->numRows(), 4u);
+  // First-seen group order, the NULL key as its own group.
+  EXPECT_EQ(r->cell(0, 0), Value(std::int64_t{5}));
+  EXPECT_TRUE(r->cell(1, 0).isNull());
+  EXPECT_EQ(r->cell(2, 0), Value(std::int64_t{3}));
+  EXPECT_EQ(r->cell(3, 0), Value(std::int64_t{9}));
+  EXPECT_EQ(r->cell(1, 1), Value(std::int64_t{2}));
+  // Ties keep the first value: group 5's MIN and MAX are both -0.0.
+  EXPECT_TRUE(std::signbit(r->cell(0, 3).asDouble()));
+  EXPECT_TRUE(std::signbit(r->cell(0, 4).asDouble()));
+  // A leading NaN is never replaced; group 3's MIN and MAX stay NaN.
+  EXPECT_TRUE(std::isnan(r->cell(2, 3).asDouble()));
+  EXPECT_TRUE(std::isnan(r->cell(2, 4).asDouble()));
+  // The INT sum wraps modulo 2^64.
+  EXPECT_EQ(r->cell(3, 2),
+            Value(std::numeric_limits<std::int64_t>::min()));
+  // SUM starts from +0.0, so -0.0 + 0.0 sums to +0.0.
+  EXPECT_FALSE(std::signbit(r->cell(0, 5).asDouble()));
+
+  // A NaN after the first value neither replaces nor is replaced.
+  TablePtr late = expectParity(
+      db, "SELECT MIN(x), MAX(x) FROM T WHERE g = 3 OR g = 9");
+  ASSERT_TRUE(late);
+  EXPECT_TRUE(std::isnan(late->cell(0, 0).asDouble()));
+
+  // Expression arguments take the per-row path and are not columnar.
+  ExecStats exprStats;
+  expectParity(db, "SELECT g, SUM(a + 1) FROM T GROUP BY g", &exprStats);
+  EXPECT_EQ(exprStats.columnarAggregates, 0u);
+  setVectorizedFilterEnabled(false);
+  ExecStats offStats;
+  ASSERT_TRUE(db.execute("SELECT g, COUNT(*) FROM T GROUP BY g", &offStats)
+                  .isOk());
+  EXPECT_EQ(offStats.columnarAggregates, 0u);
+}
+
+TEST_F(VectorEval, ColumnarAggregateRandomizedParity) {
+  util::Rng rng(20261017);
+  Database db("agg_fuzz");
+  for (std::size_t rows : {std::size_t{0}, std::size_t{1}, std::size_t{64},
+                           std::size_t{5000}}) {
+    SCOPED_TRACE(rows);
+    for (const char* name : {"T", "U"}) {
+      (void)db.dropTable(name, /*ifExists=*/true);
+      ASSERT_TRUE(db.registerTable(aggTable(name, rows, rng)).isOk());
+    }
+    const std::string all =
+        "COUNT(*), COUNT(a), COUNT(x), SUM(a), SUM(x), AVG(a), AVG(x), "
+        "MIN(a), MAX(a), MIN(x), MAX(x)";
+    for (int trial = 0; trial < 6; ++trial) {
+      const long long cut = rng.range(0, static_cast<std::int64_t>(rows));
+      const long long minCount = rng.range(0, 40);
+      // Global aggregates: all rows, a kernel-filtered selection, an empty
+      // (zone-pruned) selection, a residual filter, an all-NULL group.
+      for (const std::string& where :
+           {std::string(), util::format(" WHERE id < %lld", cut),
+            std::string(" WHERE id > 100000000"),
+            std::string(" WHERE s = 'qserv'"), std::string(" WHERE g = 7")}) {
+        expectParity(db, "SELECT " + all + " FROM T" + where);
+        expectParity(db, "SELECT g, " + all + " FROM T" + where +
+                                  " GROUP BY g");
+      }
+      expectParity(db, util::format(
+          "SELECT g, COUNT(*) AS n, SUM(x) AS sx FROM T GROUP BY g "
+          "HAVING COUNT(*) > %lld", minCount));
+      expectParity(db,
+                        "SELECT DISTINCT MAX(a) > 0 AS pos FROM T GROUP BY g");
+      expectParity(db, util::format(
+          "SELECT g, SUM(x) AS sx, MIN(a) AS ma FROM T WHERE id >= %lld "
+          "GROUP BY g ORDER BY ma DESC LIMIT 4", cut));
+      // Shapes that keep the per-row path: expression arguments, STRING
+      // arguments, DOUBLE and multi-column keys, aggregate arithmetic.
+      expectParity(db,
+                        "SELECT g, SUM(a + 1), MIN(x * 2), MAX(s), COUNT(s) "
+                        "FROM T GROUP BY g");
+      expectParity(db, util::format(
+          "SELECT x, COUNT(*), SUM(a) FROM T WHERE id < %lld GROUP BY x",
+          cut));
+      expectParity(db,
+                        "SELECT g, a % 3, COUNT(*), MAX(x) FROM T "
+                        "GROUP BY g, a % 3");
+      expectParity(db, "SELECT g, SUM(a) * 2, AVG(x) + MIN(x) FROM T "
+                            "GROUP BY g");
+      // Join inputs: typed loops read the joined table's selection.
+      expectParity(db, util::format(
+          "SELECT T.g, COUNT(*), SUM(U.a), MIN(U.x), MAX(T.x) FROM T, U "
+          "WHERE T.id = U.id AND U.id < %lld GROUP BY T.g", cut));
+      expectParity(db,
+                        "SELECT U.g, COUNT(U.x), AVG(T.a) FROM T, U "
+                        "WHERE T.id = U.id GROUP BY U.g");
+    }
+  }
+}
+
+TEST_F(VectorEval, ColumnarFinalAggregateOverMergedPartials) {
+  // The czar's shape: per-chunk partial aggregates merged into one table,
+  // then re-aggregated. The whole pipeline must match bit for bit.
+  auto finalResult = [](bool columnar) -> TablePtr {
+    setVectorizedFilterEnabled(columnar);
+    util::Rng rng(777);
+    Database db("czar");
+    TablePtr merged;
+    for (int chunk = 0; chunk < 6; ++chunk) {
+      std::string name = util::format("Object_%d", chunk);
+      EXPECT_TRUE(
+          db.registerTable(aggTable(name, 50 + 40 * chunk, rng)).isOk());
+      auto part = db.execute(
+          "SELECT g, COUNT(*) AS c, COUNT(x) AS cx, SUM(a) AS sa, "
+          "SUM(x) AS sx, MIN(x) AS mn, MAX(a) AS mx FROM " + name +
+          " GROUP BY g");
+      EXPECT_TRUE(part.isOk()) << part.status().toString();
+      if (!part.isOk()) return nullptr;
+      if (!merged) {
+        merged = std::make_shared<Table>("merge", (*part)->schema());
+      }
+      EXPECT_TRUE(merged->appendFrom(**part).isOk());
+    }
+    EXPECT_TRUE(db.registerTable(merged).isOk());
+    auto r = db.execute(
+        "SELECT g, SUM(c), SUM(cx), SUM(sa), SUM(sx), MIN(mn), MAX(mx) "
+        "FROM merge GROUP BY g ORDER BY g");
+    EXPECT_TRUE(r.isOk()) << r.status().toString();
+    setVectorizedFilterEnabled(true);
+    return r.isOk() ? *r : nullptr;
+  };
+  TablePtr on = finalResult(true);
+  TablePtr off = finalResult(false);
+  ASSERT_TRUE(on && off);
+  EXPECT_GT(on->numRows(), 1u);
+  expectSameTable(*on, *off, "final aggregate");
 }
 
 }  // namespace
