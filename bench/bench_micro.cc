@@ -8,6 +8,7 @@
 #include "datagen/catalog_gen.h"
 #include "datagen/partitioner.h"
 #include "qserv/query_analysis.h"
+#include "qserv/secondary_index.h"
 #include "sql/dump.h"
 #include "qserv/query_rewriter.h"
 #include "sphgeom/chunker.h"
@@ -171,6 +172,59 @@ void BM_ExecutorIndexProbe(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_ExecutorIndexProbe);
+
+// Building the objectId index of a 100k-row chunk table (every deploy-time
+// createIndex and every replaceTable of an indexed table pays this).
+void BM_IndexBuild100k(benchmark::State& state) {
+  sql::TablePtr table = scanDb()->findTable("Object_0");
+  std::size_t col = *table->schema().indexOf("objectId");
+  util::Stopwatch watch;
+  for (auto _ : state) {
+    sql::OrderedIndex index(*table, col);
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(table->numRows()));
+  qserv::bench::recordRate("bench.micro.index_build_100k_ns_per_iter", watch,
+                           state.iterations());
+}
+BENCHMARK(BM_IndexBuild100k)->Unit(benchmark::kMillisecond);
+
+std::vector<datagen::SecondaryIndexEntry> indexEntries(std::int64_t from,
+                                                       std::int64_t count) {
+  std::vector<datagen::SecondaryIndexEntry> out;
+  out.reserve(static_cast<std::size_t>(count));
+  for (std::int64_t id = from; id < from + count; ++id) {
+    out.push_back({id, static_cast<std::int32_t>(id % 8832),
+                   static_cast<std::int32_t>(id % 64)});
+  }
+  return out;
+}
+
+// One ingest batch's publish (500 entries) onto an ObjectIndex of
+// state.range(0) entries. A fixed iteration count bounds the growth of the
+// index during the run to 10k entries.
+void BM_SecondaryIndexPublish500(benchmark::State& state) {
+  sql::Database db("publish");
+  core::SecondaryIndex index(db);
+  std::int64_t next = state.range(0);
+  if (!index.load(indexEntries(0, next)).isOk()) {
+    state.SkipWithError("initial load failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto batch = indexEntries(next, 500);
+    auto status = index.load(batch);
+    benchmark::DoNotOptimize(status);
+    next += 500;
+  }
+  state.SetItemsProcessed(state.iterations() * 500);
+}
+BENCHMARK(BM_SecondaryIndexPublish500)
+    ->Arg(100000)
+    ->Arg(400000)
+    ->Iterations(20)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DumpAndReplay1kRows(benchmark::State& state) {
   sql::Database* db = scanDb();

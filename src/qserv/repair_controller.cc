@@ -1,8 +1,11 @@
 #include "qserv/repair_controller.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <future>
+#include <type_traits>
 
 #include "qserv/czar.h"
 #include "qserv/dump_integrity.h"
@@ -589,68 +592,110 @@ Status RepairController::ingest(const datagen::PartitionedCatalog& catalog) {
   return Status::ok();
 }
 
+namespace {
+
+/// One data line of an ingest CSV: strict field parsing with errors that
+/// name the line.
+struct CsvLine {
+  const char* kind;    ///< "object" or "source"
+  std::size_t number;  ///< 1-based line number in its CSV
+  std::vector<std::string> fields;
+
+  Status error(const std::string& what) const {
+    return Status::invalidArgument(
+        util::format("%s CSV line %zu: %s", kind, number, what.c_str()));
+  }
+
+  /// Field \p i as T; the whole trimmed field must be one number.
+  template <class T>
+  Status parse(std::size_t i, const char* name, T& out) const {
+    std::string_view f = util::trim(fields[i]);
+    const char* end = f.data() + f.size();
+    auto [ptr, ec] = std::from_chars(f.data(), end, out);
+    if (f.empty() || ec != std::errc() || ptr != end) {
+      return error(util::format("%s '%.*s' is not a valid %s", name,
+                                static_cast<int>(f.size()), f.data(),
+                                std::is_integral_v<T> ? "integer" : "number"));
+    }
+    return Status::ok();
+  }
+
+  /// Optional field \p i: \p out keeps its default when the line is short.
+  template <class T>
+  Status parseIfPresent(std::size_t i, const char* name, T& out) const {
+    return i < fields.size() ? parse(i, name, out) : Status::ok();
+  }
+
+  /// The chunker needs a finite ra and a decl on the sphere.
+  Status checkPosition(double ra, double decl) const {
+    if (!std::isfinite(ra) || !std::isfinite(decl) || decl < -90.0 ||
+        decl > 90.0) {
+      return error(util::format("position (%g, %g) is not a finite ra with "
+                                "decl in [-90, 90]",
+                                ra, decl));
+    }
+    return Status::ok();
+  }
+};
+
+/// The data lines of \p csv (blank lines and '#' comments skipped), each
+/// checked to have at least \p minFields fields named by \p header.
+Result<std::vector<CsvLine>> csvLines(const std::string& csv,
+                                      const char* kind, std::size_t minFields,
+                                      const char* header) {
+  std::vector<CsvLine> out;
+  auto lines = util::split(csv, '\n');
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string_view trimmed = util::trim(lines[i]);
+    if (trimmed.empty() || trimmed.front() == '#') continue;
+    CsvLine line{kind, i + 1, util::split(trimmed, ',')};
+    if (line.fields.size() < minFields) {
+      return line.error(util::format("needs at least %s", header));
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<std::size_t> RepairController::ingestCsv(
     const std::string& objectsCsv, const std::string& sourcesCsv) {
+  // Parse and validate every line before anything is installed.
+  QSERV_ASSIGN_OR_RETURN(auto objectLines,
+                         csvLines(objectsCsv, "object", 3, "objectId,ra,decl"));
   std::vector<datagen::ObjectRow> objects;
-  for (const auto& line : util::split(objectsCsv, '\n')) {
-    std::string_view trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    auto fields = util::split(trimmed, ',');
-    if (fields.size() < 3) {
-      return Status::invalidArgument(
-          "object CSV needs at least objectId,ra,decl: " +
-          std::string(trimmed));
-    }
+  objects.reserve(objectLines.size());
+  for (const CsvLine& line : objectLines) {
     datagen::ObjectRow row;
-    row.objectId = std::strtoll(
-        std::string(util::trim(fields[0])).c_str(), nullptr, 10);
-    row.ra = std::strtod(std::string(util::trim(fields[1])).c_str(), nullptr);
-    row.decl =
-        std::strtod(std::string(util::trim(fields[2])).c_str(), nullptr);
-    if (fields.size() > 3) {
-      row.uRadius =
-          std::strtod(std::string(util::trim(fields[3])).c_str(), nullptr);
+    QSERV_RETURN_IF_ERROR(line.parse(0, "objectId", row.objectId));
+    QSERV_RETURN_IF_ERROR(line.parse(1, "ra", row.ra));
+    QSERV_RETURN_IF_ERROR(line.parse(2, "decl", row.decl));
+    QSERV_RETURN_IF_ERROR(line.checkPosition(row.ra, row.decl));
+    QSERV_RETURN_IF_ERROR(line.parseIfPresent(3, "uRadius", row.uRadius));
+    for (std::size_t f = 0; f < 6; ++f) {
+      QSERV_RETURN_IF_ERROR(line.parseIfPresent(4 + f, "flux", row.flux[f]));
     }
-    for (std::size_t f = 0; f < 6 && 4 + f < fields.size(); ++f) {
-      row.flux[f] = std::strtod(
-          std::string(util::trim(fields[4 + f])).c_str(), nullptr);
-    }
-    if (fields.size() > 10) {
-      row.uFluxSg =
-          std::strtod(std::string(util::trim(fields[10])).c_str(), nullptr);
-    }
+    QSERV_RETURN_IF_ERROR(line.parseIfPresent(10, "uFluxSg", row.uFluxSg));
     objects.push_back(row);
   }
+  QSERV_ASSIGN_OR_RETURN(
+      auto sourceLines,
+      csvLines(sourcesCsv, "source", 4, "sourceId,objectId,ra,decl"));
   std::vector<datagen::SourceRow> sources;
-  for (const auto& line : util::split(sourcesCsv, '\n')) {
-    std::string_view trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    auto fields = util::split(trimmed, ',');
-    if (fields.size() < 4) {
-      return Status::invalidArgument(
-          "source CSV needs at least sourceId,objectId,ra,decl: " +
-          std::string(trimmed));
-    }
+  sources.reserve(sourceLines.size());
+  for (const CsvLine& line : sourceLines) {
     datagen::SourceRow row;
-    row.sourceId = std::strtoll(
-        std::string(util::trim(fields[0])).c_str(), nullptr, 10);
-    row.objectId = std::strtoll(
-        std::string(util::trim(fields[1])).c_str(), nullptr, 10);
-    row.ra = std::strtod(std::string(util::trim(fields[2])).c_str(), nullptr);
-    row.decl =
-        std::strtod(std::string(util::trim(fields[3])).c_str(), nullptr);
-    if (fields.size() > 4) {
-      row.psfFlux =
-          std::strtod(std::string(util::trim(fields[4])).c_str(), nullptr);
-    }
-    if (fields.size() > 5) {
-      row.psfFluxErr =
-          std::strtod(std::string(util::trim(fields[5])).c_str(), nullptr);
-    }
-    if (fields.size() > 6) {
-      row.taiMidPoint =
-          std::strtod(std::string(util::trim(fields[6])).c_str(), nullptr);
-    }
+    QSERV_RETURN_IF_ERROR(line.parse(0, "sourceId", row.sourceId));
+    QSERV_RETURN_IF_ERROR(line.parse(1, "objectId", row.objectId));
+    QSERV_RETURN_IF_ERROR(line.parse(2, "ra", row.ra));
+    QSERV_RETURN_IF_ERROR(line.parse(3, "decl", row.decl));
+    QSERV_RETURN_IF_ERROR(line.checkPosition(row.ra, row.decl));
+    QSERV_RETURN_IF_ERROR(line.parseIfPresent(4, "psfFlux", row.psfFlux));
+    QSERV_RETURN_IF_ERROR(
+        line.parseIfPresent(5, "psfFluxErr", row.psfFluxErr));
+    QSERV_RETURN_IF_ERROR(
+        line.parseIfPresent(6, "taiMidPoint", row.taiMidPoint));
     sources.push_back(row);
   }
   if (objects.empty()) {

@@ -14,6 +14,12 @@ SecondaryIndex::SecondaryIndex(sql::Database& metadata) : metadata_(metadata) {
                      kTableName));
     (void)status;  // creation can only fail on a pre-existing table
   }
+  // Index the (still empty) table once: every load extends this index, so
+  // lookups are probes, not scans.
+  if (!metadata_.findIndex(kTableName, "objectId")) {
+    auto status = metadata_.createIndex(kTableName, "objectId");
+    (void)status;  // the table and its objectId column exist
+  }
 }
 
 util::Status SecondaryIndex::load(
@@ -21,22 +27,17 @@ util::Status SecondaryIndex::load(
   sql::TablePtr table = metadata_.findTable(kTableName);
   if (!table) return util::Status::internal("ObjectIndex table missing");
   // Incremental loads happen while the frontend serves queries (the ingest
-  // path), and concurrent lookups scan the registered table — so never
-  // mutate it in place. Build a fresh snapshot (old rows + new entries) and
-  // swap it in atomically; replaceTable rebuilds the objectId index over
-  // the new contents.
-  auto next = std::make_shared<sql::Table>(kTableName, table->schema());
-  QSERV_RETURN_IF_ERROR(next->appendFrom(*table));
+  // path), and concurrent lookups read the registered table — so never
+  // mutate it in place. extendTable publishes old rows + these entries as a
+  // new snapshot with the objectId index extended by this batch only.
+  sql::Table batch(kTableName, table->schema());
+  batch.reserveMore(entries.size());
   for (const auto& e : entries) {
-    QSERV_RETURN_IF_ERROR(next->appendRow(std::vector<sql::Value>{
+    QSERV_RETURN_IF_ERROR(batch.appendRow(std::vector<sql::Value>{
         sql::Value(e.objectId), sql::Value(static_cast<std::int64_t>(e.chunkId)),
         sql::Value(static_cast<std::int64_t>(e.subChunkId))}));
   }
-  QSERV_RETURN_IF_ERROR(metadata_.replaceTable(std::move(next)));
-  // (Re)build the index so lookups are probes, not scans (the first load
-  // creates it; replaceTable keeps it fresh on later loads).
-  QSERV_RETURN_IF_ERROR(metadata_.createIndex(kTableName, "objectId"));
-  return util::Status::ok();
+  return metadata_.extendTable(kTableName, batch);
 }
 
 util::Result<std::vector<SecondaryIndex::Location>> SecondaryIndex::lookup(

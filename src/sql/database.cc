@@ -1,5 +1,7 @@
 #include "sql/database.h"
 
+#include <algorithm>
+
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "util/strings.h"
@@ -32,12 +34,45 @@ void ExecStats::add(const ExecStats& o) {
   }
 }
 
+std::shared_ptr<const OrderedIndex> TableSnapshot::index(
+    std::string_view column) const {
+  if (!indexes) return nullptr;
+  for (const auto& [name, index] : *indexes) {
+    if (util::iequals(name, column)) return index;
+  }
+  return nullptr;
+}
+
 Database::Database(std::string name)
     : name_(std::move(name)), registry_(FunctionRegistry::builtins()) {}
 
+template <class Make>
+util::Status Database::publish(const std::string& table, Make make) {
+  for (;;) {
+    TableSnapshot cur = snapshot(table);
+    QSERV_ASSIGN_OR_RETURN(TableSnapshot next, make(cur));
+    if (next.table == cur.table && next.indexes == cur.indexes) {
+      return util::Status::ok();  // nothing to publish
+    }
+    std::unique_lock lock(mutex_);
+    auto it = tables_.find(table);
+    if (it == tables_.end()) {
+      if (cur.table) continue;  // dropped meanwhile: start over
+      tables_.emplace(table, std::move(next));
+      return util::Status::ok();
+    }
+    if (it->second.table != cur.table || it->second.indexes != cur.indexes) {
+      continue;  // another writer published first: build on top of it
+    }
+    it->second = std::move(next);
+    return util::Status::ok();
+  }
+}
+
 util::Status Database::registerTable(TablePtr table) {
   std::unique_lock lock(mutex_);
-  auto [it, inserted] = tables_.emplace(table->name(), table);
+  auto [it, inserted] =
+      tables_.emplace(table->name(), TableSnapshot{table, nullptr});
   if (!inserted) {
     return util::Status::alreadyExists(
         util::format("table %s already exists", table->name().c_str()));
@@ -46,20 +81,44 @@ util::Status Database::registerTable(TablePtr table) {
 }
 
 util::Status Database::replaceTable(TablePtr table) {
-  std::unique_lock lock(mutex_);
-  auto& slot = tables_[table->name()];
-  slot = std::move(table);
-  // Existing indexes snapshot the replaced contents: rebuild them over the
-  // new table so probes keep agreeing with scans.
-  auto it = indexes_.find(slot->name());
-  if (it != indexes_.end()) {
-    for (auto& [colName, index] : it->second) {
-      auto col = slot->schema().indexOf(colName);
-      if (!col) continue;
-      index = std::make_shared<OrderedIndex>(*slot, *col);
+  return publish(table->name(), [&](const TableSnapshot& cur)
+                                    -> util::Result<TableSnapshot> {
+    // The current indexes describe the replaced contents: rebuild each over
+    // the new table so probes keep agreeing with scans.
+    auto indexes = std::make_shared<IndexSet>();
+    if (cur.indexes) {
+      for (const auto& [colName, index] : *cur.indexes) {
+        auto col = table->schema().indexOf(colName);
+        if (!col) continue;
+        indexes->emplace_back(colName,
+                              std::make_shared<OrderedIndex>(*table, *col));
+      }
     }
-  }
-  return util::Status::ok();
+    return TableSnapshot{table, std::move(indexes)};
+  });
+}
+
+util::Status Database::extendTable(const std::string& table,
+                                   const Table& more) {
+  return publish(table, [&](const TableSnapshot& cur)
+                            -> util::Result<TableSnapshot> {
+    if (!cur.table) {
+      return util::Status::notFound(
+          util::format("unknown table %s", table.c_str()));
+    }
+    auto next = std::make_shared<Table>(table, cur.table->schema());
+    next->reserveMore(cur.table->numRows() + more.numRows());
+    QSERV_RETURN_IF_ERROR(next->appendFrom(*cur.table));
+    QSERV_RETURN_IF_ERROR(next->appendFrom(more));
+    auto indexes = std::make_shared<IndexSet>();
+    if (cur.indexes) {
+      for (const auto& [colName, index] : *cur.indexes) {
+        indexes->emplace_back(
+            colName, std::make_shared<OrderedIndex>(index->extended(*next)));
+      }
+    }
+    return TableSnapshot{std::move(next), std::move(indexes)};
+  });
 }
 
 util::Status Database::dropTable(const std::string& table, bool ifExists) {
@@ -71,7 +130,6 @@ util::Status Database::dropTable(const std::string& table, bool ifExists) {
         util::format("unknown table %s", table.c_str()));
   }
   tables_.erase(it);
-  indexes_.erase(table);
   return util::Status::ok();
 }
 
@@ -87,23 +145,23 @@ util::Status Database::renameTable(const std::string& from,
     return util::Status::alreadyExists(
         util::format("table %s already exists", to.c_str()));
   }
-  TablePtr table = std::move(it->second);
+  TableSnapshot moved = std::move(it->second);
   tables_.erase(it);
-  table->rename(to);
-  tables_.emplace(to, std::move(table));
-  auto idx = indexes_.find(from);
-  if (idx != indexes_.end()) {
-    auto moved = std::move(idx->second);
-    indexes_.erase(idx);
-    indexes_.emplace(to, std::move(moved));
-  }
+  moved.table->rename(to);
+  tables_.emplace(to, std::move(moved));
   return util::Status::ok();
 }
 
 TablePtr Database::findTable(const std::string& table) const {
   std::shared_lock lock(mutex_);
   auto it = tables_.find(table);
-  return it == tables_.end() ? nullptr : it->second;
+  return it == tables_.end() ? nullptr : it->second.table;
+}
+
+TableSnapshot Database::snapshot(const std::string& table) const {
+  std::shared_lock lock(mutex_);
+  auto it = tables_.find(table);
+  return it == tables_.end() ? TableSnapshot{} : it->second;
 }
 
 std::vector<std::string> Database::tableNames() const {
@@ -117,43 +175,50 @@ std::vector<std::string> Database::tableNames() const {
 
 util::Status Database::createIndex(const std::string& table,
                                    const std::string& column) {
-  TablePtr t = findTable(table);
-  if (!t) {
-    return util::Status::notFound(
-        util::format("unknown table %s", table.c_str()));
-  }
-  auto col = t->schema().indexOf(column);
-  if (!col) {
-    return util::Status::notFound(
-        util::format("unknown column %s.%s", table.c_str(), column.c_str()));
-  }
-  auto index = std::make_shared<OrderedIndex>(*t, *col);
-  std::unique_lock lock(mutex_);
-  indexes_[table][util::toLower(column)] = std::move(index);
-  return util::Status::ok();
+  return publish(table, [&](const TableSnapshot& cur)
+                            -> util::Result<TableSnapshot> {
+    if (!cur.table) {
+      return util::Status::notFound(
+          util::format("unknown table %s", table.c_str()));
+    }
+    auto col = cur.table->schema().indexOf(column);
+    if (!col) {
+      return util::Status::notFound(util::format(
+          "unknown column %s.%s", table.c_str(), column.c_str()));
+    }
+    std::string key = util::toLower(column);
+    auto indexes = std::make_shared<IndexSet>();
+    if (cur.indexes) {
+      for (const auto& entry : *cur.indexes) {
+        if (entry.first != key) indexes->push_back(entry);
+      }
+    }
+    indexes->emplace_back(std::move(key),
+                          std::make_shared<OrderedIndex>(*cur.table, *col));
+    return TableSnapshot{cur.table, std::move(indexes)};
+  });
 }
 
 std::shared_ptr<const OrderedIndex> Database::findIndex(
     const std::string& table, const std::string& column) const {
-  std::shared_lock lock(mutex_);
-  auto it = indexes_.find(table);
-  if (it == indexes_.end()) return nullptr;
-  auto jt = it->second.find(util::toLower(column));
-  return jt == it->second.end() ? nullptr : jt->second;
+  return snapshot(table).index(column);
 }
 
 void Database::refreshIndexes(const std::string& table) {
-  TablePtr t = findTable(table);
-  if (!t) return;
-  std::unique_lock lock(mutex_);
-  auto it = indexes_.find(table);
-  if (it == indexes_.end()) return;
-  // Rebuild each index as an immutable snapshot over the current rows.
-  for (auto& [colName, index] : it->second) {
-    auto col = t->schema().indexOf(colName);
-    if (!col) continue;
-    index = std::make_shared<OrderedIndex>(*t, *col);
-  }
+  auto status = publish(table, [&](const TableSnapshot& cur)
+                                   -> util::Result<TableSnapshot> {
+    if (!cur.table || !cur.indexes) return cur;
+    auto indexes = std::make_shared<IndexSet>();
+    for (const auto& [colName, index] : *cur.indexes) {
+      indexes->emplace_back(
+          colName,
+          index->coveredRows() == cur.table->numRows()
+              ? index
+              : std::make_shared<OrderedIndex>(index->extended(*cur.table)));
+    }
+    return TableSnapshot{cur.table, std::move(indexes)};
+  });
+  (void)status;  // the builder above never fails
 }
 
 util::Result<TablePtr> Database::execute(std::string_view sql,

@@ -7,6 +7,12 @@
 /// chunk queries concurrently (distinct queries create distinct
 /// task-scoped subchunk tables); table *contents* are append-only and only
 /// written by their creating statement.
+///
+/// A table and its indexes are published together as one TableSnapshot.
+/// Writers build the next snapshot (table and indexes) outside the lock and
+/// hold it only to swap the snapshot in; readers take both halves in one
+/// lookup, so a probe never meets an index built over another snapshot of
+/// the table it reads.
 #pragma once
 
 #include <map>
@@ -14,7 +20,9 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sql/functions.h"
@@ -57,6 +65,20 @@ struct ExecStats {
   void add(const ExecStats& o);
 };
 
+/// Index snapshots of one table: (lowercased column name, index) pairs.
+using IndexSet =
+    std::vector<std::pair<std::string, std::shared_ptr<const OrderedIndex>>>;
+
+/// One published state of a table: its contents and the indexes built over
+/// exactly those contents.
+struct TableSnapshot {
+  TablePtr table;                           ///< nullptr when absent
+  std::shared_ptr<const IndexSet> indexes;  ///< nullptr when none
+
+  /// Index over \p column (case-insensitive); nullptr when none.
+  std::shared_ptr<const OrderedIndex> index(std::string_view column) const;
+};
+
 class Database {
  public:
   explicit Database(std::string name = "db");
@@ -68,12 +90,19 @@ class Database {
   util::Status registerTable(TablePtr table);
 
   /// Atomically replace a registered table with a new snapshot (registering
-  /// it when absent) and rebuild its indexes over the new contents. This is
-  /// the supported way to publish contents that evolve after registration
-  /// (e.g. the frontend's QueryStats history) without violating the
-  /// append-only invariant: readers that already hold the previous TablePtr
-  /// keep scanning an unchanging table.
+  /// it when absent) together with its indexes rebuilt over the new
+  /// contents. This is the supported way to publish contents that evolve
+  /// after registration (e.g. the frontend's QueryStats history) without
+  /// violating the append-only invariant: readers that already hold the
+  /// previous TablePtr keep scanning an unchanging table.
   util::Status replaceTable(TablePtr table);
+
+  /// Atomically publish \p table's rows followed by the rows of \p more as
+  /// the table's next snapshot, with every index extended over the appended
+  /// rows (not rebuilt). Readers holding the previous snapshot keep it.
+  /// Fails with kNotFound when \p table is absent and kInvalidArgument when
+  /// \p more's columns do not fit.
+  util::Status extendTable(const std::string& table, const Table& more);
 
   /// Remove a table and its indexes.
   util::Status dropTable(const std::string& table, bool ifExists = false);
@@ -87,6 +116,10 @@ class Database {
   /// Find a table; nullptr when absent. Lookup is exact (case-sensitive),
   /// like MySQL table names on Unix.
   TablePtr findTable(const std::string& table) const;
+
+  /// A table and its indexes, as published together (table is nullptr when
+  /// absent). The executor binds every FROM table through this.
+  TableSnapshot snapshot(const std::string& table) const;
 
   bool hasTable(const std::string& table) const {
     return findTable(table) != nullptr;
@@ -102,7 +135,8 @@ class Database {
   std::shared_ptr<const OrderedIndex> findIndex(
       const std::string& table, const std::string& column) const;
 
-  /// Re-extend indexes of \p table for rows appended since they were built.
+  /// Extend the indexes of \p table over rows appended in place since they
+  /// were built (INSERT).
   void refreshIndexes(const std::string& table);
 
   /// Mutable registry: callers may add custom UDFs before executing.
@@ -127,14 +161,14 @@ class Database {
   std::string name_;
   FunctionRegistry registry_;
 
+  /// Swap in the snapshot \p make builds (outside the lock) from the
+  /// current one; rebuilds on top of a concurrent writer's snapshot instead
+  /// of overwriting it.
+  template <class Make>
+  util::Status publish(const std::string& table, Make make);
+
   mutable std::shared_mutex mutex_;
-  std::unordered_map<std::string, TablePtr> tables_;
-  /// table -> column (lowercased) -> index. Indexes are immutable snapshots,
-  /// replaced wholesale by refreshIndexes.
-  std::unordered_map<std::string,
-                     std::unordered_map<std::string,
-                                        std::shared_ptr<const OrderedIndex>>>
-      indexes_;
+  std::unordered_map<std::string, TableSnapshot> tables_;
 };
 
 }  // namespace qserv::sql

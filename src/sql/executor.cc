@@ -567,16 +567,18 @@ class SelectExec {
     for (const TableRef& ref : sel_.from) {
       std::string key =
           ref.database.empty() ? ref.table : ref.database + "." + ref.table;
-      TablePtr t = db_.findTable(key);
-      if (!t && !ref.database.empty()) t = db_.findTable(ref.table);
-      if (!t) {
+      // The table and its indexes come from one publish, so an index probe
+      // only ever yields rows of the table this statement reads.
+      TableSnapshot snap = db_.snapshot(key);
+      if (!snap.table && !ref.database.empty()) snap = db_.snapshot(ref.table);
+      if (!snap.table) {
         return Status::notFound(
             util::format("unknown table %s", key.c_str()));
       }
       tableKeys_.push_back(key);
-      pins_.push_back(t);
-      scope_.push_back(ScopeTable{ref.bindingName(), t.get()});
-      tablesRaw_.push_back(t.get());
+      scope_.push_back(ScopeTable{ref.bindingName(), snap.table.get()});
+      tablesRaw_.push_back(snap.table.get());
+      pins_.push_back(std::move(snap));
     }
     return Status::ok();
   }
@@ -713,7 +715,7 @@ class SelectExec {
     if (!sf.hasKernels() || !sf.residuals().empty()) return false;
     const Table& table = *tablesRaw_[0];
     for (std::size_t col : sf.kernelColumns()) {
-      if (db_.findIndex(tableKeys_[0], table.schema().column(col).name)) {
+      if (pins_[0].index(table.schema().column(col).name)) {
         return false;
       }
     }
@@ -818,7 +820,7 @@ class SelectExec {
       // The column must belong to this table.
       auto slot = resolveColumn(*col, scope_);
       if (!slot.isOk() || slot.value().tableIdx != t) continue;
-      auto index = db_.findIndex(tableKeys_[t], col->column);
+      auto index = pins_[t].index(col->column);
       if (!index) continue;
       if (isRange) {
         rows = index->lookupRange(lo, hi);
@@ -1413,7 +1415,7 @@ class SelectExec {
   const FunctionRegistry& registry_;
 
   std::vector<std::string> tableKeys_;
-  std::vector<TablePtr> pins_;
+  std::vector<TableSnapshot> pins_;  ///< FROM tables with their indexes
   std::vector<ScopeTable> scope_;
   std::vector<const Table*> tablesRaw_;
 

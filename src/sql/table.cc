@@ -118,6 +118,10 @@ util::Status Table::appendRows(std::span<const std::vector<Value>> rows) {
   return util::Status::ok();
 }
 
+void Table::reserveMore(std::size_t rows) {
+  for (Column& c : columns_) c.reserveMore(rows);
+}
+
 util::Status Table::appendFrom(const Table& src) {
   if (src.numColumns() != numColumns()) {
     return util::Status::invalidArgument(util::format(

@@ -54,6 +54,10 @@ class Table {
   /// (all-or-nothing, unlike a loop of appendRow which stops mid-way).
   util::Status appendRows(std::span<const std::vector<Value>> rows);
 
+  /// Reserve column storage for \p rows more rows, so a sequence of bulk
+  /// appends of known total size allocates once.
+  void reserveMore(std::size_t rows);
+
   /// Append every row of \p src by typed column-to-column copy (no Value
   /// boxing). Column counts must match; an INT source column widens into a
   /// DOUBLE destination, and an all-NULL source column feeds any type.

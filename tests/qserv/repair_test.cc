@@ -424,6 +424,90 @@ TEST_F(RepairTest, IngestCsvPartitionsAndLoads) {
   EXPECT_FALSE(bad.isOk());
 }
 
+// 7b. Hostile CSV: every field must parse whole, positions must be finite
+//     with decl on the sphere. Each bad line is refused with its 1-based
+//     line number and nothing is installed; a valid batch still lands with
+//     exactly the index entries and chunk rows the partitioner produces.
+TEST_F(RepairTest, IngestCsvRejectsMalformedFieldsByLine) {
+  auto opts = baseOptions();
+  auto cluster = MiniCluster::create(opts, *sky_);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  auto& repair = (*cluster)->repairController();
+  auto& frontend = (*cluster)->frontend();
+  const std::size_t indexRows = frontend.secondaryIndex().size();
+  const std::size_t chunks = frontend.availableChunks().size();
+
+  const std::string good = "9100000001, 180.0, 40.0\n";
+  struct Case {
+    std::string objects, sources, line;
+  };
+  const std::vector<Case> cases = {
+      {"# objectId,ra,decl\nabc,1,2\n", "", "object CSV line 2"},
+      {good + "7,nan,nan\n", "", "object CSV line 2"},
+      {good + "\n7,inf,10\n", "", "object CSV line 3"},
+      {"7,10,-inf\n", "", "object CSV line 1"},
+      {"7,10,95\n", "", "object CSV line 1"},
+      {"7,10,-90.5\n", "", "object CSV line 1"},
+      {"7,10x,3\n", "", "object CSV line 1"},
+      {"7,10,3,abc\n", "", "object CSV line 1"},
+      {"7,,3\n", "", "object CSV line 1"},
+      {"7.5,10,3\n", "", "object CSV line 1"},
+      {"99999999999999999999,10,3\n", "", "object CSV line 1"},
+      {"7,10,3,1,1,1,1,1,1,1,zz\n", "", "object CSV line 1"},
+      {good, "1,9100000001,180,40\n1,abc,180,40\n", "source CSV line 2"},
+      {good, "1,9100000001,nan,40\n", "source CSV line 1"},
+      {good, "1,9100000001,180,40,1,2,3e\n", "source CSV line 1"},
+  };
+  for (const Case& c : cases) {
+    auto r = repair.ingestCsv(c.objects, c.sources);
+    ASSERT_FALSE(r.isOk()) << c.objects << c.sources;
+    EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(c.line), std::string::npos)
+        << r.status().toString() << " for " << c.objects << c.sources;
+  }
+  EXPECT_EQ(frontend.secondaryIndex().size(), indexRows);
+  EXPECT_EQ(frontend.availableChunks().size(), chunks);
+
+  // A valid batch with every optional field: same entries and chunk rows as
+  // partitioning the rows directly.
+  std::vector<datagen::ObjectRow> rows(2);
+  rows[0] = {9100000001, 181.5, 41.25, 0.5, {1e-29, 2e-29, 3e-29, 4e-29,
+                                              5e-29, 6e-29}, 7e-30};
+  rows[1] = {9100000002, 181.75, 41.5, 0.25, {1, 2, 3, 4, 5, 6}, -7};
+  auto expected = datagen::partitionCatalog(catalog_->makeChunker(), rows, {});
+  ASSERT_TRUE(expected.isOk());
+  ASSERT_EQ(expected->chunks.size(), 1u);
+  auto n = repair.ingestCsv(
+      "9100000001, 181.5, 41.25, 0.5, 1e-29, 2e-29, 3e-29, 4e-29, 5e-29, "
+      "6e-29, 7e-30\n"
+      "  9100000002,181.75,41.5,0.25,1,2,3,4,5,6,-7  \n");
+  ASSERT_TRUE(n.isOk()) << n.status().toString();
+  EXPECT_EQ(*n, 1u);
+
+  std::vector<std::int64_t> ids = {9100000001, 9100000002};
+  auto locs = frontend.secondaryIndex().lookup(ids);
+  ASSERT_TRUE(locs.isOk());
+  ASSERT_EQ(locs->size(), expected->index.size());
+  for (std::size_t i = 0; i < locs->size(); ++i) {
+    EXPECT_EQ((*locs)[i].objectId, expected->index[i].objectId);
+    EXPECT_EQ((*locs)[i].chunkId, expected->index[i].chunkId);
+    EXPECT_EQ((*locs)[i].subChunkId, expected->index[i].subChunkId);
+  }
+  auto got = frontend.query(
+      "SELECT * FROM Object WHERE objectId IN (9100000001, 9100000002) "
+      "ORDER BY objectId");
+  ASSERT_TRUE(got.isOk()) << got.status().toString();
+  const sql::Table& want = *expected->chunks[0].objects;
+  ASSERT_EQ(got->result->numRows(), want.numRows());
+  ASSERT_EQ(got->result->numColumns(), want.numColumns());
+  for (std::size_t r = 0; r < want.numRows(); ++r) {
+    for (std::size_t c = 0; c < want.numColumns(); ++c) {
+      EXPECT_EQ(got->result->cell(r, c), want.cell(r, c))
+          << "row " << r << " column " << want.schema().column(c).name;
+    }
+  }
+}
+
 // 8. The ROADMAP gate: a "nightly data release" lands (ingest) and a worker
 //    dies, all during live traffic with the monitor thread in charge. Every
 //    concurrent query must return one of the two valid answers (old or new
