@@ -10,6 +10,7 @@
 #include "qserv/query_analysis.h"
 #include "qserv/secondary_index.h"
 #include "sql/dump.h"
+#include "sql/rowcodec.h"
 #include "qserv/query_rewriter.h"
 #include "sphgeom/chunker.h"
 #include "sphgeom/coords.h"
@@ -240,6 +241,23 @@ void BM_DumpAndReplay1kRows(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_DumpAndReplay1kRows);
+
+// The same 1k-row result through the chunk-result codec: what a worker
+// encodes and the czar's merger decodes.
+void BM_BinaryEncodeDecode1kRows(benchmark::State& state) {
+  sql::Database* db = scanDb();
+  auto r = db->execute("SELECT * FROM Object_0 LIMIT 1000");
+  util::Stopwatch watch;
+  for (auto _ : state) {
+    std::string bin = sql::encodeTableBinary(**r, "decoded");
+    auto decoded = sql::decodeTableBinary(bin);
+    benchmark::DoNotOptimize(decoded);
+  }
+  qserv::bench::recordRate(
+      "bench.micro.binary_encode_decode_1k_rows_ns_per_iter", watch,
+      state.iterations());
+}
+BENCHMARK(BM_BinaryEncodeDecode1kRows);
 
 // Writes the metrics snapshot at exit when QSERV_METRICS_JSON is set
 // (perf-smoke's BENCH_micro.json baseline).

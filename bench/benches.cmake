@@ -73,7 +73,8 @@ set_tests_properties(perf_smoke_observability PROPERTIES
 # bench_dispatch gates the batched-dispatch speedup floors (amortized master
 # cost <= 0.3 ms/chunk at the full sky, >= 5x over per-chunk, batched wall
 # not slower than per-chunk); bench_transfer gates the binary codec's bytes
-# and modeled collect-speedup floors. Both abort nonzero on violation.
+# and measured codec round-trip speedup floors. Both abort nonzero on
+# violation.
 add_test(NAME perf_smoke_dispatch
   CONFIGURATIONS perf
   COMMAND bench_dispatch)

@@ -13,6 +13,7 @@
 #include "datagen/partitioner.h"
 #include "example_util.h"
 #include "qserv/cluster.h"
+#include "qserv/observables_codec.h"
 #include "qserv/worker.h"
 #include "util/md5.h"
 #include "util/strings.h"
@@ -78,7 +79,8 @@ int main() {
     for (const auto& q : queries) {
       auto dump = worker.readFile(xrd::makeResultPath(util::Md5::hex(q)));
       if (!dump.isOk()) return 1;
-      auto obs = worker.observablesFor(util::Md5::hex(q));
+      auto obs = core::decodeObservables(*dump);
+      if (!obs) return 1;
       double service = simio::workerServiceSeconds(*obs, params);
       nodeSeconds += service;
       std::printf("  query pays %s of disk -> %.1f s of node time\n",

@@ -147,7 +147,9 @@ Result<BatchResultFrame> decodeResultFrame(const std::string& frame) {
   std::int64_t code = 0;
   if (!ok) {
     code = parseInt(frame, pos);
-    if (code < 0 || !skipChar(frame, pos, ' ')) {
+    if (code < 0 ||
+        code > static_cast<std::int64_t>(util::ErrorCode::kDataLoss) ||
+        !skipChar(frame, pos, ' ')) {
       return Status::dataLoss("batch stream: damaged frame error code");
     }
   }

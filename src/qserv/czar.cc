@@ -486,12 +486,12 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
                       << " chunk queries for: " << sql;
   // Pipelined dispatch + merge: chunk results flow through a bounded queue
   // into the merger the moment they arrive — the czar never holds every
-  // dump in memory at once, and the queue bound is the backpressure that
+  // result in memory at once, and the queue bound is the backpressure that
   // lets a slow merger throttle collection (and, in batched mode, the
   // workers' stream windows behind it). One czar span covers the whole
   // overlapped interval so the profile's stage times stay sequential.
   ResultMerger merger(mergeTable, trace);
-  std::vector<ChunkResult> results;  // dumps dropped after merging
+  std::vector<ChunkResult> results;  // payloads dropped after merging
   Result<DispatchReport> report = Status::internal("dispatch never ran");
   Status mergeStatus = Status::ok();
   {
@@ -510,7 +510,7 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
     });
     while (std::optional<ChunkResult> r = resultQueue.pop()) {
       if (mergeStatus.isOk()) {
-        mergeStatus = merger.mergeDump(r->dump);
+        mergeStatus = merger.mergeResult(r->dump);
         if (!mergeStatus.isOk()) {
           // Stop the work behind the queue, but keep draining it so the
           // dispatcher is never wedged against a full sink.

@@ -3,7 +3,7 @@
 ///
 /// For each chunk query, the dispatcher performs the two Xrootd file
 /// transactions: write the query text to /query2/<CC> (the redirector picks
-/// a live replica), then read the dump back from /result/<md5> on the worker
+/// a live replica), then read the result back from /result/<md5> on the worker
 /// that accepted it. Dispatch fans out over a thread pool; per-chunk results
 /// carry the worker id and the paper-scale work observables used by the
 /// virtual-time simulation.
@@ -20,7 +20,7 @@
 ///   the shared CancelToken instead of letting them run to completion, and
 ///   run() returns an aggregated error naming the failed chunks and their
 ///   attempt counts;
-/// - result dumps carry an MD5 integrity trailer; a mismatch is a retryable
+/// - results carry an MD5 integrity trailer; a mismatch is a retryable
 ///   fault (re-fetched from another replica), never merged.
 #pragma once
 
@@ -43,7 +43,7 @@ struct ChunkResult {
   std::int32_t chunkId = 0;
   std::string workerId;
   std::string hash;
-  std::string dump;  ///< mysqldump-style byte stream (§5.4)
+  std::string dump;  ///< binary row-codec result + observables + MD5 trailer
   simio::WorkObservables observables;
 };
 

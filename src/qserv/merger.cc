@@ -1,11 +1,9 @@
 #include "qserv/merger.h"
 
 #include "qserv/dump_integrity.h"
-#include "sql/dump.h"
 #include "sql/rowcodec.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
-#include "util/strings.h"
 
 namespace qserv::core {
 
@@ -14,7 +12,6 @@ struct MergerMetrics {
   util::Counter& rowsMerged;
   util::Counter& dumpsReplayed;
   util::Counter& checksumRejects;
-  util::Counter& binaryPayloads;
   util::Histogram& dumpReplaySeconds;
 
   static MergerMetrics& instance() {
@@ -23,7 +20,6 @@ struct MergerMetrics {
         reg.counter("merger.rows_merged"),
         reg.counter("merger.dumps_replayed"),
         reg.counter("merger.checksum_rejects"),
-        reg.counter("merger.binary_payloads"),
         reg.histogram("merger.dump_replay_seconds"),
     };
     return *m;
@@ -35,73 +31,51 @@ ResultMerger::ResultMerger(std::string mergeTable, util::TracePtr trace)
     : db_("merge"), mergeTable_(std::move(mergeTable)),
       trace_(std::move(trace)) {}
 
-ResultMerger::~ResultMerger() {
-  (void)db_.execute("DROP TABLE IF EXISTS " + mergeTable_);
-}
-
-util::Status ResultMerger::mergeDump(const std::string& dump) {
+util::Status ResultMerger::mergeResult(const std::string& payload) {
   auto& metrics = MergerMetrics::instance();
   util::Stopwatch watch;
   util::ScopedSpan span(trace_, "merger", "replay dump");
-  span.attr("dumpBytes", static_cast<std::int64_t>(dump.size()));
+  span.attr("dumpBytes", static_cast<std::int64_t>(payload.size()));
   // Last line of defense: the dispatcher already verifies-and-retries, but a
-  // corrupt dump must never reach the result table through any path.
-  if (util::Status integrity = verifyDumpChecksum(dump); !integrity.isOk()) {
+  // corrupt result must never reach the merge table through any path.
+  if (util::Status integrity = verifyDumpChecksum(payload);
+      !integrity.isOk()) {
     metrics.checksumRejects.add();
     span.attr("error", integrity.toString());
     return integrity;
   }
-  // Workers may ship either the paper's SQL-dump stream or the §7.1 binary
-  // codec; the magic prefix disambiguates.
-  sql::TablePtr loaded;
-  if (sql::isBinaryTablePayload(dump)) {
-    metrics.binaryPayloads.add();
-    QSERV_ASSIGN_OR_RETURN(loaded, sql::loadBinaryTable(db_, dump));
-  } else {
-    QSERV_ASSIGN_OR_RETURN(loaded, sql::loadDump(db_, dump));
-  }
-  std::string tmp = loaded->name();
+  std::size_t rows = 0;
   util::Status status = util::Status::ok();
-  if (!created_) {
-    // Adopt the first dump's table as the merge table: a rename in the
-    // catalog, not a row copy.
-    status = db_.renameTable(tmp, mergeTable_);
-    created_ = status.isOk();
-  } else {
-    sql::TablePtr merge = db_.findTable(mergeTable_);
-    if (!merge) {
-      status = util::Status::internal(
-          util::format("merge table %s disappeared", mergeTable_.c_str()));
-    } else {
-      // Typed column-to-column append; rejects mismatched schemas exactly
-      // like the old INSERT ... SELECT did.
-      status = merge->appendFrom(*loaded);
+  if (!merge_) {
+    // The first result's table becomes the merge table.
+    util::Result<sql::TablePtr> decoded = sql::decodeTableBinary(payload);
+    status = decoded.status();
+    if (status.isOk()) {
+      (*decoded)->rename(mergeTable_);
+      status = db_.registerTable(*decoded);
+      if (status.isOk()) {
+        merge_ = *decoded;
+        rows = merge_->numRows();
+      }
     }
+  } else {
+    std::size_t before = merge_->numRows();
+    status = sql::appendTableBinary(payload, *merge_);
+    rows = merge_->numRows() - before;
   }
-  if (status.isOk()) {
-    rowsMerged_ += loaded->numRows();
-    metrics.rowsMerged.add(loaded->numRows());
-  }
-  // No-op after a successful adopt (tmp was renamed away).
-  (void)db_.execute("DROP TABLE IF EXISTS " + tmp);
+  rowsMerged_ += rows;
+  metrics.rowsMerged.add(rows);
   metrics.dumpsReplayed.add();
   metrics.dumpReplaySeconds.observe(watch.elapsedSeconds());
-  span.attr("rows", static_cast<std::int64_t>(loaded->numRows()));
+  span.attr("rows", static_cast<std::int64_t>(rows));
+  if (!status.isOk()) span.attr("error", status.toString());
   return status;
-}
-
-util::Status ResultMerger::mergeBinary(const std::string& payload) {
-  if (!sql::isBinaryTablePayload(payload)) {
-    return util::Status::invalidArgument(
-        "mergeBinary: payload is not in binary rowcodec format");
-  }
-  return mergeDump(payload);
 }
 
 util::Result<sql::TablePtr> ResultMerger::finalize(
     const std::string& finalSelectSql) {
   util::ScopedSpan span(trace_, "merger", "finalize");
-  if (!created_) {
+  if (!merge_) {
     // No chunk produced anything (e.g. zero chunks dispatched): an empty
     // result with no schema.
     return std::make_shared<sql::Table>("result", sql::Schema{});

@@ -1,6 +1,7 @@
 #include "qserv/observables_codec.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 #include "util/strings.h"
@@ -34,6 +35,11 @@ std::optional<simio::WorkObservables> decodeObservables(
                   &w.joinMatches, &w.rowsBuilt, &w.indexLookups,
                   &w.resultBytes, &w.resultRows) != 8) {
     return std::nullopt;
+  }
+  // Byte counts price simulated work: a NaN, infinite or negative one from
+  // a damaged line must not reach the cost model.
+  for (double bytes : {w.bytesScanned, w.resultBytes}) {
+    if (!std::isfinite(bytes) || bytes < 0.0) return std::nullopt;
   }
   return w;
 }

@@ -1,9 +1,10 @@
 /// \file observables_codec.h
-/// \brief In-band encoding of work observables inside result dumps.
+/// \brief In-band encoding of work observables inside chunk results.
 ///
-/// The worker appends one SQL comment line to the mysqldump-style result
-/// stream; comments are ignored when the master replays the dump, but the
-/// dispatcher parses the line to feed the virtual-time queue simulation.
+/// The worker appends one `-- QSERV-OBS` text line after the binary result
+/// (the row decoder ignores trailing bytes); the dispatcher parses it to
+/// feed the virtual-time queue simulation, and tests read a worker's
+/// observables from the published result the same way.
 #pragma once
 
 #include <optional>
@@ -18,7 +19,8 @@ namespace qserv::core {
 ///  rrows=...\n"
 std::string encodeObservables(const simio::WorkObservables& w);
 
-/// Parse the observables comment from a dump; nullopt when absent.
+/// Parse the observables line from a result; nullopt when absent or
+/// malformed (including NaN, infinite or negative byte counts).
 std::optional<simio::WorkObservables> decodeObservables(std::string_view dump);
 
 }  // namespace qserv::core

@@ -453,14 +453,6 @@ Status Worker::dropChunk(std::int32_t chunkId) {
   return Status::ok();
 }
 
-std::optional<simio::WorkObservables> Worker::observablesFor(
-    const std::string& md5Hex) const {
-  std::lock_guard lock(obsMutex_);
-  auto it = observables_.find(md5Hex);
-  if (it == observables_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::size_t Worker::queuedTasks() const { return sched_.depth(); }
 
 void Worker::executorLoop() {
@@ -523,15 +515,12 @@ void Worker::runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
     trace->addSpan(std::move(wait));
   }
   util::Stopwatch taskWatch;
-  bool executed = executeTask(task, /*chargeScanIo=*/!ioCharged);
-  if (executed && !ioCharged) {
-    // The charge sticks only when the task actually read chunk bytes: a
-    // zone-map-pruned task touches no table data, so the pass's physical
-    // read is still unpaid and falls to the next task that really scans.
-    auto obs = observablesFor(task.hash);
-    if (obs && obs->bytesScanned > 0) ioCharged = true;
-  }
-  sched_.finishTask(task, taskWatch.elapsedSeconds(), executed);
+  TaskOutcome outcome = executeTask(task, /*chargeScanIo=*/!ioCharged);
+  // The charge sticks only when the task actually read chunk bytes: a
+  // zone-map-pruned task touches no table data, so the pass's physical read
+  // is still unpaid and falls to the next task that really scans.
+  if (outcome.paidScanIo) ioCharged = true;
+  sched_.finishTask(task, taskWatch.elapsedSeconds(), outcome.executed);
   metrics.queueDepth.add(-1);
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
 }
@@ -695,13 +684,14 @@ void Worker::releaseSubchunks(std::int32_t chunkId,
   }
 }
 
-bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
+Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
+                                        bool chargeScanIo) {
   auto& metrics = WorkerMetrics::instance();
   if (task.batch && task.batch->abandoned.load(std::memory_order_acquire)) {
     // The master abandoned the batch; don't waste the slot executing.
     metrics.batchChunksSkipped.add();
     finishBatchChunk(task.batch);
-    return false;
+    return {};
   }
   util::TracePtr trace = util::TraceRegistry::instance().find(task.traceId);
   util::ScopedSpan execSpan(trace, "worker",
@@ -719,7 +709,7 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
     } else {
       results_.publishError(resultPath, status);
     }
-    return false;
+    return TaskOutcome{};
   };
   auto parsedSubChunks = parseSubchunksHeader(task.payload);
   if (!parsedSubChunks.isOk()) return fail(parsedSubChunks.status());
@@ -755,10 +745,8 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
     return fail(result.status());
   }
 
-  std::string dump =
-      config_.transfer == TransferFormat::kBinary
-          ? sql::encodeTableBinary(**result, "r_" + task.hash)
-          : sql::dumpTable(**result, "r_" + task.hash);
+  const std::string resultName = "r_" + task.hash;
+  std::string dump = sql::encodeTableBinary(**result, resultName);
 
   // Work observables at paper scale (see WorkerConfig::rowScale).
   simio::WorkObservables obs;
@@ -782,30 +770,21 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
       static_cast<double>(stats.rowsInserted) * scale);
   obs.indexLookups = stats.indexLookups;
   // Row-returning queries produce density-proportional results (scaled to
-  // paper size); aggregate partials are scale-independent. Only the INSERT
-  // payload scales — the dump envelope (header, DROP, CREATE) is fixed.
+  // paper size); aggregate partials are scale-independent. The cost model
+  // prices the paper's mysqldump transfer (§5.4), so resultBytes is the size
+  // of the dump this result would have been. Only its INSERT payload scales;
+  // the envelope (header, DROP, CREATE) is fixed.
   const double resultScale = isAggregateQuery(task.payload) ? 1.0 : scale;
   obs.resultRows = static_cast<std::uint64_t>(
       static_cast<double>((*result)->numRows()) * resultScale);
-  std::size_t envelope;
-  if (config_.transfer == TransferFormat::kBinary) {
-    envelope = std::min<std::size_t>(dump.size(), 64);
-  } else {
-    envelope = dump.find("INSERT");
-    if (envelope == std::string::npos) envelope = dump.size();
-  }
-  obs.resultBytes =
-      static_cast<double>(envelope) +
-      static_cast<double>(dump.size() - envelope) * resultScale;
+  const sql::DumpSize dumped = sql::dumpedBytes(**result, resultName);
+  obs.resultBytes = static_cast<double>(dumped.envelope) +
+                    static_cast<double>(dumped.rows) * resultScale;
 
   dump += encodeObservables(obs);
   // Integrity envelope: MD5 of everything above, verified by the dispatcher
   // on read so corruption in transit is retried, not merged.
   appendDumpChecksum(dump);
-  {
-    std::lock_guard lock(obsMutex_);
-    observables_[task.hash] = obs;
-  }
   tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
   metrics.tasksExecuted.add();
   metrics.executeSeconds.observe(execWatch.elapsedSeconds());
@@ -866,7 +845,7 @@ bool Worker::executeTask(const ScanTask& task, bool chargeScanIo) {
   } else {
     results_.publish(resultPath, std::move(dump));
   }
-  return true;
+  return TaskOutcome{true, obs.bytesScanned > 0};
 }
 
 }  // namespace qserv::core

@@ -3,8 +3,10 @@
 ///
 /// A worker is an Xrootd data server with Qserv's ofs plugin: chunk queries
 /// arrive as writes to /query2/<CC>, execute on the worker's local SQL
-/// database against its chunk tables, and results are published as dumps at
-/// /result/<md5 of the chunk query>. A fixed number of executor slots (the
+/// database against its chunk tables, and results are published at
+/// /result/<md5 of the chunk query> in the binary row codec (sql/rowcodec.h),
+/// followed by the in-band `-- QSERV-OBS` observables line and the MD5
+/// trailer. A fixed number of executor slots (the
 /// paper's clusters ran 4) drain a ScanScheduler: in kFifo mode that is the
 /// paper's plain queue ("do not implement any concept of query cost", §6.4);
 /// in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
@@ -38,11 +40,6 @@
 
 namespace qserv::core {
 
-enum class TransferFormat {
-  kSqlDump,  ///< paper behaviour: mysqldump-style SQL statements (§5.4)
-  kBinary,   ///< the §7.1 "more efficient method": compact row codec
-};
-
 /// Shared state of one batched dispatch (/batch/<id>): its chunk tasks
 /// stream result frames over one /bstream/<id> path, bounded by a window
 /// of unread frames, until the master abandons the batch or the last
@@ -58,7 +55,6 @@ struct BatchStream {
 struct WorkerConfig {
   int slots = 4;  ///< concurrent chunk queries (paper §6.2)
   SchedulerMode scheduler = SchedulerMode::kFifo;
-  TransferFormat transfer = TransferFormat::kSqlDump;
   bool cacheSubchunks = false;
   /// Real rows -> paper rows multiplier for the cost model (our tables are
   /// scaled down; observables are reported at paper scale).
@@ -106,11 +102,6 @@ class Worker : public xrd::OfsPlugin {
   /// Does this worker currently export \p chunkId?
   bool exportsChunk(std::int32_t chunkId) const;
 
-  /// Work observables recorded for a finished chunk query (by result hash),
-  /// at paper scale. Used by benches feeding the queue simulation.
-  std::optional<simio::WorkObservables> observablesFor(
-      const std::string& md5Hex) const;
-
   /// Queued plus claimed-but-unfinished tasks. Counting in-flight work
   /// matters: queue length alone drops to zero the moment a slot claims a
   /// large scan group, hiding the worker's load from the repair control
@@ -135,10 +126,15 @@ class Worker : public xrd::OfsPlugin {
   /// or zone-pruned never eats the charge (the bytesScanned-undercount bug).
   void runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
                       bool& ioCharged, double& maxWaitSec);
-  /// Execute a chunk query end to end. Returns true only when the task ran
-  /// and published a successful result (its observables were recorded) —
-  /// false for abandoned-batch skips and failures.
-  bool executeTask(const ScanTask& task, bool chargeScanIo);
+  /// What executeTask did with one task.
+  struct TaskOutcome {
+    bool executed = false;  ///< ran and published a successful result
+    bool paidScanIo = false;  ///< its observables charge chunk bytes read
+  };
+  /// Execute a chunk query end to end. `executed` is false for
+  /// abandoned-batch skips and failures; `paidScanIo` is set only when
+  /// \p chargeScanIo was and the task actually read chunk bytes.
+  TaskOutcome executeTask(const ScanTask& task, bool chargeScanIo);
 
   /// Paper-scale bytes chunk \p chunkId's locally held tables occupy — the
   /// scan scheduler's memory-budget charge for one chunk pass.
@@ -226,9 +222,6 @@ class Worker : public xrd::OfsPlugin {
 
   mutable std::mutex batchMutex_;
   std::map<std::string, std::shared_ptr<BatchStream>> batches_;
-
-  mutable std::mutex obsMutex_;
-  std::map<std::string, simio::WorkObservables> observables_;
 
   // Subchunk refcounting: key = "Object_CC_SS".
   std::mutex subchunkMutex_;

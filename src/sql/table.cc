@@ -15,6 +15,72 @@ Table::Table(std::string name, Schema schema)
   }
 }
 
+namespace {
+
+// Zone-map maintenance for one non-null value.
+void noteInt(ZoneMap& z, std::int64_t x) {
+  if (!z.hasValue) {
+    z.hasValue = true;
+    z.intMin = z.intMax = x;
+  } else {
+    if (x < z.intMin) z.intMin = x;
+    if (x > z.intMax) z.intMax = x;
+  }
+}
+
+void noteDouble(ZoneMap& z, double x) {
+  if (std::isnan(x)) {
+    z.hasNaN = true;
+  } else if (!z.hasValue) {
+    z.hasValue = true;
+    z.dblMin = z.dblMax = x;
+  } else {
+    if (x < z.dblMin) z.dblMin = x;
+    if (x > z.dblMax) z.dblMax = x;
+  }
+}
+
+/// Zone map of a bulk-append block; kInvalidArgument when a null-mask entry
+/// is not 0 or 1.
+util::Result<ZoneMap> summarize(const ColumnBlock& b) {
+  ZoneMap z;
+  for (std::size_t r = 0; r < b.nulls.size(); ++r) {
+    if (b.nulls[r] > 1) {
+      return util::Status::invalidArgument("null mask entry is not 0 or 1");
+    }
+    if (b.nulls[r]) {
+      ++z.nullCount;
+      continue;
+    }
+    switch (b.type) {
+      case ColumnType::kInt: noteInt(z, b.ints[r]); break;
+      case ColumnType::kDouble: noteDouble(z, b.doubles[r]); break;
+      case ColumnType::kString: z.hasValue = true; break;
+    }
+  }
+  return z;
+}
+
+/// appendFrom's type rule: a same-typed source, an INT source into a DOUBLE
+/// column, or an all-NULL source of any type.
+bool appendable(ColumnType dest, ColumnType src, std::size_t srcNulls,
+                std::size_t n) {
+  return src == dest ||
+         (dest == ColumnType::kDouble && src == ColumnType::kInt) ||
+         srcNulls == n;
+}
+
+std::size_t typedSize(const ColumnBlock& b) {
+  switch (b.type) {
+    case ColumnType::kInt: return b.ints.size();
+    case ColumnType::kDouble: return b.doubles.size();
+    case ColumnType::kString: return b.strings.size();
+  }
+  return 0;
+}
+
+}  // namespace
+
 void Table::Column::append(const Value& v) {
   nulls.push_back(v.isNull() ? 1 : 0);
   if (v.isNull()) {
@@ -27,32 +93,14 @@ void Table::Column::append(const Value& v) {
     return;
   }
   switch (type) {
-    case ColumnType::kInt: {
-      std::int64_t x = v.asInt();
-      ints.push_back(x);
-      if (!zone.hasValue) {
-        zone.hasValue = true;
-        zone.intMin = zone.intMax = x;
-      } else {
-        if (x < zone.intMin) zone.intMin = x;
-        if (x > zone.intMax) zone.intMax = x;
-      }
+    case ColumnType::kInt:
+      ints.push_back(v.asInt());
+      noteInt(zone, ints.back());
       break;
-    }
-    case ColumnType::kDouble: {
-      double x = v.toDouble();
-      doubles.push_back(x);
-      if (std::isnan(x)) {
-        zone.hasNaN = true;
-      } else if (!zone.hasValue) {
-        zone.hasValue = true;
-        zone.dblMin = zone.dblMax = x;
-      } else {
-        if (x < zone.dblMin) zone.dblMin = x;
-        if (x > zone.dblMax) zone.dblMax = x;
-      }
+    case ColumnType::kDouble:
+      doubles.push_back(v.toDouble());
+      noteDouble(zone, doubles.back());
       break;
-    }
     case ColumnType::kString:
       strings.push_back(v.asString());
       zone.hasValue = true;  // strings get no min/max; nullCount stays useful
@@ -122,95 +170,109 @@ void Table::reserveMore(std::size_t rows) {
   for (Column& c : columns_) c.reserveMore(rows);
 }
 
+void Table::Column::appendBlock(const ColumnBlock& s, const ZoneMap& sz,
+                                std::size_t n) {
+  reserveMore(n);
+  nulls.insert(nulls.end(), s.nulls.begin(), s.nulls.begin() + n);
+  zone.nullCount += sz.nullCount;
+  if (sz.nullCount == n && s.type != type) {
+    // All-NULL mismatched column: append typed padding only.
+    switch (type) {
+      case ColumnType::kInt: ints.resize(ints.size() + n, 0); break;
+      case ColumnType::kDouble: doubles.resize(doubles.size() + n, 0.0); break;
+      case ColumnType::kString: strings.resize(strings.size() + n); break;
+    }
+    return;
+  }
+  // Widening or not, the source's extremes bound every value it adds.
+  switch (type) {
+    case ColumnType::kInt:
+      ints.insert(ints.end(), s.ints.begin(), s.ints.begin() + n);
+      if (sz.hasValue) {
+        noteInt(zone, sz.intMin);
+        noteInt(zone, sz.intMax);
+      }
+      break;
+    case ColumnType::kDouble:
+      if (s.type == ColumnType::kInt) {
+        for (std::size_t r = 0; r < n; ++r) {
+          doubles.push_back(static_cast<double>(s.ints[r]));
+        }
+        if (sz.hasValue) {
+          noteDouble(zone, static_cast<double>(sz.intMin));
+          noteDouble(zone, static_cast<double>(sz.intMax));
+        }
+      } else {
+        doubles.insert(doubles.end(), s.doubles.begin(), s.doubles.begin() + n);
+        if (sz.hasNaN) zone.hasNaN = true;
+        if (sz.hasValue) {
+          noteDouble(zone, sz.dblMin);
+          noteDouble(zone, sz.dblMax);
+        }
+      }
+      break;
+    case ColumnType::kString:
+      strings.insert(strings.end(), s.strings.begin(), s.strings.begin() + n);
+      if (sz.hasValue) zone.hasValue = true;
+      break;
+  }
+}
+
 util::Status Table::appendFrom(const Table& src) {
   if (src.numColumns() != numColumns()) {
     return util::Status::invalidArgument(util::format(
         "table %s: cannot append from %s: %zu columns vs %zu", name_.c_str(),
         src.name_.c_str(), src.numColumns(), numColumns()));
   }
-  std::size_t n = src.numRows();
+  const std::size_t n = src.numRows();
   for (std::size_t i = 0; i < numColumns(); ++i) {
     const Column& s = src.columns_[i];
-    if (s.type == columns_[i].type) continue;
-    if (columns_[i].type == ColumnType::kDouble && s.type == ColumnType::kInt) {
-      continue;  // widened below
+    if (!appendable(columns_[i].type, s.type, s.zone.nullCount, n)) {
+      return util::Status::invalidArgument(util::format(
+          "table %s column %s: cannot append %s column %s of type %s",
+          name_.c_str(), schema_.column(i).name.c_str(), src.name_.c_str(),
+          src.schema_.column(i).name.c_str(), columnTypeName(s.type)));
     }
-    if (s.zone.nullCount == n) continue;  // all-NULL source feeds any type
-    return util::Status::invalidArgument(util::format(
-        "table %s column %s: cannot append %s column %s of type %s",
-        name_.c_str(), schema_.column(i).name.c_str(), src.name_.c_str(),
-        src.schema_.column(i).name.c_str(), columnTypeName(s.type)));
   }
   for (std::size_t i = 0; i < numColumns(); ++i) {
-    Column& d = columns_[i];
-    const Column& s = src.columns_[i];
-    d.reserveMore(n);
-    d.nulls.insert(d.nulls.end(), s.nulls.begin(), s.nulls.end());
-    d.zone.nullCount += s.zone.nullCount;
-    if (s.zone.nullCount == n && s.type != d.type) {
-      // All-NULL mismatched column: append typed padding only.
-      switch (d.type) {
-        case ColumnType::kInt: d.ints.resize(d.ints.size() + n, 0); break;
-        case ColumnType::kDouble:
-          d.doubles.resize(d.doubles.size() + n, 0.0);
-          break;
-        case ColumnType::kString:
-          d.strings.resize(d.strings.size() + n);
-          break;
-      }
-      continue;
+    columns_[i].appendBlock(src.columns_[i], src.columns_[i].zone, n);
+  }
+  numRows_ += n;
+  return util::Status::ok();
+}
+
+util::Status Table::appendColumns(std::vector<ColumnBlock> blocks) {
+  if (blocks.size() != numColumns()) {
+    return util::Status::invalidArgument(util::format(
+        "table %s: cannot append %zu columns to %zu", name_.c_str(),
+        blocks.size(), numColumns()));
+  }
+  const std::size_t n = blocks.empty() ? 0 : blocks[0].nulls.size();
+  std::vector<ZoneMap> zones;
+  zones.reserve(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const ColumnBlock& b = blocks[i];
+    if (b.nulls.size() != n || typedSize(b) != n) {
+      return util::Status::invalidArgument(util::format(
+          "table %s: column block %zu does not hold %zu rows", name_.c_str(),
+          i, n));
     }
-    switch (d.type) {
-      case ColumnType::kInt:
-        d.ints.insert(d.ints.end(), s.ints.begin(), s.ints.end());
-        if (s.zone.hasValue) {
-          if (!d.zone.hasValue) {
-            d.zone.hasValue = true;
-            d.zone.intMin = s.zone.intMin;
-            d.zone.intMax = s.zone.intMax;
-          } else {
-            if (s.zone.intMin < d.zone.intMin) d.zone.intMin = s.zone.intMin;
-            if (s.zone.intMax > d.zone.intMax) d.zone.intMax = s.zone.intMax;
-          }
-        }
-        break;
-      case ColumnType::kDouble: {
-        if (s.type == ColumnType::kInt) {
-          for (std::int64_t x : s.ints) {
-            d.doubles.push_back(static_cast<double>(x));
-          }
-          if (s.zone.hasValue) {
-            double lo = static_cast<double>(s.zone.intMin);
-            double hi = static_cast<double>(s.zone.intMax);
-            if (!d.zone.hasValue) {
-              d.zone.hasValue = true;
-              d.zone.dblMin = lo;
-              d.zone.dblMax = hi;
-            } else {
-              if (lo < d.zone.dblMin) d.zone.dblMin = lo;
-              if (hi > d.zone.dblMax) d.zone.dblMax = hi;
-            }
-          }
-        } else {
-          d.doubles.insert(d.doubles.end(), s.doubles.begin(), s.doubles.end());
-          if (s.zone.hasNaN) d.zone.hasNaN = true;
-          if (s.zone.hasValue) {
-            if (!d.zone.hasValue) {
-              d.zone.hasValue = true;
-              d.zone.dblMin = s.zone.dblMin;
-              d.zone.dblMax = s.zone.dblMax;
-            } else {
-              if (s.zone.dblMin < d.zone.dblMin) d.zone.dblMin = s.zone.dblMin;
-              if (s.zone.dblMax > d.zone.dblMax) d.zone.dblMax = s.zone.dblMax;
-            }
-          }
-        }
-        break;
-      }
-      case ColumnType::kString:
-        d.strings.insert(d.strings.end(), s.strings.begin(), s.strings.end());
-        if (s.zone.hasValue) d.zone.hasValue = true;
-        break;
+    QSERV_ASSIGN_OR_RETURN(ZoneMap zone, summarize(b));
+    if (!appendable(columns_[i].type, b.type, zone.nullCount, n)) {
+      return util::Status::invalidArgument(util::format(
+          "table %s column %s: cannot append a column of type %s",
+          name_.c_str(), schema_.column(i).name.c_str(),
+          columnTypeName(b.type)));
+    }
+    zones.push_back(zone);
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    Column& d = columns_[i];
+    if (numRows_ == 0 && blocks[i].type == d.type) {
+      static_cast<ColumnBlock&>(d) = std::move(blocks[i]);
+      d.zone = zones[i];
+    } else {
+      d.appendBlock(blocks[i], zones[i], n);
     }
   }
   numRows_ += n;

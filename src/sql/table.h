@@ -36,6 +36,18 @@ struct ZoneMap {
   std::size_t nullCount = 0;
 };
 
+/// Typed storage of one column: a null mask plus the value vector matching
+/// `type`, one entry per row, holding 0 / "" at NULL rows. It is also the
+/// unit of a bulk append (Table::appendColumns), which lets a decoder build
+/// columns without boxing a Value per cell.
+struct ColumnBlock {
+  ColumnType type = ColumnType::kInt;
+  std::vector<std::uint8_t> nulls;  ///< 1 = NULL
+  std::vector<std::int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string> strings;
+};
+
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -62,6 +74,13 @@ class Table {
   /// boxing). Column counts must match; an INT source column widens into a
   /// DOUBLE destination, and an all-NULL source column feeds any type.
   util::Status appendFrom(const Table& src);
+
+  /// Append rows given column by column, under appendFrom's type rules.
+  /// Each block's null mask and typed vector must hold the same number of
+  /// rows, with nulls entries 0 or 1. Nothing is appended unless every
+  /// block validates; a block whose type matches its column is moved in,
+  /// not copied, while the table is empty.
+  util::Status appendColumns(std::vector<ColumnBlock> blocks);
 
   /// Value of a cell. Preconditions: row < numRows(), col < numColumns().
   Value cell(std::size_t row, std::size_t col) const;
@@ -91,16 +110,15 @@ class Table {
   std::size_t payloadBytes() const;
 
  private:
-  struct Column {
-    ColumnType type;
-    std::vector<std::int64_t> ints;
-    std::vector<double> doubles;
-    std::vector<std::string> strings;
-    std::vector<std::uint8_t> nulls;  // 1 = NULL
+  struct Column : ColumnBlock {
     ZoneMap zone;
 
     void append(const Value& v);  // no type check; updates the zone map
     void reserveMore(std::size_t n);
+    /// Append \p n rows of \p src (summarized by \p srcZone); the caller
+    /// has checked that the types may be appended.
+    void appendBlock(const ColumnBlock& src, const ZoneMap& srcZone,
+                     std::size_t n);
   };
 
   std::string name_;

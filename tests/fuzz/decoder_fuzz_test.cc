@@ -1,0 +1,348 @@
+/// \file decoder_fuzz_test.cc
+/// \brief Seeded mutational fuzzing of the decoders that read another
+/// component's bytes: the chunk-result row codec, batch result frames, batch
+/// requests and the in-band observables line.
+///
+/// Inputs start from valid encodings and are mutated by bit flips,
+/// truncation, splices of two inputs, inserted bytes, and huge values
+/// written over 4- and 8-byte fields (declared row counts, string lengths).
+/// Every input must come back as a Status (or nullopt), never crash, and the
+/// row decoder must never allocate more than the input's bytes can back.
+///
+/// Iterations per decoder come from QSERV_FUZZ_ITERATIONS (default 2,000, a
+/// smoke run); the `fuzz` ctest label runs 100,000.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "qserv/batch_codec.h"
+#include "qserv/dump_integrity.h"
+#include "qserv/observables_codec.h"
+#include "sql/rowcodec.h"
+#include "util/rng.h"
+
+namespace {
+// Largest single allocation while watching (see AllocationWatch).
+std::atomic<bool> gWatching{false};
+std::atomic<std::size_t> gLargest{0};
+}  // namespace
+
+// Replaceable global allocation functions: record the largest request made
+// while a decoder runs, so a reserve sized from a declared count shows up
+// even when the allocation happens to succeed. They are malloc/free based
+// throughout, which GCC cannot see across inlining.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (gWatching.load(std::memory_order_relaxed)) {
+    std::size_t seen = gLargest.load(std::memory_order_relaxed);
+    while (n > seen && !gLargest.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace qserv {
+namespace {
+
+/// Scoped watermark of the largest allocation made inside it.
+class AllocationWatch {
+ public:
+  AllocationWatch() {
+    gLargest.store(0);
+    gWatching.store(true);
+  }
+  ~AllocationWatch() { gWatching.store(false); }
+  std::size_t largest() const { return gLargest.load(); }
+};
+
+/// What a decoder may allocate for an input of \p n bytes: buffers and
+/// vectors proportional to the input (a column costs >= 3 header bytes but
+/// ~150 bytes of bookkeeping), never a count read from the input itself.
+std::size_t allocationBound(std::size_t n) { return 128 * n + 65536; }
+
+int iterations() {
+  const char* env = std::getenv("QSERV_FUZZ_ITERATIONS");
+  int n = env != nullptr ? std::atoi(env) : 0;
+  return n > 0 ? n : 2000;
+}
+
+void putLe(std::string& s, std::size_t at, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes && at + i < s.size(); ++i) {
+    s[at + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+std::string mutate(util::Rng& rng, const std::vector<std::string>& corpus) {
+  std::string s = corpus[rng.below(corpus.size())];
+  const int rounds = 1 + static_cast<int>(rng.below(3));
+  for (int round = 0; round < rounds; ++round) {
+    switch (rng.below(6)) {
+      case 0:  // bit flips
+        for (int i = 1 + static_cast<int>(rng.below(8)); i > 0 && !s.empty();
+             --i) {
+          s[rng.below(s.size())] ^= static_cast<char>(1u << rng.below(8));
+        }
+        break;
+      case 1:  // truncation
+        s.resize(rng.below(s.size() + 1));
+        break;
+      case 2: {  // splice: a prefix of this input, a suffix of another
+        const std::string& other = corpus[rng.below(corpus.size())];
+        s = s.substr(0, rng.below(s.size() + 1)) +
+            other.substr(rng.below(other.size() + 1));
+        break;
+      }
+      case 3: {  // a huge 8-byte count
+        static const std::uint64_t kHuge[] = {
+            std::numeric_limits<std::uint64_t>::max(), 1ull << 62,
+            1ull << 40, 0xffffffffull, 1ull << 20};
+        if (!s.empty()) {
+          putLe(s, rng.below(s.size()), kHuge[rng.below(5)], 8);
+        }
+        break;
+      }
+      case 4: {  // a huge 4- or 2-byte length
+        if (!s.empty()) {
+          bool wide = rng.below(2) == 0;
+          putLe(s, rng.below(s.size()), wide ? 0xffffffffu : 0xffffu,
+                wide ? 4 : 2);
+        }
+        break;
+      }
+      case 5: {  // inserted random bytes
+        std::string bytes(rng.below(16), '\0');
+        for (char& c : bytes) c = static_cast<char>(rng.below(256));
+        s.insert(rng.below(s.size() + 1), bytes);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+sql::Table sampleTable(util::Rng& rng, std::size_t rows) {
+  sql::Table t("sample", sql::Schema({{"id", sql::ColumnType::kInt},
+                                      {"flux", sql::ColumnType::kDouble},
+                                      {"name", sql::ColumnType::kString}}));
+  const double doubles[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                            1.5, -1e308, 5e-324};
+  const std::int64_t ints[] = {std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::int64_t>::max(), 0,
+                               42};
+  const char* strings[] = {"", "it's", "back\\slash", "QBN2"};
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<sql::Value> row = {
+        rng.below(5) == 0 ? sql::Value::null() : sql::Value(ints[rng.below(4)]),
+        rng.below(5) == 0 ? sql::Value::null()
+                          : sql::Value(doubles[rng.below(5)]),
+        rng.below(5) == 0 ? sql::Value::null()
+                          : sql::Value(std::string(strings[rng.below(4)]))};
+    EXPECT_TRUE(t.appendRow(row).isOk());
+  }
+  return t;
+}
+
+/// A worker-shaped chunk result: row codec, observables line, MD5 trailer.
+std::string chunkResult(const sql::Table& t) {
+  std::string out = sql::encodeTableBinary(t, "r_0123456789abcdef");
+  simio::WorkObservables obs;
+  obs.bytesScanned = 1024;
+  obs.rowsExamined = t.numRows();
+  obs.resultBytes = 512;
+  obs.resultRows = t.numRows();
+  out += core::encodeObservables(obs);
+  core::appendDumpChecksum(out);
+  return out;
+}
+
+std::vector<std::string> resultCorpus() {
+  util::Rng rng(11);
+  std::vector<std::string> corpus;
+  for (std::size_t rows : {0, 1, 3, 17, 64}) {
+    sql::Table t = sampleTable(rng, rows);
+    corpus.push_back(sql::encodeTableBinary(t, "t"));
+    corpus.push_back(chunkResult(t));
+  }
+  sql::Table wide("wide", sql::Schema({{"a", sql::ColumnType::kDouble},
+                                       {"b", sql::ColumnType::kDouble},
+                                       {"c", sql::ColumnType::kInt},
+                                       {"d", sql::ColumnType::kString},
+                                       {"e", sql::ColumnType::kInt}}));
+  for (int r = 0; r < 20; ++r) {
+    EXPECT_TRUE(wide.appendRow(std::vector<sql::Value>{
+                                   sql::Value(r * 0.5), sql::Value::null(),
+                                   sql::Value(r), sql::Value("row"),
+                                   sql::Value(-r)})
+                    .isOk());
+  }
+  corpus.push_back(chunkResult(wide));
+  return corpus;
+}
+
+TEST(DecoderFuzz, RowCodecReturnsStatusAndBoundsAllocation) {
+  std::vector<std::string> corpus = resultCorpus();
+  util::Rng rng(0xF0221);
+  sql::Schema destSchema({{"id", sql::ColumnType::kInt},
+                          {"flux", sql::ColumnType::kDouble},
+                          {"name", sql::ColumnType::kString}});
+  int decoded = 0;
+  for (int i = 0, n = iterations(); i < n; ++i) {
+    std::string input = mutate(rng, corpus);
+    std::size_t largest = 0;
+    util::Result<sql::TablePtr> table = util::Status::internal("unset");
+    {
+      AllocationWatch watch;
+      table = sql::decodeTableBinary(input);
+      largest = watch.largest();
+    }
+    ASSERT_LE(largest, allocationBound(input.size())) << "iteration " << i;
+    if (table.isOk()) {
+      ++decoded;
+      const sql::Table& t = **table;
+      for (std::size_t c = 0; c < t.numColumns(); ++c) {
+        ASSERT_EQ(t.nullMask(c).size(), t.numRows());
+      }
+    }
+    // Appending is all-or-nothing: a rejected input leaves dest untouched.
+    sql::Table dest("dest", destSchema);
+    ASSERT_TRUE(dest.appendRow(std::vector<sql::Value>{
+                                   sql::Value(1), sql::Value(2.0),
+                                   sql::Value("x")})
+                    .isOk());
+    util::Status appended = util::Status::ok();
+    {
+      AllocationWatch watch;
+      appended = sql::appendTableBinary(input, dest);
+      ASSERT_LE(watch.largest(), allocationBound(input.size()) +
+                                     allocationBound(0))
+          << "iteration " << i;
+    }
+    if (!appended.isOk()) {
+      ASSERT_EQ(dest.numRows(), 1u) << "iteration " << i;
+    }
+  }
+  // The mutations leave some inputs decodable (e.g. trailer damage only).
+  EXPECT_GT(decoded, 0);
+}
+
+TEST(DecoderFuzz, HugeDeclaredCountsAreRejectedWithoutAllocating) {
+  util::Rng rng(3);
+  sql::Table t = sampleTable(rng, 4);
+  const std::string good = sql::encodeTableBinary(t, "t");
+  // Offset of nrows: magic, name, ncols, then per column type + name.
+  std::size_t rowsAt = sql::kRowCodecMagic.size() + 2 + 1 + 2;
+  for (const auto& col : t.schema().columns()) rowsAt += 3 + col.name.size();
+  for (std::uint64_t rows : {std::numeric_limits<std::uint64_t>::max(),
+                             std::uint64_t{1} << 62, std::uint64_t{1} << 40,
+                             std::uint64_t{5}}) {
+    std::string bad = good;
+    putLe(bad, rowsAt, rows, 8);
+    AllocationWatch watch;
+    EXPECT_FALSE(sql::decodeTableBinary(bad).isOk()) << rows;
+    EXPECT_LE(watch.largest(), allocationBound(bad.size())) << rows;
+  }
+  // A string length that runs past the end.
+  std::string bad = good;
+  std::size_t lenAt = bad.rfind(std::string("\x04\0\0\0", 4));
+  ASSERT_NE(lenAt, std::string::npos);
+  putLe(bad, lenAt, 0xffffffffu, 4);
+  AllocationWatch watch;
+  EXPECT_FALSE(sql::decodeTableBinary(bad).isOk());
+  EXPECT_LE(watch.largest(), allocationBound(bad.size()));
+}
+
+TEST(DecoderFuzz, ResultFrameReturnsStatus) {
+  std::vector<std::string> corpus;
+  for (const std::string& body : resultCorpus()) {
+    corpus.push_back(core::encodeResultFrame(7, body));
+  }
+  corpus.push_back(core::encodeErrorFrame(
+      9, util::Status::unavailable("worker going down")));
+  corpus.push_back(core::encodeErrorFrame(1, util::Status::dataLoss("")));
+  util::Rng rng(0xF0222);
+  for (int i = 0, n = iterations(); i < n; ++i) {
+    std::string input = mutate(rng, corpus);
+    auto frame = core::decodeResultFrame(input);
+    if (!frame.isOk()) {
+      EXPECT_EQ(frame.status().code(), util::ErrorCode::kDataLoss);
+      continue;
+    }
+    ASSERT_LE(frame->body.size(), input.size());
+    // An error frame never decodes to OK.
+    if (!frame->status.isOk()) {
+      ASSERT_LE(static_cast<int>(frame->status.code()),
+                static_cast<int>(util::ErrorCode::kDataLoss));
+    }
+  }
+}
+
+TEST(DecoderFuzz, BatchRequestReturnsStatus) {
+  std::vector<std::string> corpus = {
+      core::encodeBatchRequest({{101, "SELECT * FROM Object_101;\n"},
+                                {202, std::string("bin\0ary", 7)},
+                                {303, ""}},
+                               8),
+      core::encodeBatchRequest({}, 0),
+      core::encodeBatchRequest({{5, "SELECT COUNT(*) FROM Object_5"}}, 1)};
+  util::Rng rng(0xF0223);
+  for (int i = 0, n = iterations(); i < n; ++i) {
+    std::string input = mutate(rng, corpus);
+    auto request = core::decodeBatchRequest(input);
+    if (!request.isOk()) {
+      EXPECT_EQ(request.status().code(), util::ErrorCode::kInvalidArgument);
+      continue;
+    }
+    std::size_t bytes = 0;
+    for (const auto& c : request->chunks) bytes += c.payload.size();
+    ASSERT_LE(bytes, input.size());
+  }
+}
+
+TEST(DecoderFuzz, ObservablesRejectDamageWithoutCrashing) {
+  std::vector<std::string> corpus = resultCorpus();
+  simio::WorkObservables obs;
+  obs.bytesScanned = 1e12;
+  obs.rowsExamined = 123456789;
+  obs.pairsEvaluated = 5;
+  obs.resultBytes = 3.5e6;
+  corpus.push_back(core::encodeObservables(obs));
+  corpus.push_back(core::encodeObservables(simio::WorkObservables{}));
+  util::Rng rng(0xF0224);
+  for (int i = 0, n = iterations(); i < n; ++i) {
+    std::string input = mutate(rng, corpus);
+    auto decoded = core::decodeObservables(input);
+    if (!decoded) continue;
+    ASSERT_TRUE(std::isfinite(decoded->bytesScanned) &&
+                decoded->bytesScanned >= 0.0);
+    ASSERT_TRUE(std::isfinite(decoded->resultBytes) &&
+                decoded->resultBytes >= 0.0);
+  }
+  // Byte counts that would poison the cost model are refused outright.
+  for (const char* line :
+       {"-- QSERV-OBS bytes=nan rows=1 pairs=0 match=0 built=0 idx=0 "
+        "rbytes=1 rrows=1\n",
+        "-- QSERV-OBS bytes=1 rows=1 pairs=0 match=0 built=0 idx=0 "
+        "rbytes=-5 rrows=1\n",
+        "-- QSERV-OBS bytes=inf rows=1 pairs=0 match=0 built=0 idx=0 "
+        "rbytes=1 rrows=1\n"}) {
+    EXPECT_FALSE(core::decodeObservables(line).has_value()) << line;
+  }
+}
+
+}  // namespace
+}  // namespace qserv

@@ -1,9 +1,8 @@
 /// \file batch_dispatch_test.cc
 /// \brief Batched per-worker dispatch (§7.6 remedy): wire-codec roundtrips,
 /// batch accounting and observability, and a seeded randomized parity sweep
-/// asserting that batched dispatch + binary transfer returns results
-/// identical to the paper's per-chunk dispatch + SQL-dump transfer across
-/// LV / HV / SHV query shapes.
+/// asserting that batched and per-chunk dispatch both return a single-node
+/// oracle's answer across LV / HV / SHV query shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "oracle.h"
 #include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
 #include "util/metrics.h"
@@ -112,13 +112,11 @@ class BatchDispatchTest : public ::testing::Test {
     catalog_ = nullptr;
   }
 
-  static std::unique_ptr<MiniCluster> makeCluster(DispatchMode mode,
-                                                  TransferFormat transfer) {
+  static std::unique_ptr<MiniCluster> makeCluster(DispatchMode mode) {
     ClusterOptions opts;
     opts.numWorkers = 3;
     opts.frontend.catalog = *catalog_;
     opts.frontend.dispatchMode = mode;
-    opts.worker.transfer = transfer;
     auto cluster = MiniCluster::create(opts, *catalogData_);
     EXPECT_TRUE(cluster.isOk()) << cluster.status().toString();
     return cluster.isOk() ? std::move(*cluster) : nullptr;
@@ -131,33 +129,6 @@ class BatchDispatchTest : public ::testing::Test {
     return r.isOk() ? std::move(r).value() : QservFrontend::Execution{};
   }
 
-  /// All rows of \p table, sorted cell-lexicographically so that parity
-  /// holds regardless of merge arrival order (pipelined merging consumes
-  /// chunks as they stream in; per-chunk mode merged in spec order).
-  static std::vector<std::vector<sql::Value>> sortedRows(
-      const sql::TablePtr& table) {
-    std::vector<std::vector<sql::Value>> rows;
-    rows.reserve(table->numRows());
-    for (std::size_t r = 0; r < table->numRows(); ++r) {
-      std::vector<sql::Value> row;
-      row.reserve(table->numColumns());
-      for (std::size_t c = 0; c < table->numColumns(); ++c) {
-        row.push_back(table->cell(r, c));
-      }
-      rows.push_back(std::move(row));
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const std::vector<sql::Value>& a,
-                 const std::vector<sql::Value>& b) {
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                  int cmp = a[i].compare(b[i]);
-                  if (cmp != 0) return cmp < 0;
-                }
-                return false;
-              });
-    return rows;
-  }
-
   static CatalogConfig* catalog_;
   static datagen::PartitionedCatalog* catalogData_;
 };
@@ -168,7 +139,7 @@ datagen::PartitionedCatalog* BatchDispatchTest::catalogData_ = nullptr;
 // ----------------------------------------------------------- batched basics
 
 TEST_F(BatchDispatchTest, OneBatchPerWorkerNotPerChunk) {
-  auto cluster = makeCluster(DispatchMode::kBatched, TransferFormat::kSqlDump);
+  auto cluster = makeCluster(DispatchMode::kBatched);
   ASSERT_TRUE(cluster);
   auto before = util::MetricsRegistry::instance().snapshot();
   auto exec = query(*cluster, "SELECT COUNT(*) FROM Object");
@@ -195,9 +166,9 @@ TEST_F(BatchDispatchTest, OneBatchPerWorkerNotPerChunk) {
 }
 
 TEST_F(BatchDispatchTest, ExplainReportsDispatchStrategy) {
-  auto batched = makeCluster(DispatchMode::kBatched, TransferFormat::kSqlDump);
+  auto batched = makeCluster(DispatchMode::kBatched);
   auto perChunk =
-      makeCluster(DispatchMode::kPerChunk, TransferFormat::kSqlDump);
+      makeCluster(DispatchMode::kPerChunk);
   ASSERT_TRUE(batched && perChunk);
   auto dispatchRow = [&](MiniCluster& cluster) -> std::string {
     auto exec = query(cluster, "EXPLAIN SELECT COUNT(*) FROM Object");
@@ -218,7 +189,7 @@ TEST_F(BatchDispatchTest, ExplainReportsDispatchStrategy) {
 }
 
 TEST_F(BatchDispatchTest, ProfileRecordsBatchTransferDistribution) {
-  auto cluster = makeCluster(DispatchMode::kBatched, TransferFormat::kSqlDump);
+  auto cluster = makeCluster(DispatchMode::kBatched);
   ASSERT_TRUE(cluster);
   auto exec = query(*cluster, "SELECT COUNT(*) FROM Object");
   ASSERT_TRUE(exec.result);
@@ -235,65 +206,79 @@ TEST_F(BatchDispatchTest, ProfileRecordsBatchTransferDistribution) {
 
 // ------------------------------------------------------------- parity sweep
 
-TEST_F(BatchDispatchTest, RandomizedParityBatchedBinaryVsPerChunkDump) {
-  // Paper mode: per-chunk dispatch, mysqldump-style transfer. New fast
-  // path: one batch per worker, binary row codec, pipelined merge. Both
-  // run the same seeded query mix over the same sky; results must be
-  // identical cell for cell.
-  auto paper = makeCluster(DispatchMode::kPerChunk, TransferFormat::kSqlDump);
-  auto fast = makeCluster(DispatchMode::kBatched, TransferFormat::kBinary);
-  ASSERT_TRUE(paper && fast);
+TEST_F(BatchDispatchTest, RandomizedParityWithSingleNodeOracle) {
+  // The paper's per-chunk dispatch and the batched path (one batch per
+  // worker, pipelined merge) run the same seeded query mix over the same
+  // sky; both must return what one database holding the unpartitioned
+  // catalog returns.
+  auto perChunk = makeCluster(DispatchMode::kPerChunk);
+  auto batched = makeCluster(DispatchMode::kBatched);
+  ASSERT_TRUE(perChunk && batched);
+  auto oracleDb = oracle::build(*catalogData_);
 
+  // Each case: the distributed SQL, the oracle's equivalent (areaspec
+  // becomes an explicit point-in-box test), and whether rows are ordered.
+  struct Case {
+    std::string sql;
+    std::string oracleSql;
+    bool ordered = false;
+  };
   util::Rng rng(0xBA7C4ED15);
-  std::vector<std::string> queries;
+  std::vector<Case> cases;
   // LV: secondary-index object retrievals at random ids.
   const auto& index = catalogData_->index;
   ASSERT_FALSE(index.empty());
   for (int i = 0; i < 4; ++i) {
     std::int64_t id = index[rng.below(index.size())].objectId;
-    queries.push_back("SELECT * FROM Object WHERE objectId = " +
-                      std::to_string(id));
+    std::string sql =
+        "SELECT * FROM Object WHERE objectId = " + std::to_string(id);
+    cases.push_back({sql, sql});
   }
   // HV: full-sky aggregates and a randomized row-heavy declination band.
-  queries.push_back("SELECT COUNT(*) FROM Object");
-  queries.push_back(
+  const std::string count = "SELECT COUNT(*) FROM Object";
+  cases.push_back({count, count});
+  std::string density =
       "SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId FROM Object "
-      "GROUP BY chunkId ORDER BY chunkId");
+      "GROUP BY chunkId ORDER BY chunkId";
+  cases.push_back({density, density, /*ordered=*/true});
   for (int i = 0; i < 2; ++i) {
     int lo = -6 + static_cast<int>(rng.below(10));
-    queries.push_back(util::format(
+    std::string sql = util::format(
         "SELECT objectId, ra_PS, decl_PS, rFlux_PS FROM Object "
         "WHERE decl_PS BETWEEN %d AND %d",
-        lo, lo + 2));
+        lo, lo + 2);
+    cases.push_back({sql, sql});
   }
   // SHV: near-neighbor self-joins over randomized small boxes (0.03 deg is
   // under the 0.05 deg overlap margin, so chunked counts are exact).
   for (int i = 0; i < 2; ++i) {
     int ra = static_cast<int>(rng.below(20));
-    queries.push_back(util::format(
-        "SELECT count(*) FROM Object o1, Object o2 WHERE "
-        "qserv_areaspec_box(%d, -2, %d, 1) AND "
-        "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.03",
-        ra, ra + 3));
+    const char* pairs =
+        "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.03";
+    cases.push_back(
+        {util::format("SELECT count(*) FROM Object o1, Object o2 WHERE "
+                      "qserv_areaspec_box(%d, -2, %d, 1) AND %s",
+                      ra, ra + 3, pairs),
+         util::format("SELECT count(*) FROM Object o1, Object o2 WHERE "
+                      "qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, %d, -2, "
+                      "%d, 1) = 1 AND %s",
+                      ra, ra + 3, pairs)});
   }
 
-  for (const auto& sql : queries) {
-    auto want = query(*paper, sql);
-    auto got = query(*fast, sql);
-    ASSERT_TRUE(want.result && got.result) << sql;
-    EXPECT_EQ(want.dispatchMode, DispatchMode::kPerChunk);
-    EXPECT_EQ(got.dispatchMode, DispatchMode::kBatched);
-    EXPECT_EQ(got.chunksDispatched, want.chunksDispatched) << sql;
-    ASSERT_EQ(got.result->numColumns(), want.result->numColumns()) << sql;
-    ASSERT_EQ(got.result->numRows(), want.result->numRows()) << sql;
-    auto wantRows = sortedRows(want.result);
-    auto gotRows = sortedRows(got.result);
-    for (std::size_t r = 0; r < wantRows.size(); ++r) {
-      for (std::size_t c = 0; c < wantRows[r].size(); ++c) {
-        ASSERT_EQ(gotRows[r][c].compare(wantRows[r][c]), 0)
-            << sql << " row " << r << " col " << c;
-      }
-    }
+  for (const Case& c : cases) {
+    auto want = oracleDb->execute(c.oracleSql);
+    ASSERT_TRUE(want.isOk()) << want.status().toString() << " for "
+                             << c.oracleSql;
+    auto viaPerChunk = query(*perChunk, c.sql);
+    auto viaBatched = query(*batched, c.sql);
+    EXPECT_EQ(viaPerChunk.dispatchMode, DispatchMode::kPerChunk);
+    EXPECT_EQ(viaBatched.dispatchMode, DispatchMode::kBatched);
+    EXPECT_EQ(viaBatched.chunksDispatched, viaPerChunk.chunksDispatched)
+        << c.sql;
+    oracle::expectSameResult(viaPerChunk.result, *want, c.ordered,
+                             "per-chunk: " + c.sql);
+    oracle::expectSameResult(viaBatched.result, *want, c.ordered,
+                             "batched: " + c.sql);
   }
 }
 

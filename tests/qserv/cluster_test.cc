@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <thread>
 
 #include "datagen/schemas.h"
+#include "oracle.h"
 #include "util/metrics.h"
 #include "util/strings.h"
 
@@ -69,30 +73,155 @@ TEST(MiniCluster, PrimaryChunksPartitionTheChunkSet) {
   EXPECT_EQ(total, (*cluster)->chunkIds().size());
 }
 
-TEST(MiniCluster, BinaryTransferClusterMatchesDumpCluster) {
+TEST(MiniCluster, ClusterMatchesSingleNodeOracle) {
   SmallSky sky;
-  auto run = [&](TransferFormat format) {
-    ClusterOptions opts;
-    opts.frontend.catalog = sky.catalog;
-    opts.numWorkers = 3;
-    opts.worker.transfer = format;
-    auto cluster = MiniCluster::create(opts, sky.data);
-    EXPECT_TRUE(cluster.isOk());
-    auto r = (*cluster)->frontend().query(
-        "SELECT objectId, ra_PS FROM Object WHERE decl_PS > 0 "
-        "ORDER BY objectId LIMIT 20");
-    EXPECT_TRUE(r.isOk()) << r.status().toString();
-    return std::move(r).value().result;
+  ClusterOptions opts;
+  opts.frontend.catalog = sky.catalog;
+  opts.numWorkers = 3;
+  auto cluster = MiniCluster::create(opts, sky.data);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  auto oracleDb = oracle::build(sky.data);
+  const std::string sql =
+      "SELECT objectId, ra_PS FROM Object WHERE decl_PS > 0 "
+      "ORDER BY objectId LIMIT 20";
+  auto r = (*cluster)->frontend().query(sql);
+  ASSERT_TRUE(r.isOk()) << r.status().toString();
+  auto want = oracleDb->execute(sql);
+  ASSERT_TRUE(want.isOk()) << want.status().toString();
+  ASSERT_EQ((*want)->numRows(), 20u);
+  oracle::expectSameResult(r->result, *want, /*ordered=*/true, sql);
+}
+
+/// \p src with cell (row, \p col) replaced for each entry of \p values.
+sql::TablePtr withCells(const sql::Table& src, std::size_t col,
+                        const std::vector<std::pair<std::size_t, sql::Value>>&
+                            values) {
+  auto out = std::make_shared<sql::Table>(src.name(), src.schema());
+  for (std::size_t r = 0; r < src.numRows(); ++r) {
+    std::vector<sql::Value> row = src.row(r);
+    for (const auto& [at, v] : values) {
+      if (at == r) row[col] = v;
+    }
+    EXPECT_TRUE(out->appendRow(row).isOk());
+  }
+  return out;
+}
+
+/// Same type and the same bits (so NaN matches NaN, and -0.0 only -0.0).
+bool bitIdentical(const sql::Value& a, const sql::Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.isDouble()) {
+    double x = a.asDouble(), y = b.asDouble();
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  }
+  return a == b;
+}
+
+TEST(MiniCluster, EdgeValuesArriveBitExactAndMatchSingleNodeOracle) {
+  SmallSky sky;
+  // Plant edge values in uFlux_PS of the two most populated chunks. The
+  // first chunk's partial SUM is NaN: SQL text has no NaN literal, so a dump
+  // would have shipped it as NULL and the merged SUM would skip it.
+  std::vector<std::size_t> order(sky.data.chunks.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return sky.data.chunks[a].objects->numRows() >
+           sky.data.chunks[b].objects->numRows();
+  });
+  ASSERT_GE(order.size(), 2u);
+  datagen::ChunkData& nanChunk = sky.data.chunks[order[0]];
+  datagen::ChunkData& infChunk = sky.data.chunks[order[1]];
+  ASSERT_GE(infChunk.objects->numRows(), 3u);
+  const std::size_t flux = *nanChunk.objects->schema().indexOf("uFlux_PS");
+  const std::size_t id = *nanChunk.objects->schema().indexOf("objectId");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  nanChunk.objects = withCells(*nanChunk.objects, flux,
+                               {{0, sql::Value(nan)},
+                                {1, sql::Value(-0.0)},
+                                {2, sql::Value::null()}});
+  infChunk.objects = withCells(*infChunk.objects, flux,
+                               {{0, sql::Value(4.9406564584124654e-324)},
+                                {1, sql::Value(-inf)}});
+  std::vector<std::int64_t> ids;
+  for (std::size_t r = 0; r < 3; ++r) {
+    ids.push_back(nanChunk.objects->intColumn(id)[r]);
+  }
+  for (std::size_t r = 0; r < 2; ++r) {
+    ids.push_back(infChunk.objects->intColumn(id)[r]);
+  }
+
+  ClusterOptions opts;
+  opts.frontend.catalog = sky.catalog;
+  opts.numWorkers = 3;
+  auto cluster = MiniCluster::create(opts, sky.data);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  auto oracleDb = oracle::build(sky.data);
+  auto both = [&](const std::string& sql)
+      -> std::pair<sql::TablePtr, sql::TablePtr> {
+    auto got = (*cluster)->frontend().query(sql);
+    EXPECT_TRUE(got.isOk()) << got.status().toString() << " for " << sql;
+    auto want = oracleDb->execute(sql);
+    EXPECT_TRUE(want.isOk()) << want.status().toString() << " for " << sql;
+    if (!got.isOk() || !want.isOk()) return {};
+    return {got->result, *want};
   };
-  auto viaDump = run(TransferFormat::kSqlDump);
-  auto viaBinary = run(TransferFormat::kBinary);
-  ASSERT_TRUE(viaDump && viaBinary);
-  ASSERT_EQ(viaDump->numRows(), viaBinary->numRows());
-  for (std::size_t r = 0; r < viaDump->numRows(); ++r) {
-    for (std::size_t c = 0; c < viaDump->numColumns(); ++c) {
-      EXPECT_EQ(viaDump->cell(r, c).compare(viaBinary->cell(r, c)), 0);
+
+  // Values that pass through untouched arrive bit for bit: planted doubles,
+  // NULL, quoted and backslashed strings, and INT64 extremes.
+  std::vector<std::string> idList;
+  for (std::int64_t v : ids) idList.push_back(std::to_string(v));
+  const std::string rowsSql =
+      "SELECT objectId, uFlux_PS, 'it''s' AS quoted, 'back\\\\slash' AS "
+      "escaped, 9223372036854775807 AS maxInt, -9223372036854775807 - 1 AS "
+      "minInt FROM Object WHERE objectId IN (" +
+      util::join(idList, ", ") + ") ORDER BY objectId";
+  auto [got, want] = both(rowsSql);
+  ASSERT_TRUE(got && want);
+  ASSERT_EQ(want->numRows(), ids.size());
+  ASSERT_EQ(got->numRows(), want->numRows());
+  ASSERT_EQ(got->numColumns(), want->numColumns());
+  for (std::size_t r = 0; r < want->numRows(); ++r) {
+    for (std::size_t c = 0; c < want->numColumns(); ++c) {
+      EXPECT_TRUE(bitIdentical(got->cell(r, c), want->cell(r, c)))
+          << "row " << r << " col " << c << ": got "
+          << got->cell(r, c).toDisplayString() << ", want "
+          << want->cell(r, c).toDisplayString();
+    }
+    EXPECT_EQ(got->cell(r, 2), sql::Value("it's"));
+    EXPECT_EQ(got->cell(r, 3), sql::Value("back\\slash"));
+    EXPECT_EQ(got->cell(r, 4),
+              sql::Value(std::numeric_limits<std::int64_t>::max()));
+    EXPECT_EQ(got->cell(r, 5),
+              sql::Value(std::numeric_limits<std::int64_t>::min()));
+  }
+  int nans = 0, negZeros = 0, nulls = 0;
+  for (std::size_t r = 0; r < got->numRows(); ++r) {
+    sql::Value v = got->cell(r, 1);
+    if (v.isNull()) {
+      ++nulls;
+    } else if (std::isnan(v.asDouble())) {
+      ++nans;
+    } else if (v.asDouble() == 0.0 && std::signbit(v.asDouble())) {
+      ++negZeros;
     }
   }
+  EXPECT_EQ(nans, 1);
+  EXPECT_EQ(negZeros, 1);
+  EXPECT_EQ(nulls, 1);
+
+  // A NaN partial SUM reaches the czar as NaN, so the merged SUM is NaN,
+  // exactly as on one node; per-chunk sums keep their NaN and -inf.
+  auto [sum, sumWant] = both("SELECT SUM(uFlux_PS) FROM Object");
+  ASSERT_TRUE(sum && sumWant);
+  ASSERT_TRUE(sumWant->cell(0, 0).isDouble());
+  EXPECT_TRUE(std::isnan(sumWant->cell(0, 0).asDouble()));
+  EXPECT_TRUE(bitIdentical(sum->cell(0, 0), sumWant->cell(0, 0)));
+  const std::string perChunk =
+      "SELECT chunkId, SUM(uFlux_PS) AS s, COUNT(uFlux_PS) AS n FROM Object "
+      "GROUP BY chunkId ORDER BY chunkId";
+  auto [groups, groupsWant] = both(perChunk);
+  oracle::expectSameResult(groups, groupsWant, /*ordered=*/true, perChunk);
 }
 
 TEST(MiniCluster, BinaryTransferAggregates) {
@@ -100,7 +229,6 @@ TEST(MiniCluster, BinaryTransferAggregates) {
   ClusterOptions opts;
   opts.frontend.catalog = sky.catalog;
   opts.numWorkers = 3;
-  opts.worker.transfer = TransferFormat::kBinary;
   auto cluster = MiniCluster::create(opts, sky.data);
   ASSERT_TRUE(cluster.isOk());
   auto r = (*cluster)->frontend().query(

@@ -25,12 +25,15 @@ sql::TablePtr makeRows(const std::string& name, std::vector<int> values) {
   return t;
 }
 
+/// A worker-shaped chunk result carrying \p values.
+std::string resultOf(std::vector<int> values) {
+  return sql::encodeTableBinary(*makeRows("r", std::move(values)), "r_x");
+}
+
 TEST(ResultMerger, UnionsDumpsIntoMergeTable) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeDump(sql::dumpTable(*makeRows("a", {1, 2}), "r_a"))
-                  .isOk());
-  ASSERT_TRUE(merger.mergeDump(sql::dumpTable(*makeRows("b", {3}), "r_b"))
-                  .isOk());
+  ASSERT_TRUE(merger.mergeResult(resultOf({1, 2})).isOk());
+  ASSERT_TRUE(merger.mergeResult(resultOf({3})).isOk());
   EXPECT_EQ(merger.rowsMerged(), 3u);
   auto final = merger.finalize("SELECT SUM(v) FROM m");
   ASSERT_TRUE(final.isOk()) << final.status().toString();
@@ -39,12 +42,9 @@ TEST(ResultMerger, UnionsDumpsIntoMergeTable) {
 
 TEST(ResultMerger, HandlesBinaryPayloads) {
   ResultMerger merger("m");
-  ASSERT_TRUE(
-      merger.mergeDump(sql::encodeTableBinary(*makeRows("a", {5, 7}), "r_a"))
-          .isOk());
-  // Mixed formats in one query also work.
-  ASSERT_TRUE(merger.mergeDump(sql::dumpTable(*makeRows("b", {8}), "r_b"))
-                  .isOk());
+  ASSERT_TRUE(merger.mergeResult(resultOf({5, 7})).isOk());
+  // A second binary result appends into the adopted merge table.
+  ASSERT_TRUE(merger.mergeResult(resultOf({8})).isOk());
   auto final = merger.finalize("SELECT COUNT(*) AS n, SUM(v) FROM m");
   ASSERT_TRUE(final.isOk());
   EXPECT_EQ((*final)->cell(0, 0).asInt(), 3);
@@ -55,16 +55,15 @@ TEST(ResultMerger, ObservablesCommentIsHarmless) {
   ResultMerger merger("m");
   simio::WorkObservables obs;
   obs.rowsExamined = 9;
-  std::string dump = sql::dumpTable(*makeRows("a", {1}), "r_a");
+  std::string dump = resultOf({1});
   dump += encodeObservables(obs);
-  ASSERT_TRUE(merger.mergeDump(dump).isOk());
+  ASSERT_TRUE(merger.mergeResult(dump).isOk());
   EXPECT_EQ(merger.rowsMerged(), 1u);
 }
 
 TEST(ResultMerger, EmptyDumpKeepsSchema) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeDump(sql::dumpTable(*makeRows("a", {}), "r_a"))
-                  .isOk());
+  ASSERT_TRUE(merger.mergeResult(resultOf({})).isOk());
   auto final = merger.finalize("SELECT * FROM m");
   ASSERT_TRUE(final.isOk());
   EXPECT_EQ((*final)->numRows(), 0u);
@@ -80,19 +79,52 @@ TEST(ResultMerger, NoDumpsFinalizesEmpty) {
 
 TEST(ResultMerger, MismatchedColumnCountFails) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeDump(sql::dumpTable(*makeRows("a", {1}), "r_a"))
-                  .isOk());
+  ASSERT_TRUE(merger.mergeResult(resultOf({1})).isOk());
   sql::Schema two({{"x", sql::ColumnType::kInt}, {"y", sql::ColumnType::kInt}});
   sql::Table wide("w", two);
   ASSERT_TRUE(wide.appendRow(std::vector<sql::Value>{sql::Value(1),
                                                      sql::Value(2)})
                   .isOk());
-  EXPECT_FALSE(merger.mergeDump(sql::dumpTable(wide, "r_b")).isOk());
+  EXPECT_FALSE(merger.mergeResult(sql::encodeTableBinary(wide, "r_b")).isOk());
 }
 
 TEST(ResultMerger, GarbagePayloadFails) {
   ResultMerger merger("m");
-  EXPECT_FALSE(merger.mergeDump("this is not a dump").isOk());
+  EXPECT_FALSE(merger.mergeResult("this is not a dump").isOk());
+}
+
+TEST(ResultMerger, SqlDumpTextIsNotAResult) {
+  // The row codec is the only chunk-result format: dump text is rejected,
+  // never replayed.
+  ResultMerger merger("m");
+  EXPECT_FALSE(
+      merger.mergeResult(sql::dumpTable(*makeRows("a", {1}), "r_a")).isOk());
+  EXPECT_EQ(merger.rowsMerged(), 0u);
+}
+
+TEST(ResultMerger, BadResultLeavesMergeTableUntouched) {
+  ResultMerger merger("m");
+  ASSERT_TRUE(merger.mergeResult(resultOf({1, 2})).isOk());
+  std::string truncated = resultOf({3, 4, 5});
+  truncated.resize(truncated.size() - 3);
+  EXPECT_FALSE(merger.mergeResult(truncated).isOk());
+  auto final = merger.finalize("SELECT COUNT(*), SUM(v) FROM m");
+  ASSERT_TRUE(final.isOk());
+  EXPECT_EQ((*final)->cell(0, 0).asInt(), 2);
+  EXPECT_EQ((*final)->cell(0, 1).asInt(), 3);
+}
+
+TEST(ResultMerger, IntResultWidensIntoDoubleMergeColumn) {
+  // Chunk results of one query may type a column differently (an INT
+  // partial next to a DOUBLE one); the merge widens like appendFrom does.
+  ResultMerger merger("m");
+  sql::Table dbl("d", sql::Schema({{"v", sql::ColumnType::kDouble}}));
+  ASSERT_TRUE(dbl.appendRow(std::vector<sql::Value>{sql::Value(0.5)}).isOk());
+  ASSERT_TRUE(merger.mergeResult(sql::encodeTableBinary(dbl, "r_a")).isOk());
+  ASSERT_TRUE(merger.mergeResult(resultOf({2})).isOk());
+  auto final = merger.finalize("SELECT SUM(v) FROM m");
+  ASSERT_TRUE(final.isOk());
+  EXPECT_DOUBLE_EQ((*final)->cell(0, 0).asDouble(), 2.5);
 }
 
 // --------------------------------------------------------------- dispatcher
@@ -115,7 +147,7 @@ class FlakyPlugin : public xrd::OfsPlugin {
     }
     auto table = makeRows("r", {static_cast<int>(*chunk)});
     store_.publish(xrd::makeResultPath(hash),
-                   sql::dumpTable(*table, "r_" + hash));
+                   sql::encodeTableBinary(*table, "r_" + hash));
     return util::Status::ok();
   }
 
@@ -197,7 +229,7 @@ TEST(Dispatcher, ParsesInBandObservables) {
       simio::WorkObservables obs;
       obs.bytesScanned = 12345;
       obs.rowsExamined = 67;
-      std::string dump = sql::dumpTable(*makeRows("r", {1}), "r_x");
+      std::string dump = resultOf({1});
       dump += encodeObservables(obs);
       store_.publish(xrd::makeResultPath(util::Md5::hex(payload)),
                      std::move(dump));

@@ -9,6 +9,8 @@
 #include "datagen/schemas.h"
 #include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
+#include "qserv/observables_codec.h"
+#include "sql/rowcodec.h"
 #include "util/md5.h"
 #include "util/strings.h"
 #include "xrd/paths.h"
@@ -69,7 +71,7 @@ TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
                   std::to_string(chunk) + ";\n";
   auto dump = runQuery(*w, chunk, q);
   ASSERT_TRUE(dump.isOk()) << dump.status().toString();
-  EXPECT_NE(dump->find("CREATE TABLE"), std::string::npos);
+  EXPECT_TRUE(sql::isBinaryTablePayload(*dump));
   EXPECT_NE(dump->find("QS0_COUNT"), std::string::npos);
   EXPECT_NE(dump->find("-- QSERV-OBS"), std::string::npos);
   EXPECT_EQ(w->tasksExecuted(), 1u);
@@ -194,8 +196,9 @@ TEST_F(WorkerTest, ObservablesScaleWithRowScale) {
   std::int32_t chunk = populatedChunk_;
   std::string q = "SELECT COUNT(*) AS c FROM Object_" +
                   std::to_string(chunk) + " WHERE ra_PS > 0;";
-  ASSERT_TRUE(runQuery(*w, chunk, q).isOk());
-  auto obs = w->observablesFor(util::Md5::hex(q));
+  auto dump = runQuery(*w, chunk, q);
+  ASSERT_TRUE(dump.isOk());
+  auto obs = decodeObservables(*dump);
   ASSERT_TRUE(obs.has_value());
   auto rows =
       db_->execute("SELECT COUNT(*) FROM Object_" + std::to_string(chunk));
@@ -250,7 +253,7 @@ TEST_F(WorkerTest, SharedScanGroupChargesIoOnce) {
   for (const auto& q : queries) {
     auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
     ASSERT_TRUE(r.isOk()) << r.status().toString();
-    auto obs = w->observablesFor(util::Md5::hex(q));
+    auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
     if (obs->bytesScanned > 0) ++charged;
   }
@@ -279,8 +282,9 @@ TEST_F(WorkerTest, FifoChargesEveryScan) {
   w->resume();
   int charged = 0;
   for (const auto& q : queries) {
-    ASSERT_TRUE(w->readFile(xrd::makeResultPath(util::Md5::hex(q))).isOk());
-    auto obs = w->observablesFor(util::Md5::hex(q));
+    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+    ASSERT_TRUE(r.isOk());
+    auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
     if (obs->bytesScanned > 0) ++charged;
   }
@@ -314,7 +318,7 @@ TEST_F(WorkerTest, InteractiveClassBypassesScanGroup) {
   for (const auto& q : queries) {
     auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
     ASSERT_TRUE(r.isOk()) << r.status().toString();
-    auto obs = w->observablesFor(util::Md5::hex(q));
+    auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
     if (obs->bytesScanned > 0) ++charged;
   }
@@ -346,7 +350,7 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   w->resume();
   auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(survivor)));
   ASSERT_TRUE(r.isOk()) << r.status().toString();
-  auto obs = w->observablesFor(util::Md5::hex(survivor));
+  auto obs = decodeObservables(*r);
   ASSERT_TRUE(obs.has_value());
   EXPECT_GT(obs->bytesScanned, 0.0);
 }

@@ -31,8 +31,7 @@ TEST(RowCodec, MagicDetection) {
 TEST(RowCodec, RoundTripPreservesEverything) {
   auto t = sampleTable();
   std::string bin = encodeTableBinary(*t, "decoded");
-  Database db;
-  auto loaded = loadBinaryTable(db, bin);
+  auto loaded = decodeTableBinary(bin);
   ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
   EXPECT_EQ((*loaded)->name(), "decoded");
   ASSERT_EQ((*loaded)->numRows(), t->numRows());
@@ -45,7 +44,6 @@ TEST(RowCodec, RoundTripPreservesEverything) {
       EXPECT_EQ((*loaded)->cell(r, c), t->cell(r, c)) << r << "," << c;
     }
   }
-  EXPECT_TRUE(db.hasTable("decoded"));
 }
 
 TEST(RowCodec, DoubleBitsExact) {
@@ -54,8 +52,7 @@ TEST(RowCodec, DoubleBitsExact) {
   for (double d : {0.1, 1.0 / 3.0, 1e-300, -0.0, 2.2250738585072014e-308}) {
     ASSERT_TRUE(t->appendRow(std::vector<Value>{Value(d)}).isOk());
   }
-  Database db;
-  auto loaded = loadBinaryTable(db, encodeTableBinary(*t, "t2"));
+  auto loaded = decodeTableBinary(encodeTableBinary(*t, "t2"));
   ASSERT_TRUE(loaded.isOk());
   for (std::size_t r = 0; r < t->numRows(); ++r) {
     EXPECT_EQ((*loaded)->cell(r, 0).asDouble(), t->cell(r, 0).asDouble());
@@ -65,8 +62,7 @@ TEST(RowCodec, DoubleBitsExact) {
 TEST(RowCodec, EmptyTable) {
   Schema schema({{"a", ColumnType::kInt}});
   Table t("t", schema);
-  Database db;
-  auto loaded = loadBinaryTable(db, encodeTableBinary(t, "empty"));
+  auto loaded = decodeTableBinary(encodeTableBinary(t, "empty"));
   ASSERT_TRUE(loaded.isOk());
   EXPECT_EQ((*loaded)->numRows(), 0u);
   EXPECT_EQ((*loaded)->numColumns(), 1u);
@@ -76,8 +72,7 @@ TEST(RowCodec, TrailingBytesAreIgnored) {
   // Workers append an observables comment after the binary blob.
   auto t = sampleTable();
   std::string bin = encodeTableBinary(*t, "t2") + "-- QSERV-OBS trailing\n";
-  Database db;
-  auto loaded = loadBinaryTable(db, bin);
+  auto loaded = decodeTableBinary(bin);
   ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
   EXPECT_EQ((*loaded)->numRows(), 3u);
 }
@@ -88,25 +83,15 @@ TEST(RowCodec, TruncationIsRejectedEverywhere) {
   // Any strict prefix must fail cleanly (never crash, never succeed except
   // the degenerate full length).
   for (std::size_t cut = 4; cut < bin.size(); cut += 3) {
-    Database db;
-    auto r = loadBinaryTable(db, std::string_view(bin).substr(0, cut));
+    auto r = decodeTableBinary(std::string_view(bin).substr(0, cut));
     EXPECT_FALSE(r.isOk()) << "cut=" << cut;
   }
 }
 
 TEST(RowCodec, GarbageRejected) {
-  Database db;
-  EXPECT_FALSE(loadBinaryTable(db, "not binary at all").isOk());
+  EXPECT_FALSE(decodeTableBinary("not binary at all").isOk());
   std::string bad = std::string(kRowCodecMagic) + std::string(100, '\xff');
-  EXPECT_FALSE(loadBinaryTable(db, bad).isOk());
-}
-
-TEST(RowCodec, ReplacesExistingTable) {
-  auto t = sampleTable();
-  Database db;
-  ASSERT_TRUE(loadBinaryTable(db, encodeTableBinary(*t, "t2")).isOk());
-  ASSERT_TRUE(loadBinaryTable(db, encodeTableBinary(*t, "t2")).isOk());
-  EXPECT_EQ(db.findTable("t2")->numRows(), 3u);
+  EXPECT_FALSE(decodeTableBinary(bad).isOk());
 }
 
 TEST(RowCodec, SmallerThanSqlDump) {
@@ -149,8 +134,7 @@ TEST(RowCodec, RandomizedRoundTripSweep) {
       }
       ASSERT_TRUE(t->appendRow(row).isOk());
     }
-    Database db;
-    auto loaded = loadBinaryTable(db, encodeTableBinary(*t, "t2"));
+    auto loaded = decodeTableBinary(encodeTableBinary(*t, "t2"));
     ASSERT_TRUE(loaded.isOk()) << trial;
     ASSERT_EQ((*loaded)->numRows(), rows);
     for (std::size_t r = 0; r < rows; ++r) {
