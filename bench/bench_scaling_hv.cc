@@ -8,7 +8,6 @@
 /// (scan-bound weak scaling).
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 
 #include "bench_util.h"
 
@@ -50,18 +49,13 @@ int main() {
     double v1 = simio::simulateQuery(virtualTasks(setup, e1, params, 150),
                                      params)
                     .elapsedSec();
-    // The same execution under batched dispatch: one request per placement
-    // node replaces the 2.8 ms/chunk master term with its amortized share,
-    // so HV1 stops growing linearly in the dispatch term (§7.6 remedy).
-    auto batchedTasks = virtualTasks(setup, e1, params, 150);
-    {
-      std::set<int> workers;
-      for (const auto& t : batchedTasks) workers.insert(t.worker);
-      double d = simio::amortizedBatchDispatchSec(batchedTasks.size(),
-                                                  workers.size(), params);
-      for (auto& t : batchedTasks) t.dispatchSec = d;
-    }
-    double v1b = simio::simulateQuery(batchedTasks, params).elapsedSec();
+    // The same execution priced as batched dispatch: one request per
+    // placement node replaces the 2.8 ms/chunk master term with its
+    // amortized share, so HV1 stops growing linearly in the dispatch term
+    // (§7.6 remedy).
+    double v1b = simio::simulateQuery(
+                     batchedVirtualTasks(setup, e1, params, 150), params)
+                     .elapsedSec();
 
     simio::CostParams warm = params;
     warm.cacheFraction = 0.65;  // Fig 6's partially-cached steady state
@@ -101,7 +95,6 @@ int main() {
     drOpts.basePatchObjects = 900;
     drOpts.numStripes = drStripes;
     drOpts.numSubStripes = 3;
-    drOpts.dispatchMode = core::DispatchMode::kBatched;
     PaperSetup dr = makePaperSetup(drOpts);
     printKeyValue("DR-scale setup",
                   util::format("%.1f s, %zu chunks (%d stripes)",
@@ -109,7 +102,7 @@ int main() {
                                drStripes));
     simio::CostParams params = simio::CostParams::paper150();
     auto e = runQuery(dr, hv1);
-    auto tasks = virtualTasks(dr, e, params, 150);
+    auto tasks = batchedVirtualTasks(dr, e, params, 150);
     double v = simio::simulateQuery(tasks, params).elapsedSec();
     double perChunkMasterSec =
         params.masterPerChunkOverheadSec *

@@ -35,10 +35,6 @@ ScenarioResult runScenario(core::SchedulerMode mode) {
   // scheduler's grouping opportunity (real shared scanning holds scan
   // queries for the duration of a table pass).
   opts.objectRegion = sphgeom::SphericalBox(0, -16, 30, 12);
-  // Batched dispatch stages every chunk task at batch-write time; per-chunk
-  // dispatch would cap staged tasks at the dispatcher's in-flight slots and
-  // the two scans could never fully co-queue.
-  opts.dispatchMode = core::DispatchMode::kBatched;
   opts.workerConfig.scheduler = mode;
   opts.workerConfig.slots = 2;
   // This ablation measures pure same-chunk sharing; keep the slow-scan
@@ -78,9 +74,9 @@ ScenarioResult runScenario(core::SchedulerMode mode) {
   simio::CostParams params = simio::CostParams::paper150();
   simio::SimQuery q1, q2;
   q1.submitSec = 0.0;
-  q1.tasks = virtualTasks(setup, e1, params, 150);
+  q1.tasks = batchedVirtualTasks(setup, e1, params, 150);
   q2.submitSec = 0.5;
-  q2.tasks = virtualTasks(setup, e2, params, 150);
+  q2.tasks = batchedVirtualTasks(setup, e2, params, 150);
   auto results = simio::simulateQueries({q1, q2}, params);
 
   ScenarioResult out;

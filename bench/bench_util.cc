@@ -87,7 +87,6 @@ PaperSetup makePaperSetup(const PaperSetupOptions& options) {
   copts.frontend.catalog = setup.catalog;
   copts.frontend.cost = simio::CostParams::paper150();
   copts.frontend.dispatchParallelism = options.dispatchParallelism;
-  copts.frontend.dispatchMode = options.dispatchMode;
   auto cluster = core::MiniCluster::create(copts, *catalog);
   if (!cluster.isOk()) {
     std::fprintf(stderr, "bench cluster: %s\n",
@@ -114,17 +113,21 @@ std::vector<simio::SimChunkTask> virtualTasks(
     t.interactive = exec.queryClass == core::QueryClass::kInteractive;
     tasks.push_back(t);
   }
-  // A batched execution dispatches one request per (query, worker): on the
-  // virtual cluster the batch count is the number of distinct placement
-  // nodes, and every chunk pays the amortized share instead of the full
-  // per-chunk master overhead.
-  if (exec.dispatchMode == core::DispatchMode::kBatched && !tasks.empty()) {
-    std::set<int> workers;
-    for (const auto& t : tasks) workers.insert(t.worker);
-    double dispatchSec =
-        simio::amortizedBatchDispatchSec(tasks.size(), workers.size(), params);
-    for (auto& t : tasks) t.dispatchSec = dispatchSec;
-  }
+  return tasks;
+}
+
+std::vector<simio::SimChunkTask> batchedVirtualTasks(
+    const PaperSetup& setup, const core::QservFrontend::Execution& exec,
+    const simio::CostParams& params, int placementNodes) {
+  std::vector<simio::SimChunkTask> tasks =
+      virtualTasks(setup, exec, params, placementNodes);
+  // On the virtual cluster the batch count is the number of distinct
+  // placement nodes.
+  std::set<int> workers;
+  for (const auto& t : tasks) workers.insert(t.worker);
+  double dispatchSec =
+      simio::amortizedBatchDispatchSec(tasks.size(), workers.size(), params);
+  for (auto& t : tasks) t.dispatchSec = dispatchSec;
   return tasks;
 }
 

@@ -50,10 +50,7 @@ struct PaperSetupOptions {
   int numSubStripes = 12;
   core::WorkerConfig workerConfig;
   datagen::BasePatchOptions basePatch;  ///< objectCount is overridden
-  int dispatchParallelism = 16;  ///< frontend in-flight chunk queries
-  /// Paper fidelity by default: the figure benches reproduce the published
-  /// per-chunk dispatch numbers; the batched ablation opts in explicitly.
-  core::DispatchMode dispatchMode = core::DispatchMode::kPerChunk;
+  int dispatchParallelism = 16;  ///< frontend dispatch threads
 };
 
 struct PaperSetup {
@@ -73,11 +70,19 @@ struct PaperSetup {
 PaperSetup makePaperSetup(const PaperSetupOptions& options);
 
 /// Re-map a query's per-chunk accounting onto an N-node virtual cluster
-/// with the paper's cost parameters. \p placementNodes overrides the modulo
-/// used for chunk placement (0 = params.nodeCount) — the §6.3 emulation
-/// keeps 150-node placement while dispatching only the first N nodes'
-/// chunks.
+/// with the paper's cost parameters, priced as the paper's master ran:
+/// every chunk pays the full per-chunk dispatch term
+/// (masterPerChunkOverheadSec). \p placementNodes overrides the modulo used
+/// for chunk placement (0 = params.nodeCount) — the §6.3 emulation keeps
+/// 150-node placement while dispatching only the first N nodes' chunks.
 std::vector<simio::SimChunkTask> virtualTasks(
+    const PaperSetup& setup, const core::QservFrontend::Execution& exec,
+    const simio::CostParams& params, int placementNodes = 0);
+
+/// virtualTasks priced as batched dispatch (the §7.6 remedy): one request
+/// per distinct placement node, so every chunk pays the amortized share
+/// (amortizedBatchDispatchSec) instead of the full per-chunk master term.
+std::vector<simio::SimChunkTask> batchedVirtualTasks(
     const PaperSetup& setup, const core::QservFrontend::Execution& exec,
     const simio::CostParams& params, int placementNodes = 0);
 

@@ -12,6 +12,7 @@
 
 #include "datagen/partitioner.h"
 #include "example_util.h"
+#include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
 #include "qserv/observables_codec.h"
 #include "qserv/worker.h"
@@ -61,11 +62,16 @@ int main() {
     wc.startPaused = true;
     core::Worker worker("w0", db, catalog, chunks, wc);
 
-    std::vector<std::string> queries;
+    // Each query arrives as its own batch of one chunk query.
+    std::vector<std::string> batchIds;
     for (const char* pred : predicates) {
-      queries.push_back(util::format(
-          "SELECT COUNT(*) AS c FROM Object_%d WHERE %s;", densest, pred));
-      if (!worker.writeFile(xrd::makeQueryPath(densest), queries.back())
+      std::string request = core::encodeBatchRequest(
+          {{densest, util::format("SELECT COUNT(*) AS c FROM Object_%d "
+                                  "WHERE %s;",
+                                  densest, pred)}},
+          /*streamWindow=*/0);
+      batchIds.push_back(util::Md5::hex(request));
+      if (!worker.writeFile(xrd::makeBatchPath(batchIds.back()), request)
                .isOk()) {
         return 1;
       }
@@ -76,10 +82,12 @@ int main() {
     double nodeSeconds = 0;
     std::printf("%s scheduler:\n",
                 mode == core::SchedulerMode::kFifo ? "FIFO" : "shared-scan");
-    for (const auto& q : queries) {
-      auto dump = worker.readFile(xrd::makeResultPath(util::Md5::hex(q)));
-      if (!dump.isOk()) return 1;
-      auto obs = core::decodeObservables(*dump);
+    for (const auto& batchId : batchIds) {
+      auto frame = worker.readFile(xrd::makeBatchStreamPath(batchId));
+      if (!frame.isOk()) return 1;
+      auto result = core::decodeResultFrame(*frame);
+      if (!result.isOk() || !result->status.isOk()) return 1;
+      auto obs = core::decodeObservables(result->body);
       if (!obs) return 1;
       double service = simio::workerServiceSeconds(*obs, params);
       nodeSeconds += service;

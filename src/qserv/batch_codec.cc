@@ -65,6 +65,14 @@ Result<BatchRequest> decodeBatchRequest(const std::string& payload) {
   if (window < 0 || !skipChar(payload, pos, '\n')) {
     return Status::invalidArgument("batch request: bad stream window");
   }
+  // Every chunk frame takes at least its header, two one-digit numbers and
+  // two separators: a count the remaining bytes cannot hold is a lie, and
+  // must not size an allocation.
+  if (static_cast<std::size_t>(count) >
+      (payload.size() - pos) / (kChunkHeader.size() + 5)) {
+    return Status::invalidArgument(
+        "batch request: chunk count exceeds payload");
+  }
   BatchRequest out;
   out.streamWindow = static_cast<int>(window);
   out.chunks.reserve(static_cast<std::size_t>(count));

@@ -11,10 +11,10 @@
 ///   <payloadBytes bytes: the unchanged per-chunk query payload>\n
 ///   ... repeated nChunks times ...
 ///
-/// Each embedded payload is byte-identical to what per-chunk dispatch would
-/// have written to /query2/<chunkId> (trace header included), so a chunk's
-/// result hash — the MD5 of its payload — is the same in both modes and a
-/// failed batch member can fall back to the per-chunk retry path verbatim.
+/// Each embedded payload is the chunk query exactly as the dispatcher built
+/// it (trace and class headers included), so a chunk's result hash — the MD5
+/// of its payload — is the same whichever batch carries it, and a failed
+/// batch member is retried verbatim as a batch of one.
 ///
 /// Result frames (each one FileStore entry at /bstream/<batchId>):
 ///   --#FRAME <chunkId> ok <bodyBytes>\n<body>     body = the normal dump,
@@ -24,7 +24,7 @@
 ///
 /// Integrity: the per-chunk MD5 trailer inside each ok-frame body is
 /// preserved end to end; a frame whose header fails to parse is counted as
-/// damaged and its chunk is re-fetched through the per-chunk path.
+/// damaged and its chunk is re-fetched as a batch of one.
 #pragma once
 
 #include <cstdint>

@@ -73,15 +73,11 @@ QservFrontend::QservFrontend(FrontendConfig config,
       metadata_("qservMeta"),
       index_(metadata_),
       chunker_(config_.catalog.makeChunker()),
-      // Real workers always append the dump integrity trailer, so the czar
-      // requires it: a dump that lost its trailer is treated as damaged.
       dispatcher_(redirector_,
                   DispatcherConfig{config_.dispatchParallelism,
                                    config_.dispatchMaxAttempts,
                                    config_.dispatchBackoff,
                                    /*retrySeed=*/0x5eedULL,
-                                   /*requireDumpChecksum=*/true,
-                                   config_.dispatchMode,
                                    config_.dispatchStreamWindow}),
       profilingEnabled_(config_.enableProfiling) {
   std::sort(availableChunks.begin(), availableChunks.end());
@@ -174,11 +170,6 @@ int QservFrontend::workerIndexOf(const std::string& workerId) {
 std::string QservFrontend::describeDispatch(
     const std::vector<ChunkQuerySpec>& specs) {
   if (specs.empty()) return {};
-  if (config_.dispatchMode == DispatchMode::kPerChunk) {
-    return util::format(
-        "per-chunk (%zu chunk queries, one write+read transaction pair each)",
-        specs.size());
-  }
   std::size_t batches = 0, placed = 0, fallback = 0;
   std::size_t minChunks = 0, maxChunks = 0;
   for (const BatchPlanEntry& entry : dispatcher_.planBatches(specs)) {
@@ -197,7 +188,8 @@ std::string QservFrontend::describeDispatch(
       "stream window %d)",
       placed, batches, minChunks, maxChunks, config_.dispatchStreamWindow);
   if (fallback > 0) {
-    desc += util::format("; %zu chunks fall back to per-chunk", fallback);
+    desc += util::format("; %zu unplaced chunks go as batches of one",
+                         fallback);
   }
   return desc;
 }
@@ -487,9 +479,9 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   // Pipelined dispatch + merge: chunk results flow through a bounded queue
   // into the merger the moment they arrive — the czar never holds every
   // result in memory at once, and the queue bound is the backpressure that
-  // lets a slow merger throttle collection (and, in batched mode, the
-  // workers' stream windows behind it). One czar span covers the whole
-  // overlapped interval so the profile's stage times stay sequential.
+  // lets a slow merger throttle collection (and the workers' stream windows
+  // behind it). One czar span covers the whole overlapped interval so the
+  // profile's stage times stay sequential.
   ResultMerger merger(mergeTable, trace);
   std::vector<ChunkResult> results;  // payloads dropped after merging
   Result<DispatchReport> report = Status::internal("dispatch never ran");
@@ -525,7 +517,6 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   QSERV_RETURN_IF_ERROR(mergeStatus);
   QSERV_RETURN_IF_ERROR(report.status());
   exec.chunksDispatched = results.size();
-  exec.dispatchMode = report->mode;
   exec.dispatchBatches = report->batches;
   CzarMetrics::instance().chunksDispatched.add(results.size());
 
@@ -539,11 +530,8 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
 
   // Virtual-time accounting. Batched dispatch replaces the per-chunk master
   // overhead with the amortized per-batch cost (§7.6's fix).
-  double dispatchSec = -1.0;
-  if (exec.dispatchMode == DispatchMode::kBatched) {
-    dispatchSec = simio::amortizedBatchDispatchSec(
-        results.size(), exec.dispatchBatches, config_.cost);
-  }
+  const double dispatchSec = simio::amortizedBatchDispatchSec(
+      results.size(), exec.dispatchBatches, config_.cost);
   exec.simTasks.reserve(results.size());
   exec.accounting.reserve(results.size());
   for (const auto& r : results) {

@@ -39,17 +39,12 @@ struct FrontendConfig {
   int dispatchParallelism = 16;
   int dispatchMaxAttempts = 3;  ///< per chunk query, across replicas
   util::BackoffPolicy dispatchBackoff;  ///< retry sleep schedule
-  /// How chunk queries reach workers: kBatched ships one request per
-  /// (query, worker) and streams results back incrementally (§7.6's
-  /// dispatch-overhead fix); kPerChunk is the paper's two-transaction pair
-  /// per chunk.
-  DispatchMode dispatchMode = DispatchMode::kBatched;
-  /// Batched mode: unread result frames a worker may buffer per batch
-  /// stream before it stalls (backpressure toward the merger).
+  /// Unread result frames a worker may buffer per batch stream before it
+  /// stalls (backpressure toward the merger).
   int dispatchStreamWindow = 8;
   /// Chunk results buffered between dispatch collection and the pipelined
-  /// merger; a slow merger fills this and throttles collection (and, in
-  /// batched mode, the workers behind it).
+  /// merger; a slow merger fills this and throttles collection (and the
+  /// workers behind it).
   int mergeQueueDepth = 8;
   /// Per-query wall-clock budget in seconds; <= 0 means unlimited. When the
   /// budget runs out, in-flight chunk attempts stop and the query fails
@@ -93,9 +88,7 @@ class QservFrontend {
     sql::TablePtr result;
     std::size_t chunksDispatched = 0;
     std::uint64_t rowsMerged = 0;
-    /// Dispatch strategy actually used and, in batched mode, how many
-    /// batch requests were written.
-    DispatchMode dispatchMode = DispatchMode::kPerChunk;
+    /// Batch requests planned, one per worker holding chunks.
     std::size_t dispatchBatches = 0;
     std::vector<ChunkAccounting> accounting;
     /// Scheduler class the czar derived and shipped to workers (frontend-only
@@ -206,7 +199,7 @@ class QservFrontend {
   int workerIndexOf(const std::string& workerId);
 
   /// EXPLAIN's one-line description of how \p specs would be dispatched
-  /// (mode; in batched mode the batch count and chunks-per-batch shape).
+  /// (batch count and chunks-per-batch shape).
   std::string describeDispatch(const std::vector<ChunkQuerySpec>& specs);
 
   /// Execute a SELECT end to end with trace/processList bookkeeping and,

@@ -69,10 +69,8 @@ bool isRetryable(const Status& s) {
 
 /// The payload a worker receives for \p spec. Header comments carry the
 /// trace id (so the worker can attach its spans to this query) and the
-/// scheduler class. Per-chunk and batched dispatch MUST build payloads
-/// identically: the result hash — md5 of the payload — is how both paths
-/// find the dump, and a batch chunk falling back to the per-chunk path
-/// re-derives the same hash.
+/// scheduler class. The result hash is the MD5 of this payload, so a chunk
+/// retried as a batch of one re-derives the same hash.
 std::string buildChunkPayload(const ChunkQuerySpec& spec,
                               const util::TracePtr& trace) {
   std::string payload;
@@ -81,25 +79,43 @@ std::string buildChunkPayload(const ChunkQuerySpec& spec,
   payload += spec.text;
   return payload;
 }
+
+/// Record the one "chunk <id>" dispatcher span trace consumers key on, with
+/// the attempts the chunk took.
+void addChunkSpan(const util::TracePtr& trace, std::int32_t chunkId,
+                  std::int64_t startUs, int attempts,
+                  std::vector<std::pair<std::string, std::string>> attrs) {
+  if (!trace) return;
+  util::TraceSpan span;
+  span.component = "dispatcher";
+  span.name = util::format("chunk %d", chunkId);
+  span.startUs = startUs;
+  span.endUs = util::Trace::nowUs();
+  span.threadId = util::threadId();
+  span.attrs = std::move(attrs);
+  span.attrs.emplace_back("attempts", std::to_string(attempts));
+  trace->addSpan(std::move(span));
+}
 }  // namespace
 
-struct Dispatcher::ChunkFailure {
+/// One chunk's final state: delivered (OK status), failed or cancelled.
+struct Dispatcher::ChunkOutcome {
   std::int32_t chunkId = 0;
   int attempts = 0;
   Status status = Status::ok();
 };
 
-/// A chunk the batch path could not finish, queued for the per-chunk wave.
+/// A chunk a batch could not deliver, queued for a retry as a batch of one.
 struct Dispatcher::RetryItem {
   const ChunkQuerySpec* spec = nullptr;
-  std::vector<std::string> exclude;  ///< replicas burned by the batch attempt
+  std::vector<std::string> exclude;  ///< replicas that already failed it
   int priorAttempts = 0;
   Status prior = Status::internal("not attempted");
 };
 
 struct Dispatcher::BatchOutcome {
   std::vector<RetryItem> retries;
-  std::vector<ChunkFailure> failures;  ///< terminal (non-retryable) chunks
+  std::vector<ChunkOutcome> failures;  ///< terminal (non-retryable) chunks
   std::size_t ok = 0;
   std::size_t cancelled = 0;
 };
@@ -116,157 +132,9 @@ Dispatcher::Dispatcher(xrd::RedirectorPtr redirector, int parallelism,
                        int maxAttempts)
     : Dispatcher(std::move(redirector),
                  DispatcherConfig{parallelism, maxAttempts,
-                                  util::BackoffPolicy{}, 0x5eedULL, false}) {}
+                                  util::BackoffPolicy{}}) {}
 
-Result<ChunkResult> Dispatcher::runOne(const ChunkQuerySpec& spec,
-                                       const util::TracePtr& trace,
-                                       const DispatchOptions& options,
-                                       int& attemptsOut,
-                                       std::vector<std::string> initialExclude,
-                                       int priorAttempts, Status prior) {
-  auto& metrics = DispatchMetrics::instance();
-  util::Stopwatch watch;
-  util::ScopedSpan span(trace, "dispatcher",
-                        util::format("chunk %d", spec.chunkId));
-  xrd::XrdClient client(redirector_);
-  std::string payload = buildChunkPayload(spec, trace);
-  std::string hash = util::Md5::hex(payload);
-  // Deterministic, per-chunk-decorrelated backoff stream.
-  std::uint64_t backoffSeed =
-      config_.retrySeed + 0x9e3779b97f4a7c15ULL *
-                              static_cast<std::uint64_t>(spec.chunkId + 1);
-  util::Backoff backoff(config_.backoff, util::splitmix64(backoffSeed));
-  std::vector<std::string> exclude = std::move(initialExclude);
-  Status last = std::move(prior);
-  // A chunk resuming after a failed batch attempt keeps its spent attempt
-  // count: the batch write+stream was attempt 1..priorAttempts, so the loop
-  // resumes mid-budget and pays backoff before touching another replica.
-  int attempt = std::min(priorAttempts, config_.maxAttempts);
-  for (; attempt < config_.maxAttempts; ++attempt) {
-    if (options.cancel.cancelled()) {
-      last = Status::aborted("chunk query cancelled: " +
-                             options.cancel.reason().message());
-      break;
-    }
-    if (options.deadline.expired()) {
-      metrics.deadlineExceeded.add();
-      last = Status::deadlineExceeded(util::format(
-          "chunk %d: query deadline expired after %d attempt(s)",
-          spec.chunkId, attempt));
-      break;
-    }
-    if (attempt > 0) {
-      metrics.retries.add();
-      auto sleep = backoff.next();
-      if (options.deadline.isLimited()) {
-        sleep = std::min(sleep, options.deadline.remaining());
-      }
-      metrics.backoffSeconds.observe(
-          static_cast<double>(sleep.count()) * 1e-6);
-      if (!options.cancel.sleepFor(sleep)) {
-        last = Status::aborted("chunk query cancelled during backoff: " +
-                               options.cancel.reason().message());
-        break;
-      }
-      if (options.deadline.expired()) {
-        metrics.deadlineExceeded.add();
-        last = Status::deadlineExceeded(util::format(
-            "chunk %d: query deadline expired after %d attempt(s)",
-            spec.chunkId, attempt));
-        break;
-      }
-    }
-    // Named "attempt N ..." (not "chunk ...") so trace consumers keep seeing
-    // exactly one "chunk <id>" dispatcher span per dispatched chunk.
-    util::ScopedSpan attemptSpan(
-        trace, "dispatcher",
-        util::format("attempt %d chunk %d", attempt + 1, spec.chunkId));
-    std::string attempted;
-    Result<std::string> workerId = Status::internal("unreached");
-    {
-      util::ScopedSpan xrdSpan(trace, "xrd",
-                               util::format("write /query2/%d", spec.chunkId));
-      workerId = client.writeQuery(spec.chunkId, payload, exclude, &attempted);
-      if (!workerId.isOk() &&
-          workerId.status().code() == util::ErrorCode::kUnavailable &&
-          attempted.empty() && !exclude.empty()) {
-        // Every live replica already failed once this chunk query. Retrying
-        // a previously failed replica (it may have recovered) beats giving
-        // up while attempts remain.
-        exclude.clear();
-        workerId = client.writeQuery(spec.chunkId, payload, {}, &attempted);
-      }
-    }
-    if (!workerId.isOk()) {
-      last = workerId.status();
-      attemptSpan.attr("error", last.toString());
-      if (!attempted.empty()) {
-        redirector_->reportFailure(spec.chunkId, attempted);
-        exclude.push_back(attempted);
-        metrics.replicaExclusions.add();
-      }
-      if (isRetryable(last)) continue;
-      break;  // non-transient: bad path, chunk unknown, ...
-    }
-    attemptSpan.attr("worker", *workerId);
-    Result<std::string> dump = Status::internal("unreached");
-    {
-      util::ScopedSpan xrdSpan(
-          trace, "xrd",
-          util::format("read /result/%s", hash.substr(0, 8).c_str()));
-      xrdSpan.attr("worker", *workerId);
-      dump = client.readResult(*workerId, hash, options.deadline);
-    }
-    Status integrity = Status::ok();
-    if (dump.isOk()) {
-      integrity = verifyDumpChecksum(*dump);
-      if (integrity.isOk() && config_.requireDumpChecksum &&
-          !hasDumpChecksum(*dump)) {
-        integrity = Status::dataLoss(util::format(
-            "chunk %d: dump from %s carries no integrity checksum",
-            spec.chunkId, workerId->c_str()));
-      }
-      if (!integrity.isOk()) metrics.checksumMismatches.add();
-    }
-    if (!dump.isOk() || !integrity.isOk()) {
-      last = dump.isOk() ? integrity : dump.status();
-      QLOG(kWarn, "dispatch")
-          << "chunk " << spec.chunkId << " on " << *workerId
-          << " failed (attempt " << attempt + 1 << "): " << last.toString();
-      attemptSpan.attr("error", last.toString());
-      redirector_->reportFailure(spec.chunkId, *workerId);
-      exclude.push_back(*workerId);
-      metrics.replicaExclusions.add();
-      if (isRetryable(last)) continue;
-      break;
-    }
-    redirector_->reportSuccess(*workerId);
-    ChunkResult out;
-    out.chunkId = spec.chunkId;
-    out.workerId = std::move(*workerId);
-    out.hash = std::move(hash);
-    if (auto obs = decodeObservables(*dump)) out.observables = *obs;
-    out.dump = std::move(*dump);
-    attemptsOut = attempt + 1;
-    span.attr("worker", out.workerId)
-        .attr("attempts", static_cast<std::int64_t>(attempt + 1))
-        .attr("dumpBytes", static_cast<std::int64_t>(out.dump.size()));
-    metrics.chunksOk.add();
-    metrics.chunkSeconds.observe(watch.elapsedSeconds());
-    return out;
-  }
-  attemptsOut = std::min(attempt + 1, config_.maxAttempts);
-  if (last.code() == util::ErrorCode::kAborted) {
-    metrics.chunksCancelled.add();
-  } else {
-    metrics.chunksFailed.add();
-  }
-  span.attr("attempts", static_cast<std::int64_t>(attemptsOut))
-      .attr("error", last.toString());
-  return last;
-}
-
-Status Dispatcher::aggregateFailures(std::vector<ChunkFailure> failures,
+Status Dispatcher::aggregateFailures(std::vector<ChunkOutcome> failures,
                                      std::size_t cancelled, std::size_t ok,
                                      std::size_t total,
                                      const Status& cancelReason) {
@@ -316,106 +184,43 @@ Result<std::vector<ChunkResult>> Dispatcher::run(
   return out;
 }
 
-Result<DispatchReport> Dispatcher::runStreamed(
-    const std::vector<ChunkQuerySpec>& specs, util::MpmcQueue<ChunkResult>& sink,
-    const util::TracePtr& trace, std::atomic<std::size_t>* completed,
-    const DispatchOptions& options) {
-  if (config_.mode == DispatchMode::kBatched) {
-    return runBatched(specs, sink, trace, completed, options);
-  }
-  return runPerChunk(specs, sink, trace, completed, options);
-}
-
-Result<DispatchReport> Dispatcher::runPerChunk(
-    const std::vector<ChunkQuerySpec>& specs, util::MpmcQueue<ChunkResult>& sink,
-    const util::TracePtr& trace, std::atomic<std::size_t>* completed,
-    const DispatchOptions& options) {
-  struct ChunkOutcome {
-    Status status = Status::internal("not dispatched");
-    int attempts = 0;
-    bool skipped = false;  ///< cancelled before its first attempt
-  };
-  std::vector<std::future<ChunkOutcome>> futures;
-  futures.reserve(specs.size());
+std::map<std::string, std::vector<const ChunkQuerySpec*>>
+Dispatcher::groupByWorker(const std::vector<ChunkQuerySpec>& specs,
+                          std::vector<RetryItem>& unplaced) {
+  std::map<std::string, std::vector<const ChunkQuerySpec*>> byWorker;
   for (const auto& spec : specs) {
-    futures.push_back(
-        pool_.submit([this, &spec, &trace, &options, &sink, completed] {
-          ChunkOutcome outcome;
-          if (options.cancel.cancelled()) {
-            // A sibling already failed hard: don't even start.
-            outcome.skipped = true;
-            outcome.status = Status::aborted(
-                util::format("chunk %d cancelled: %s", spec.chunkId,
-                             options.cancel.reason().message().c_str()));
-            DispatchMetrics::instance().chunksCancelled.add();
-          } else {
-            auto result = runOne(spec, trace, options, outcome.attempts);
-            outcome.status = result.status();
-            if (result.isOk()) {
-              if (!sink.push(std::move(result).value())) {
-                outcome.status = Status::aborted("result sink closed");
-              }
-            } else if (result.status().code() != util::ErrorCode::kAborted) {
-              // This query can no longer succeed: stop siblings now.
-              options.cancel.cancel(result.status());
-            }
-          }
-          if (completed != nullptr) {
-            completed->fetch_add(1, std::memory_order_relaxed);
-          }
-          return outcome;
-        }));
-  }
-  DispatchReport report;
-  report.mode = DispatchMode::kPerChunk;
-  std::vector<ChunkFailure> failures;
-  std::size_t cancelled = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    ChunkOutcome outcome = futures[i].get();
-    if (outcome.status.isOk()) {
-      ++report.chunksOk;
-      continue;
+    auto server = redirector_->locate(spec.chunkId);
+    if (server.isOk()) {
+      byWorker[(*server)->id()].push_back(&spec);
+    } else {
+      unplaced.push_back(RetryItem{&spec, {}, 0, server.status()});
     }
-    if (outcome.skipped ||
-        outcome.status.code() == util::ErrorCode::kAborted) {
-      ++cancelled;
-      continue;
-    }
-    failures.push_back(
-        ChunkFailure{specs[i].chunkId, outcome.attempts, outcome.status});
   }
-  QSERV_RETURN_IF_ERROR(aggregateFailures(std::move(failures), cancelled,
-                                          report.chunksOk, specs.size(),
-                                          options.cancel.reason()));
-  return report;
+  return byWorker;
 }
 
 std::vector<BatchPlanEntry> Dispatcher::planBatches(
     const std::vector<ChunkQuerySpec>& specs) {
-  std::map<std::string, std::vector<std::int32_t>> byWorker;
-  std::vector<std::int32_t> unplaced;
-  for (const auto& spec : specs) {
-    auto server = redirector_->locate(xrd::makeQueryPath(spec.chunkId));
-    if (server.isOk()) {
-      byWorker[(*server)->id()].push_back(spec.chunkId);
-    } else {
-      unplaced.push_back(spec.chunkId);
+  std::vector<RetryItem> unplaced;
+  std::vector<BatchPlanEntry> out;
+  for (const auto& [workerId, chunks] : groupByWorker(specs, unplaced)) {
+    out.push_back(BatchPlanEntry{workerId, {}});
+    for (const ChunkQuerySpec* spec : chunks) {
+      out.back().chunkIds.push_back(spec->chunkId);
     }
   }
-  std::vector<BatchPlanEntry> out;
-  out.reserve(byWorker.size() + 1);
-  for (auto& [workerId, chunkIds] : byWorker) {
-    out.push_back(BatchPlanEntry{workerId, std::move(chunkIds)});
-  }
   if (!unplaced.empty()) {
-    out.push_back(BatchPlanEntry{{}, std::move(unplaced)});
+    out.push_back(BatchPlanEntry{});
+    for (const RetryItem& item : unplaced) {
+      out.back().chunkIds.push_back(item.spec->chunkId);
+    }
   }
   return out;
 }
 
 Dispatcher::BatchOutcome Dispatcher::collectBatch(
     const std::string& workerId,
-    const std::vector<const ChunkQuerySpec*>& chunks,
+    const std::vector<const ChunkQuerySpec*>& chunks, int attempt,
     util::MpmcQueue<ChunkResult>& sink, const util::TracePtr& trace,
     std::atomic<std::size_t>* completed, const DispatchOptions& options) {
   auto& metrics = DispatchMetrics::instance();
@@ -452,8 +257,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
       redirector_->reportFailure(chunkId, workerId);
       metrics.replicaExclusions.add();
       metrics.batchChunkRetries.add();
-      outcome.retries.push_back(
-          RetryItem{pc.spec, {workerId}, /*priorAttempts=*/1, why});
+      outcome.retries.push_back(RetryItem{pc.spec, {workerId}, attempt, why});
     }
     pending.clear();
   };
@@ -470,6 +274,8 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
                               << written.toString();
       xrdSpan.attr("error", written.toString());
       span.attr("error", written.toString());
+      // A worker that no longer exports a chunk (stale placement) is as
+      // retryable as one that is down: the retry re-locates the chunk.
       retryPending(written.code() == util::ErrorCode::kUnavailable ||
                            written.code() == util::ErrorCode::kNotFound
                        ? Status::unavailable(written.message())
@@ -481,26 +287,32 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   metrics.batchChunks.observe(static_cast<double>(chunks.size()));
 
   std::size_t framesSeen = 0;
-  std::size_t delivered = 0;
   std::int64_t streamBytes = 0;
   const std::size_t expected = chunks.size();
   while (!pending.empty()) {
     if (options.cancel.cancelled()) {
       client.cancelBatch(workerId, batchId);
-      for (auto& [chunkId, pc] : pending) {
-        (void)pc;
-        metrics.chunksCancelled.add();
-        ++outcome.cancelled;
-        if (completed != nullptr) {
-          completed->fetch_add(1, std::memory_order_relaxed);
-        }
+      metrics.chunksCancelled.add(pending.size());
+      outcome.cancelled += pending.size();
+      if (completed != nullptr) {
+        completed->fetch_add(pending.size(), std::memory_order_relaxed);
       }
       pending.clear();
       break;
     }
+    if (options.deadline.expired()) {
+      // The budget ran out mid-stream: abandon the stream as if its read had
+      // timed out; the retry path reports kDeadlineExceeded without
+      // spending another attempt.
+      client.cancelBatch(workerId, batchId);
+      retryPending(Status::unavailable(util::format(
+          "batch %s: query deadline expired mid-stream",
+          batchId.substr(0, 8).c_str())));
+      break;
+    }
     if (framesSeen >= expected) {
       // The worker produced all its frames but some chunks never got a
-      // readable one (damaged headers): re-fetch them per-chunk.
+      // readable one (damaged headers): re-fetch them.
       retryPending(Status::dataLoss(util::format(
           "batch %s: result frame lost or damaged",
           batchId.substr(0, 8).c_str())));
@@ -516,8 +328,8 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     }
     if (!frameBytes.isOk()) {
       // Worker death / stream timeout / deadline: abandon the stream and
-      // send the survivors through the per-chunk path (which re-checks the
-      // deadline before spending another attempt).
+      // retry the survivors (the retry re-checks the deadline before
+      // spending another attempt).
       QLOG(kWarn, "dispatch")
           << "batch " << batchId.substr(0, 8) << " stream from " << workerId
           << " broke: " << frameBytes.status().toString();
@@ -538,6 +350,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     auto it = pending.find(frame->chunkId);
     if (it == pending.end()) continue;  // duplicate or stale frame
     PendingChunk pc = std::move(it->second);
+    pending.erase(it);
     std::int32_t chunkId = frame->chunkId;
 
     if (!frame->status.isOk()) {
@@ -548,40 +361,22 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
         metrics.replicaExclusions.add();
         metrics.batchChunkRetries.add();
         outcome.retries.push_back(
-            RetryItem{pc.spec, {workerId}, /*priorAttempts=*/1, why});
+            RetryItem{pc.spec, {workerId}, attempt, why});
       } else {
         metrics.chunksFailed.add();
-        if (trace) {
-          util::TraceSpan failSpan;
-          failSpan.component = "dispatcher";
-          failSpan.name = util::format("chunk %d", chunkId);
-          failSpan.startUs = batchStartUs;
-          failSpan.endUs = util::Trace::nowUs();
-          failSpan.threadId = util::threadId();
-          failSpan.attrs.emplace_back("worker", workerId);
-          failSpan.attrs.emplace_back("attempts", "1");
-          failSpan.attrs.emplace_back("error", why.toString());
-          trace->addSpan(std::move(failSpan));
-        }
-        outcome.failures.push_back(ChunkFailure{chunkId, 1, why});
+        addChunkSpan(trace, chunkId, batchStartUs, attempt,
+                     {{"worker", workerId}, {"error", why.toString()}});
+        outcome.failures.push_back(ChunkOutcome{chunkId, attempt, why});
         options.cancel.cancel(why);
         if (completed != nullptr) {
           completed->fetch_add(1, std::memory_order_relaxed);
         }
       }
-      pending.erase(it);
       continue;
     }
 
     std::string dump = std::move(frame->body);
-    Status integrity = verifyDumpChecksum(dump);
-    if (integrity.isOk() && config_.requireDumpChecksum &&
-        !hasDumpChecksum(dump)) {
-      integrity = Status::dataLoss(util::format(
-          "chunk %d: dump from %s carries no integrity checksum", chunkId,
-          workerId.c_str()));
-    }
-    if (!integrity.isOk()) {
+    if (Status integrity = verifyDumpChecksum(dump); !integrity.isOk()) {
       metrics.checksumMismatches.add();
       redirector_->reportFailure(chunkId, workerId);
       metrics.replicaExclusions.add();
@@ -590,8 +385,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
           << "chunk " << chunkId << " in batch " << batchId.substr(0, 8)
           << " from " << workerId << " damaged: " << integrity.toString();
       outcome.retries.push_back(
-          RetryItem{pc.spec, {workerId}, /*priorAttempts=*/1, integrity});
-      pending.erase(it);
+          RetryItem{pc.spec, {workerId}, attempt, integrity});
       continue;
     }
 
@@ -602,29 +396,15 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     out.hash = std::move(pc.hash);
     if (auto obs = decodeObservables(dump)) out.observables = *obs;
     out.dump = std::move(dump);
-    std::int64_t nowUs = util::Trace::nowUs();
-    if (trace) {
-      // The per-chunk dispatcher span trace consumers key on: one
-      // "chunk <id>" per dispatched chunk, batched or not. It covers batch
-      // write through frame arrival.
-      util::TraceSpan chunkSpan;
-      chunkSpan.component = "dispatcher";
-      chunkSpan.name = util::format("chunk %d", chunkId);
-      chunkSpan.startUs = batchStartUs;
-      chunkSpan.endUs = nowUs;
-      chunkSpan.threadId = util::threadId();
-      chunkSpan.attrs.emplace_back("worker", workerId);
-      chunkSpan.attrs.emplace_back("attempts", "1");
-      chunkSpan.attrs.emplace_back("dumpBytes",
-                                   std::to_string(out.dump.size()));
-      trace->addSpan(std::move(chunkSpan));
-    }
+    // One "chunk <id>" span per dispatched chunk, covering batch write
+    // through frame arrival.
+    addChunkSpan(trace, chunkId, batchStartUs, attempt,
+                 {{"worker", workerId},
+                  {"dumpBytes", std::to_string(out.dump.size())}});
     metrics.chunksOk.add();
     metrics.chunkSeconds.observe(
-        static_cast<double>(nowUs - batchStartUs) * 1e-6);
+        static_cast<double>(util::Trace::nowUs() - batchStartUs) * 1e-6);
     ++outcome.ok;
-    ++delivered;
-    pending.erase(it);
     if (!sink.push(std::move(out))) {
       options.cancel.cancel(Status::aborted("result sink closed"));
     }
@@ -632,92 +412,175 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
       completed->fetch_add(1, std::memory_order_relaxed);
     }
   }
-  span.attr("delivered", static_cast<std::int64_t>(delivered))
+  span.attr("delivered", static_cast<std::int64_t>(outcome.ok))
       .attr("streamBytes", streamBytes);
   metrics.batchSeconds.observe(watch.elapsedSeconds());
   return outcome;
 }
 
-Result<DispatchReport> Dispatcher::runBatched(
+Status Dispatcher::retryChunk(const RetryItem& item,
+                              util::MpmcQueue<ChunkResult>& sink,
+                              const util::TracePtr& trace,
+                              std::atomic<std::size_t>* completed,
+                              const DispatchOptions& options,
+                              int& attemptsOut) {
+  auto& metrics = DispatchMetrics::instance();
+  const ChunkQuerySpec& spec = *item.spec;
+  std::int64_t startUs = util::Trace::nowUs();
+  // Deterministic, per-chunk-decorrelated backoff stream.
+  std::uint64_t backoffSeed =
+      config_.retrySeed + 0x9e3779b97f4a7c15ULL *
+                              static_cast<std::uint64_t>(spec.chunkId + 1);
+  util::Backoff backoff(config_.backoff, util::splitmix64(backoffSeed));
+  std::vector<std::string> exclude = item.exclude;
+  Status last = item.prior;
+  // The chunk keeps its spent attempt count: the failed batch attempt was
+  // attempt 1..priorAttempts, so the loop resumes mid-budget and pays
+  // backoff before touching another replica.
+  int attempt = std::min(item.priorAttempts, config_.maxAttempts);
+  auto deadlineExpired = [&] {
+    if (!options.deadline.expired()) return false;
+    metrics.deadlineExceeded.add();
+    last = Status::deadlineExceeded(util::format(
+        "chunk %d: query deadline expired after %d attempt(s)", spec.chunkId,
+        attempt));
+    return true;
+  };
+  for (; attempt < config_.maxAttempts; ++attempt) {
+    if (options.cancel.cancelled()) {
+      last = Status::aborted("chunk query cancelled: " +
+                             options.cancel.reason().message());
+      break;
+    }
+    if (deadlineExpired()) break;
+    if (attempt > 0) {
+      metrics.retries.add();
+      auto sleep = backoff.next();
+      if (options.deadline.isLimited()) {
+        sleep = std::min(sleep, options.deadline.remaining());
+      }
+      metrics.backoffSeconds.observe(
+          static_cast<double>(sleep.count()) * 1e-6);
+      if (!options.cancel.sleepFor(sleep)) {
+        last = Status::aborted("chunk query cancelled during backoff: " +
+                               options.cancel.reason().message());
+        break;
+      }
+      if (deadlineExpired()) break;
+    }
+    // Named "attempt N ..." (not "chunk ...") so trace consumers keep seeing
+    // exactly one "chunk <id>" dispatcher span per dispatched chunk.
+    util::ScopedSpan attemptSpan(
+        trace, "dispatcher",
+        util::format("attempt %d chunk %d", attempt + 1, spec.chunkId));
+    auto server = redirector_->locate(spec.chunkId, exclude);
+    if (!server.isOk() &&
+        server.status().code() == util::ErrorCode::kUnavailable &&
+        !exclude.empty()) {
+      // Every live replica already failed once this chunk query. Retrying
+      // a previously failed replica (it may have recovered) beats giving
+      // up while attempts remain.
+      exclude.clear();
+      server = redirector_->locate(spec.chunkId);
+    }
+    if (!server.isOk()) {
+      last = server.status();
+      attemptSpan.attr("error", last.toString());
+      if (isRetryable(last)) continue;
+      break;  // non-transient: chunk unknown, ...
+    }
+    const std::string workerId = (*server)->id();
+    attemptSpan.attr("worker", workerId);
+    BatchOutcome outcome = collectBatch(workerId, {&spec}, attempt + 1, sink,
+                                        trace, completed, options);
+    if (outcome.retries.empty()) {
+      // Delivered, failed for good, or cancelled: collectBatch accounted
+      // for the chunk.
+      attemptsOut = attempt + 1;
+      if (outcome.ok > 0) return Status::ok();
+      if (!outcome.failures.empty()) return outcome.failures.front().status;
+      return Status::aborted("chunk query cancelled: " +
+                             options.cancel.reason().message());
+    }
+    last = std::move(outcome.retries.front().prior);
+    attemptSpan.attr("error", last.toString());
+    exclude.push_back(workerId);
+    if (!isRetryable(last)) break;
+  }
+  attemptsOut = std::min(attempt + 1, config_.maxAttempts);
+  if (last.code() == util::ErrorCode::kAborted) {
+    metrics.chunksCancelled.add();
+  } else {
+    metrics.chunksFailed.add();
+  }
+  addChunkSpan(trace, spec.chunkId, startUs, attemptsOut,
+               {{"error", last.toString()}});
+  if (completed != nullptr) completed->fetch_add(1, std::memory_order_relaxed);
+  return last;
+}
+
+Result<DispatchReport> Dispatcher::runStreamed(
     const std::vector<ChunkQuerySpec>& specs, util::MpmcQueue<ChunkResult>& sink,
     const util::TracePtr& trace, std::atomic<std::size_t>* completed,
     const DispatchOptions& options) {
-  auto& metrics = DispatchMetrics::instance();
-  DispatchReport report;
-  report.mode = DispatchMode::kBatched;
-
   // Plan: one batch per (query, worker) at the redirector's current
-  // placement; chunks without a live replica go straight to the per-chunk
-  // path, which owns the precise error semantics.
-  std::map<std::string, std::vector<const ChunkQuerySpec*>> byWorker;
-  std::vector<RetryItem> spill;
-  for (const auto& spec : specs) {
-    auto server = redirector_->locate(xrd::makeQueryPath(spec.chunkId));
-    if (server.isOk()) {
-      byWorker[(*server)->id()].push_back(&spec);
-    } else {
-      spill.push_back(RetryItem{&spec, {}, 0, server.status()});
-    }
-  }
+  // placement; chunks without a live placement go straight to the retry
+  // path, which re-locates them and owns the precise error semantics.
+  std::vector<RetryItem> unplaced;
+  auto byWorker = groupByWorker(specs, unplaced);
+  DispatchReport report;
   report.batches = byWorker.size();
-  report.fallbackChunks = spill.size();
-  metrics.batchFallbackChunks.add(spill.size());
+  DispatchMetrics::instance().batchFallbackChunks.add(unplaced.size());
 
-  // Wave 1: collectors stream each batch concurrently; unplaced chunks run
-  // per-chunk alongside them. All tasks are pool leaves — they never wait on
-  // other pool work — so a shared pool cannot deadlock.
-  struct SoloOutcome {
-    Status status = Status::internal("not dispatched");
-    std::int32_t chunkId = 0;
-    int attempts = 0;
-    bool skipped = false;
-  };
-  auto submitSolo = [&](const RetryItem item) {
-    return pool_.submit([this, item, &trace, &options, &sink, completed] {
-      SoloOutcome outcome;
+  auto submitRetry = [&](RetryItem item) {
+    return pool_.submit([this, item = std::move(item), &trace, &options,
+                         &sink, completed] {
+      ChunkOutcome outcome;
       outcome.chunkId = item.spec->chunkId;
       if (options.cancel.cancelled()) {
-        outcome.skipped = true;
+        // A sibling already failed hard: don't even start.
         outcome.status = Status::aborted(
             util::format("chunk %d cancelled: %s", item.spec->chunkId,
                          options.cancel.reason().message().c_str()));
         DispatchMetrics::instance().chunksCancelled.add();
-      } else {
-        auto result = runOne(*item.spec, trace, options, outcome.attempts,
-                             item.exclude, item.priorAttempts, item.prior);
-        outcome.status = result.status();
-        if (result.isOk()) {
-          if (!sink.push(std::move(result).value())) {
-            outcome.status = Status::aborted("result sink closed");
-          }
-        } else if (result.status().code() != util::ErrorCode::kAborted) {
-          options.cancel.cancel(result.status());
+        if (completed != nullptr) {
+          completed->fetch_add(1, std::memory_order_relaxed);
         }
+        return outcome;
       }
-      if (completed != nullptr) {
-        completed->fetch_add(1, std::memory_order_relaxed);
+      outcome.status =
+          retryChunk(item, sink, trace, completed, options, outcome.attempts);
+      if (!outcome.status.isOk() &&
+          outcome.status.code() != util::ErrorCode::kAborted) {
+        // This query can no longer succeed: stop siblings now.
+        options.cancel.cancel(outcome.status);
       }
       return outcome;
     });
   };
 
+  // Wave 1: collectors stream each batch concurrently; unplaced chunks are
+  // retried alongside them. All tasks are pool leaves — they never wait on
+  // other pool work — so a shared pool cannot deadlock.
   std::vector<std::future<BatchOutcome>> collectors;
   collectors.reserve(byWorker.size());
   for (auto& [workerId, chunks] : byWorker) {
     collectors.push_back(pool_.submit(
         [this, workerId = workerId, chunks = std::move(chunks), &sink, &trace,
          &options, completed] {
-          return collectBatch(workerId, chunks, sink, trace, completed,
-                              options);
+          return collectBatch(workerId, chunks, /*attempt=*/1, sink, trace,
+                              completed, options);
         }));
   }
-  std::vector<std::future<SoloOutcome>> solos;
-  solos.reserve(spill.size());
-  for (const RetryItem& item : spill) solos.push_back(submitSolo(item));
+  std::vector<std::future<ChunkOutcome>> retries;
+  retries.reserve(unplaced.size());
+  for (RetryItem& item : unplaced) {
+    retries.push_back(submitRetry(std::move(item)));
+  }
 
-  std::vector<ChunkFailure> failures;
+  std::vector<ChunkOutcome> failures;
   std::size_t cancelled = 0;
-  std::vector<RetryItem> retries;
+  std::vector<RetryItem> undelivered;
   for (auto& f : collectors) {
     BatchOutcome outcome = f.get();
     report.chunksOk += outcome.ok;
@@ -725,35 +588,28 @@ Result<DispatchReport> Dispatcher::runBatched(
     for (auto& failure : outcome.failures) {
       failures.push_back(std::move(failure));
     }
-    for (auto& retry : outcome.retries) retries.push_back(std::move(retry));
+    for (auto& retry : outcome.retries) undelivered.push_back(std::move(retry));
   }
 
-  // Wave 2: per-chunk retries for everything the batches could not deliver.
+  // Wave 2: a batch of one for everything the batches could not deliver.
   // Submitted only after every collector finished so the caller thread never
   // waits on pool work that is itself queued behind pool work.
-  std::vector<std::future<SoloOutcome>> retryWave;
-  retryWave.reserve(retries.size());
-  for (const RetryItem& item : retries) retryWave.push_back(submitSolo(item));
-
-  auto drainSolos = [&](std::vector<std::future<SoloOutcome>>& wave) {
-    for (auto& f : wave) {
-      SoloOutcome outcome = f.get();
-      if (outcome.status.isOk()) {
-        ++report.chunksOk;
-      } else if (outcome.skipped ||
-                 outcome.status.code() == util::ErrorCode::kAborted) {
-        ++cancelled;
-      } else {
-        failures.push_back(ChunkFailure{outcome.chunkId, outcome.attempts,
-                                        outcome.status});
-      }
+  for (RetryItem& item : undelivered) {
+    retries.push_back(submitRetry(std::move(item)));
+  }
+  for (auto& f : retries) {
+    ChunkOutcome outcome = f.get();
+    if (outcome.status.isOk()) {
+      ++report.chunksOk;
+    } else if (outcome.status.code() == util::ErrorCode::kAborted) {
+      ++cancelled;
+    } else {
+      failures.push_back(std::move(outcome));
     }
-  };
-  drainSolos(solos);
-  drainSolos(retryWave);
+  }
 
   std::sort(failures.begin(), failures.end(),
-            [](const ChunkFailure& a, const ChunkFailure& b) {
+            [](const ChunkOutcome& a, const ChunkOutcome& b) {
               return a.chunkId < b.chunkId;
             });
   QSERV_RETURN_IF_ERROR(aggregateFailures(std::move(failures), cancelled,

@@ -1,30 +1,40 @@
 /// \file dispatcher.h
-/// \brief Master-side chunk-query dispatch and result collection (paper §5.4).
+/// \brief Master-side chunk-query dispatch and result collection (paper §5.4,
+/// §7.6).
 ///
-/// For each chunk query, the dispatcher performs the two Xrootd file
-/// transactions: write the query text to /query2/<CC> (the redirector picks
-/// a live replica), then read the result back from /result/<md5> on the worker
-/// that accepted it. Dispatch fans out over a thread pool; per-chunk results
-/// carry the worker id and the paper-scale work observables used by the
-/// virtual-time simulation.
+/// The paper's master spent one write+read transaction pair per chunk query;
+/// §7.1 blames that fixed per-chunk cost for the master's overhead and §7.6
+/// names batching as the fix. Dispatch here is batched only: a query's chunk
+/// queries are grouped by the worker the redirector currently places them
+/// on, each group is written once to /batch/<id>, and the worker streams one
+/// result frame per chunk back on /bstream/<id>. Collectors read the streams
+/// concurrently on a thread pool; per-chunk results carry the worker id and
+/// the paper-scale work observables used by the virtual-time simulation
+/// (which prices the paper's per-chunk master cost itself).
 ///
-/// Failure handling (the czar "manages transient errors", §5.2):
+/// Failure handling (the czar "manages transient errors", §5.2). A chunk a
+/// batch could not deliver (rejected batch write, broken stream, damaged
+/// frame, retryable error frame, or no live placement at plan time) is
+/// retried as a batch of one on the next replica:
 /// - transient failures retry with exponential backoff + decorrelated
 ///   jitter, never on a replica that already failed this chunk query
-///   (exclude set; failures also evict the redirector cache and feed the
-///   per-worker circuit breakers);
+///   (exclude set, cleared once every replica has failed once; failures
+///   also evict the redirector cache and feed the per-worker circuit
+///   breakers);
 /// - a per-query Deadline bounds every attempt, including the blocking
-///   result read, and retries stop with kDeadlineExceeded when the budget
+///   frame reads, and retries stop with kDeadlineExceeded when the budget
 ///   runs out;
 /// - the first chunk failure cancels still-queued sibling chunk queries via
 ///   the shared CancelToken instead of letting them run to completion, and
 ///   run() returns an aggregated error naming the failed chunks and their
 ///   attempt counts;
-/// - results carry an MD5 integrity trailer; a mismatch is a retryable
-///   fault (re-fetched from another replica), never merged.
+/// - results carry a mandatory MD5 integrity trailer; a missing or
+///   mismatched one is a retryable fault (re-fetched from another replica),
+///   never merged.
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -47,43 +57,30 @@ struct ChunkResult {
   simio::WorkObservables observables;
 };
 
-enum class DispatchMode {
-  kPerChunk,  ///< paper behaviour: one write+read transaction pair per chunk
-  kBatched,   ///< UberJob-style: one request per (query, worker), results
-              ///< streamed back incrementally over a shared channel
-};
-
 struct DispatcherConfig {
-  int parallelism = 16;  ///< concurrent in-flight chunk queries on the master
+  int parallelism = 16;  ///< concurrent batch collectors and retries
   int maxAttempts = 3;   ///< per chunk query, across replicas
   util::BackoffPolicy backoff;  ///< sleep schedule between attempts
   /// Seed for the deterministic backoff jitter (per-chunk streams are
   /// decorrelated from it).
   std::uint64_t retrySeed = 0x5eedULL;
-  /// Require every dump to carry the MD5 integrity trailer; a dump without
-  /// one is treated as damaged (the czar enables this — real workers always
-  /// append the trailer — while bare-bones test plugins leave it off).
-  bool requireDumpChecksum = false;
-  DispatchMode mode = DispatchMode::kPerChunk;
-  /// Batched mode: max unread result frames per batch stream before the
-  /// worker stops producing (backpressure); 0 = unbounded.
+  /// Max unread result frames per batch stream before the worker stops
+  /// producing (backpressure); 0 = unbounded.
   int streamWindow = 8;
 };
 
 /// One planned batch: the chunks of one query headed to one worker. An
-/// empty workerId collects chunks with no live placement (they fall back to
-/// per-chunk dispatch, which re-locates and reports precise errors).
+/// empty workerId collects chunks with no live placement (each is retried as
+/// a batch of one, which re-locates it and reports precise errors).
 struct BatchPlanEntry {
   std::string workerId;
   std::vector<std::int32_t> chunkIds;
 };
 
-/// What a dispatch run did (mode actually used, batching shape).
+/// What a dispatch run did.
 struct DispatchReport {
-  DispatchMode mode = DispatchMode::kPerChunk;
   std::size_t chunksOk = 0;
-  std::size_t batches = 0;         ///< batch requests written
-  std::size_t fallbackChunks = 0;  ///< chunks dispatched per-chunk instead
+  std::size_t batches = 0;  ///< planned batches, one per worker
 };
 
 /// Per-run failure-handling context shared by all chunk queries of one user
@@ -118,10 +115,10 @@ class Dispatcher {
   /// Streamed dispatch: each ChunkResult is pushed into \p sink the moment
   /// it arrives, so the caller can merge while later chunks are still
   /// executing. The sink's bound is the pipeline's backpressure: a slow
-  /// consumer blocks collection, which (in batched mode) stalls the batch
-  /// streams' windows and throttles the workers. Returns once every chunk
-  /// reached a final state; the sink is NOT closed — the caller owns its
-  /// lifecycle. Error aggregation matches run().
+  /// consumer blocks collection, which stalls the batch streams' windows and
+  /// throttles the workers. Returns once every chunk reached a final state;
+  /// the sink is NOT closed — the caller owns its lifecycle. Error
+  /// aggregation matches run().
   util::Result<DispatchReport> runStreamed(
       const std::vector<ChunkQuerySpec>& specs,
       util::MpmcQueue<ChunkResult>& sink,
@@ -130,7 +127,7 @@ class Dispatcher {
       const DispatchOptions& options = {});
 
   /// Group \p specs by the worker the redirector would currently place them
-  /// on (EXPLAIN's view of batched dispatch; the run itself re-plans).
+  /// on (EXPLAIN's view of dispatch; the run itself re-plans).
   std::vector<BatchPlanEntry> planBatches(
       const std::vector<ChunkQuerySpec>& specs);
 
@@ -139,41 +136,39 @@ class Dispatcher {
  private:
   struct RetryItem;
   struct BatchOutcome;
-  struct ChunkFailure;
+  struct ChunkOutcome;
 
-  /// One chunk query end to end: attempts, backoff, replica exclusion,
-  /// integrity verification. \p attemptsOut reports attempts actually made.
-  /// A chunk resuming after a failed batch attempt passes the replicas it
-  /// already burned in \p initialExclude, the attempts already spent in
-  /// \p priorAttempts (so the retry budget and backoff schedule carry over),
-  /// and the batch-side failure in \p prior.
-  util::Result<ChunkResult> runOne(
-      const ChunkQuerySpec& spec, const util::TracePtr& trace,
-      const DispatchOptions& options, int& attemptsOut,
-      std::vector<std::string> initialExclude = {}, int priorAttempts = 0,
-      util::Status prior = util::Status::internal("no attempt made"));
-
-  util::Result<DispatchReport> runPerChunk(
+  /// \p specs grouped by the worker the redirector currently places them
+  /// on; chunks without a live placement become retry items in
+  /// \p unplaced, carrying the lookup failure.
+  std::map<std::string, std::vector<const ChunkQuerySpec*>> groupByWorker(
       const std::vector<ChunkQuerySpec>& specs,
-      util::MpmcQueue<ChunkResult>& sink, const util::TracePtr& trace,
-      std::atomic<std::size_t>* completed, const DispatchOptions& options);
+      std::vector<RetryItem>& unplaced);
 
-  util::Result<DispatchReport> runBatched(
-      const std::vector<ChunkQuerySpec>& specs,
-      util::MpmcQueue<ChunkResult>& sink, const util::TracePtr& trace,
-      std::atomic<std::size_t>* completed, const DispatchOptions& options);
-
-  /// Collect one batch's result stream; failed chunks come back as retry
-  /// items for the per-chunk wave.
+  /// Write one batch of \p chunks, each on its \p attempt-th attempt, to
+  /// \p workerId and collect its result stream: delivered chunks go to
+  /// \p sink, and chunks the batch could not deliver come back as retry
+  /// items.
   BatchOutcome collectBatch(const std::string& workerId,
                             const std::vector<const ChunkQuerySpec*>& chunks,
-                            util::MpmcQueue<ChunkResult>& sink,
+                            int attempt, util::MpmcQueue<ChunkResult>& sink,
                             const util::TracePtr& trace,
                             std::atomic<std::size_t>* completed,
                             const DispatchOptions& options);
 
+  /// Retry one chunk the batch path could not deliver as a batch of one on
+  /// the next replica, resuming the attempt budget, backoff schedule and
+  /// exclude set \p item carries. Returns once the chunk is delivered,
+  /// fails for good, or runs out of attempts or deadline, or is cancelled;
+  /// \p attemptsOut reports the attempts spent.
+  util::Status retryChunk(const RetryItem& item,
+                          util::MpmcQueue<ChunkResult>& sink,
+                          const util::TracePtr& trace,
+                          std::atomic<std::size_t>* completed,
+                          const DispatchOptions& options, int& attemptsOut);
+
   /// Build run()/runStreamed()'s aggregated error from per-chunk outcomes.
-  static util::Status aggregateFailures(std::vector<ChunkFailure> failures,
+  static util::Status aggregateFailures(std::vector<ChunkOutcome> failures,
                                         std::size_t cancelled, std::size_t ok,
                                         std::size_t total,
                                         const util::Status& cancelReason);

@@ -32,22 +32,11 @@ void appendDumpChecksum(std::string& dump) {
   dump += dumpChecksumTrailer(dump);
 }
 
-bool hasDumpChecksum(std::string_view dump) {
-  return trailerPos(dump) != std::string_view::npos;
-}
-
 util::Status verifyDumpChecksum(std::string_view dump) {
   std::size_t pos = trailerPos(dump);
   if (pos == std::string_view::npos) {
-    // No well-formed trailer at the end. A dump that still contains the
-    // marker somewhere was checksummed by its producer and then damaged
-    // (truncation chopped the tail, or flips hit the trailer itself) —
-    // that is data loss, not a checksum-free producer.
-    if (dump.rfind(kMarker) != std::string_view::npos) {
-      return util::Status::dataLoss(util::format(
-          "dump checksum trailer damaged (%zu bytes)", dump.size()));
-    }
-    return util::Status::ok();
+    return util::Status::dataLoss(util::format(
+        "dump checksum trailer missing or damaged (%zu bytes)", dump.size()));
   }
   std::string_view declared = dump.substr(pos + kMarker.size(), kHexLen);
   std::string actual = util::Md5::hex(dump.substr(0, pos));

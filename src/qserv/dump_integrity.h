@@ -1,16 +1,19 @@
 /// \file dump_integrity.h
-/// \brief Content checksums on result-dump envelopes.
+/// \brief Content checksums on chunk results and chunk snapshots.
 ///
 /// The paper's result transfer replays a worker's dump byte stream straight
 /// into the master's database (§5.4) — a flipped bit in transit silently
-/// corrupts the merged result. Workers therefore append one trailing SQL
-/// comment `-- QSERV-MD5: <hex>\n` carrying the MD5 of everything before it
-/// (the dump proper plus the observables comment; both SQL-dump and binary
-/// transfer formats, since comments are ignored by the replay path). The
-/// dispatcher verifies the trailer on read and treats a mismatch as a
-/// retryable fault — the dump is re-fetched from another replica instead of
-/// being replayed into the result table. Dumps without a trailer verify
-/// trivially (producers other than Worker, e.g. test plugins).
+/// corrupts the merged result. Every producer of bytes another component
+/// trusts therefore appends one trailing line `-- QSERV-MD5: <hex>\n`
+/// carrying the MD5 of everything before it: the worker on each chunk result
+/// (row codec plus observables line), and the chunk snapshot and ingest
+/// paths on every SQL script they ship to /chunkload. The dispatcher verifies
+/// the trailer on read and treats a mismatch as a retryable fault — the
+/// result is re-fetched from another replica instead of being merged — and
+/// the snapshot install refuses a script that fails it. The trailer is
+/// mandatory: a payload without one is damaged (a snapshot cut at a
+/// statement boundary is still valid SQL, so only the trailer tells a
+/// partial chunk from a whole one).
 #pragma once
 
 #include <string>
@@ -26,13 +29,9 @@ std::string dumpChecksumTrailer(std::string_view dump);
 /// Append the checksum trailer to \p dump in place.
 void appendDumpChecksum(std::string& dump);
 
-/// True when \p dump ends with a checksum trailer (says nothing about
-/// whether it matches).
-bool hasDumpChecksum(std::string_view dump);
-
-/// Verify a trailing checksum: OK when the trailer matches the content
-/// before it, or when no trailer is present; kDataLoss on mismatch (a
-/// corrupt or truncated dump).
+/// Verify the trailing checksum: OK when the trailer matches the content
+/// before it; kDataLoss when it is missing, damaged or does not match (a
+/// corrupt or truncated payload).
 util::Status verifyDumpChecksum(std::string_view dump);
 
 }  // namespace qserv::core

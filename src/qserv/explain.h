@@ -31,7 +31,7 @@ struct ExplainPlan {
   std::string filter;         ///< vectorized-kernel vs scalar-residual split
   std::string zoneMap;        ///< zone-map pruning eligibility
   std::string merge;          ///< merge/final-aggregation plan
-  std::string dispatch;       ///< batched-vs-per-chunk strategy and shape
+  std::string dispatch;       ///< batch count and shape
   std::string scheduler;      ///< worker scheduler class (interactive/scan)
 
   /// Two-column (property, value) result table.

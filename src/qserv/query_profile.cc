@@ -76,10 +76,8 @@ QueryProfile buildQueryProfile(const util::Trace& trace) {
         p.resultRows += intAttr(span, "resultRows");
       }
     } else if (span.component == "xrd") {
-      // Per-chunk result reads and batched stream-frame reads are the same
-      // quantity to the profile: one result transfer from a worker.
-      if (util::startsWith(span.name, "read /result/") ||
-          util::startsWith(span.name, "read /bstream/")) {
+      // Each stream-frame read is one result transfer from a worker.
+      if (util::startsWith(span.name, "read /bstream/")) {
         transferSamples.push_back(span.durationSeconds());
       }
     } else if (span.component == "dispatcher") {

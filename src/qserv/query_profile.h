@@ -54,10 +54,10 @@ struct QueryProfile {
   ProfileDist execute;    ///< per-chunk worker execution
   ProfileDist transfer;   ///< per-chunk result read (xrd)
   /// Per-worker batch transfer: wall seconds of each batch's write+stream
-  /// interval (batched dispatch only; zero count on per-chunk queries).
+  /// interval (retries count as batches of one).
   ProfileDist batchTransfer;
 
-  std::int64_t batches = 0;   ///< batch requests written (batched dispatch)
+  std::int64_t batches = 0;   ///< batch requests written
   std::int64_t chunks = 0;    ///< chunk queries dispatched
   std::int64_t attempts = 0;  ///< total dispatch attempts across chunks
   std::int64_t retries = 0;   ///< attempts - chunks (0 when clean)

@@ -32,7 +32,7 @@ namespace qserv::core {
 struct ChunkQuerySpec {
   std::int32_t chunkId = 0;
   std::vector<std::int32_t> subChunkIds;  ///< non-empty for near-neighbor
-  std::string text;                       ///< payload written to /query2/CC
+  std::string text;                       ///< chunk query shipped in a batch
   /// Scheduler class the dispatcher ships in the `-- QSERV-CLASS` header
   /// (set by the czar from deriveQueryClass; scan is the safe default).
   QueryClass queryClass = QueryClass::kScan;

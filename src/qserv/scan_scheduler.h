@@ -77,7 +77,7 @@ struct ScanTask {
   /// Paper-scale bytes this task's chunk tables occupy (scan class only);
   /// charged against the memory budget once per chunk pass.
   double memoryBytes = 0.0;
-  std::shared_ptr<BatchStream> batch;  ///< null on per-chunk dispatch
+  std::shared_ptr<BatchStream> batch;  ///< the batch this task arrived in
 };
 
 struct ScanSchedulerConfig {

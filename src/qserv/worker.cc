@@ -176,26 +176,10 @@ Status Worker::writeFile(const std::string& path, std::string payload) {
   if (auto dropId = xrd::parseChunkDropPath(path)) {
     return dropChunk(*dropId);
   }
-  auto chunkId = xrd::parseQueryPath(path);
-  if (!chunkId) {
-    return Status::invalidArgument(
-        "worker only accepts /query2, /batch, /bcancel, /chunkload and "
-        "/chunkdrop writes: " +
-        path);
-  }
-  if (!exportsChunk(*chunkId)) {
-    return Status::notFound(util::format("worker %s does not export chunk %d",
-                                         id_.c_str(), *chunkId));
-  }
-  ScanTask task = makeTask(*chunkId, std::move(payload), util::Trace::nowUs());
-  auto& metrics = WorkerMetrics::instance();
-  if (!sched_.enqueue(std::move(task))) {
-    return Status::unavailable("worker " + id_ + " is shutting down");
-  }
-  metrics.queueDepth.add(1);
-  queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
-  metrics.tasksEnqueued.add();
-  return Status::ok();
+  return Status::invalidArgument(
+      "worker only accepts /batch, /bcancel, /chunkload and /chunkdrop "
+      "writes: " +
+      path);
 }
 
 ScanTask Worker::makeTask(std::int32_t chunkId, std::string payload,
@@ -235,10 +219,14 @@ double Worker::chunkMemoryBytes(std::int32_t chunkId) const {
 Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
   auto request = decodeBatchRequest(payload);
   if (!request.isOk()) return request.status();
+  if (request->chunks.empty()) {
+    // No task would ever finish, and so unregister, an empty batch.
+    return Status::invalidArgument("batch " + batchId + " has no chunks");
+  }
   for (const BatchChunkRequest& chunk : request->chunks) {
     if (!exportsChunk(chunk.chunkId)) {
-      // Reject the whole batch: the master's placement was stale, and the
-      // per-chunk fallback path re-locates each chunk individually.
+      // Reject the whole batch: the master's placement was stale, and it
+      // re-locates each chunk and retries it as a batch of one.
       return Status::notFound(util::format(
           "worker %s does not export chunk %d (batch %s)", id_.c_str(),
           chunk.chunkId, batchId.c_str()));
@@ -333,15 +321,13 @@ Result<std::string> Worker::readFile(const std::string& path,
   if (auto chunkId = xrd::parseChunkPath(path)) {
     return snapshotChunk(*chunkId);
   }
-  auto hash = xrd::parseResultPath(path);
-  if (!hash) hash = xrd::parseBatchStreamPath(path);
-  if (!hash) {
+  if (!xrd::parseBatchStreamPath(path)) {
     return Status::invalidArgument(
-        "worker only serves /result and /bstream reads: " + path);
+        "worker only serves /ping, /chunk and /bstream reads: " + path);
   }
-  // waitFor consumes the payload: results are one-shot, like Qserv's
-  // cleanup of delivered result files. The wait is bounded by both the
-  // worker's own timeout and the caller's per-query deadline.
+  // waitFor consumes the frame: results are one-shot, like Qserv's cleanup
+  // of delivered result files. The wait is bounded by both the worker's own
+  // timeout and the caller's per-query deadline.
   auto timeout = config_.resultTimeout;
   if (deadline.isLimited()) {
     auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -687,7 +673,7 @@ void Worker::releaseSubchunks(std::int32_t chunkId,
 Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
                                         bool chargeScanIo) {
   auto& metrics = WorkerMetrics::instance();
-  if (task.batch && task.batch->abandoned.load(std::memory_order_acquire)) {
+  if (task.batch->abandoned.load(std::memory_order_acquire)) {
     // The master abandoned the batch; don't waste the slot executing.
     metrics.batchChunksSkipped.add();
     finishBatchChunk(task.batch);
@@ -698,17 +684,11 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
                             util::format("exec %d", task.chunkId));
   execSpan.attr("worker", id_);
   util::Stopwatch execWatch;
-  std::string resultPath = xrd::makeResultPath(task.hash);
-  // A failing chunk answers with an error result (or error frame); the
-  // worker keeps serving.
+  // A failing chunk answers with an error frame; the worker keeps serving.
   auto fail = [&](const Status& status) {
     metrics.taskFailures.add();
-    if (task.batch) {
-      publishBatchFrame(task, encodeErrorFrame(task.chunkId, status));
-      finishBatchChunk(task.batch);
-    } else {
-      results_.publishError(resultPath, status);
-    }
+    publishBatchFrame(task, encodeErrorFrame(task.chunkId, status));
+    finishBatchChunk(task.batch);
     return TaskOutcome{};
   };
   auto parsedSubChunks = parseSubchunksHeader(task.payload);
@@ -835,16 +815,12 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
                 static_cast<std::int64_t>((*result)->numRows()))
       .attr("dumpBytes", static_cast<std::int64_t>(dump.size()));
   // Record the span BEFORE publishing: publish() unblocks the dispatcher's
-  // result read, and the czar may snapshot the trace into a QueryProfile
+  // frame read, and the czar may snapshot the trace into a QueryProfile
   // right after — an exec span recorded by the RAII destructor (after
   // publish) could miss that snapshot.
   execSpan.end();
-  if (task.batch) {
-    publishBatchFrame(task, encodeResultFrame(task.chunkId, dump));
-    finishBatchChunk(task.batch);
-  } else {
-    results_.publish(resultPath, std::move(dump));
-  }
+  publishBatchFrame(task, encodeResultFrame(task.chunkId, dump));
+  finishBatchChunk(task.batch);
   return TaskOutcome{true, obs.bytesScanned > 0};
 }
 

@@ -2,11 +2,11 @@
 /// \brief A Qserv worker node (paper §5.1.2, §5.4).
 ///
 /// A worker is an Xrootd data server with Qserv's ofs plugin: chunk queries
-/// arrive as writes to /query2/<CC>, execute on the worker's local SQL
-/// database against its chunk tables, and results are published at
-/// /result/<md5 of the chunk query> in the binary row codec (sql/rowcodec.h),
-/// followed by the in-band `-- QSERV-OBS` observables line and the MD5
-/// trailer. A fixed number of executor slots (the
+/// arrive in batches written to /batch/<id>, execute on the worker's local
+/// SQL database against its chunk tables, and each chunk's result streams
+/// back as one frame on /bstream/<id>: the binary row codec
+/// (sql/rowcodec.h), followed by the in-band `-- QSERV-OBS` observables line
+/// and the MD5 trailer. A fixed number of executor slots (the
 /// paper's clusters ran 4) drain a ScanScheduler: in kFifo mode that is the
 /// paper's plain queue ("do not implement any concept of query cost", §6.4);
 /// in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
@@ -86,13 +86,13 @@ class Worker : public xrd::OfsPlugin {
   sql::Database& database() { return *db_; }
 
   // --- OfsPlugin -----------------------------------------------------------
-  /// Accepts /query2 and /batch chunk-query writes plus the control-plane
-  /// writes /chunkload/<id> (install a self-verifying chunk snapshot as a
+  /// Accepts /batch chunk-query writes and /bcancel abandonments plus the
+  /// control-plane writes /chunkload/<id> (install a self-verifying chunk snapshot as a
   /// new replica) and /chunkdrop/<id> (retire this worker's replica).
   util::Status writeFile(const std::string& path, std::string payload) override;
   util::Result<std::string> readFile(const std::string& path) override;
-  /// Deadline-bounded result read: the blocking wait for the dump gives up
-  /// at min(configured result timeout, caller's deadline). /ping reads
+  /// Deadline-bounded result-frame read (/bstream/<id>): the blocking wait
+  /// gives up at min(configured result timeout, caller's deadline). /ping reads
   /// answer immediately with a liveness/load line; /chunk/<id> reads return
   /// a checksummed snapshot of the chunk's tables for worker-to-worker copy.
   util::Result<std::string> readFile(const std::string& path,
@@ -108,6 +108,9 @@ class Worker : public xrd::OfsPlugin {
   /// plane's rebalance signal and the queue_depth gauge.
   std::size_t queuedTasks() const;
   std::uint64_t tasksExecuted() const { return tasksExecuted_; }
+  /// Result streams holding unread frames. Abandoned and fully read batches
+  /// leave none behind, so this drains to zero once the tasks do.
+  std::size_t resultStreamsPending() const { return results_.size(); }
 
   /// This worker's task scheduler (tests inspect budget/slow-query state).
   ScanScheduler& scheduler() { return sched_; }

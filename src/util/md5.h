@@ -1,10 +1,10 @@
 /// \file md5.h
 /// \brief Self-contained MD5 (RFC 1321) used for Qserv result addressing.
 ///
-/// The Qserv master reads chunk-query results from Xrootd paths of the form
-/// `/result/<H>` where H is the MD5 of the chunk-query text, "represented via
-/// 32 hexadecimal digits in ASCII" (paper §5.4). This module provides exactly
-/// that digest. It is not used for any security purpose.
+/// The paper's master read chunk-query results from Xrootd paths named by
+/// the MD5 of the chunk-query text, "represented via 32 hexadecimal digits
+/// in ASCII" (paper §5.4). Batch ids, chunk-result hashes and the integrity
+/// trailers all use this digest. It is not used for any security purpose.
 #pragma once
 
 #include <array>

@@ -4,28 +4,6 @@
 
 namespace qserv::xrd {
 
-util::Result<std::string> XrdClient::writeQuery(
-    std::int32_t chunkId, std::string chunkQuery,
-    std::span<const std::string> exclude, std::string* attemptedServer) {
-  if (attemptedServer != nullptr) attemptedServer->clear();
-  std::string path = makeQueryPath(chunkId);
-  QSERV_ASSIGN_OR_RETURN(DataServerPtr server,
-                         redirector_->locate(path, exclude));
-  if (attemptedServer != nullptr) *attemptedServer = server->id();
-  QSERV_RETURN_IF_ERROR(server->write(path, std::move(chunkQuery)));
-  return server->id();
-}
-
-util::Result<std::string> XrdClient::readResult(
-    const std::string& serverId, const std::string& md5Hex,
-    const util::Deadline& deadline) {
-  DataServerPtr server = redirector_->findServer(serverId);
-  if (!server) {
-    return util::Status::notFound("unknown data server " + serverId);
-  }
-  return server->read(makeResultPath(md5Hex), deadline);
-}
-
 util::Status XrdClient::writeBatch(const std::string& serverId,
                                    const std::string& batchId,
                                    std::string payload) {

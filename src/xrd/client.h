@@ -1,23 +1,20 @@
 /// \file client.h
-/// \brief Client-side two-transaction protocol (paper §5.4).
+/// \brief Client side of the batched chunk-query protocol (paper §5.4, §7.6).
 ///
-/// "The first transaction consists of opening a particular path for writing,
-/// writing the chunk query, and closing the file. ... The second transaction
-/// reads query results and consists of opening a path for reading, reading
-/// until EOF, and closing the file." The write goes through the redirector
-/// (chunk-addressed); the result read goes directly to the worker that
-/// accepted the query (the result path names the worker, not the manager).
-///
-/// Failure handling: the write transaction accepts an exclude set (replicas
-/// that already failed this chunk query are never re-picked) and reports the
-/// server it attempted, so the dispatcher can feed the redirector's cache
-/// eviction and circuit breakers even when the transaction fails. Reads are
-/// deadline-bounded so a per-query time budget caps the blocking wait for a
-/// result dump.
+/// The paper's master spent two file transactions per chunk query: "The
+/// first transaction consists of opening a particular path for writing,
+/// writing the chunk query, and closing the file. ... The second
+/// transaction reads query results". Batched dispatch keeps the write/read
+/// shape but amortizes it: one write carries every chunk query a worker
+/// gets from one user query, and each read returns the next chunk's result
+/// frame from the batch's stream. Both go straight to the data server the
+/// dispatcher picked through the redirector (Redirector::locate), so the
+/// dispatcher owns replica choice, exclusion and failure reporting. Reads
+/// are deadline-bounded so a per-query time budget caps the blocking wait
+/// for a result frame.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 
 #include "util/deadline.h"
@@ -30,27 +27,8 @@ class XrdClient {
   explicit XrdClient(RedirectorPtr redirector)
       : redirector_(std::move(redirector)) {}
 
-  /// Transaction 1: write \p chunkQuery to /query2/<chunkId>. On success
-  /// returns the id of the data server that accepted it — the server the
-  /// result must be read back from. Servers named in \p exclude are never
-  /// picked. When \p attemptedServer is non-null it receives the id of the
-  /// server the write was sent to (set even on failure, empty when no
-  /// replica could be located at all).
-  util::Result<std::string> writeQuery(
-      std::int32_t chunkId, std::string chunkQuery,
-      std::span<const std::string> exclude = {},
-      std::string* attemptedServer = nullptr);
-
-  /// Transaction 2: read /result/<md5Hex> from \p serverId until EOF,
-  /// giving up when \p deadline expires.
-  util::Result<std::string> readResult(
-      const std::string& serverId, const std::string& md5Hex,
-      const util::Deadline& deadline = util::Deadline::unlimited());
-
-  /// Batched dispatch: write one batch request (a whole chunk list for one
-  /// worker) to /batch/<batchId> on \p serverId. Unlike writeQuery the
-  /// target server is already known — batches are planned against the
-  /// redirector's placement before any write happens.
+  /// Write one batch request (a chunk list for one worker) to
+  /// /batch/<batchId> on \p serverId.
   util::Status writeBatch(const std::string& serverId,
                           const std::string& batchId, std::string payload);
 
@@ -65,8 +43,6 @@ class XrdClient {
   /// Best-effort: failures are swallowed — the worker's stream timeout is
   /// the fallback.
   void cancelBatch(const std::string& serverId, const std::string& batchId);
-
-  Redirector& redirector() { return *redirector_; }
 
  private:
   RedirectorPtr redirector_;

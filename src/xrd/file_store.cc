@@ -5,15 +5,7 @@ namespace qserv::xrd {
 void FileStore::publish(const std::string& path, std::string bytes) {
   {
     std::lock_guard lock(mutex_);
-    files_[path].push_back(Entry{std::move(bytes), util::Status::ok(), false});
-  }
-  cv_.notify_all();
-}
-
-void FileStore::publishError(const std::string& path, util::Status error) {
-  {
-    std::lock_guard lock(mutex_);
-    files_[path].push_back(Entry{{}, std::move(error), true});
+    files_[path].push_back(std::move(bytes));
   }
   cv_.notify_all();
 }
@@ -32,14 +24,13 @@ util::Result<std::string> FileStore::waitFor(const std::string& path,
     return util::Status::unavailable("timed out waiting for " + path);
   }
   auto it = files_.find(path);
-  Entry entry = std::move(it->second.front());
+  std::string bytes = std::move(it->second.front());
   it->second.pop_front();
   if (it->second.empty()) files_.erase(it);
   lock.unlock();
   // Consumption opens window slots for awaitDrain publishers.
   cv_.notify_all();
-  if (entry.failed) return entry.error;
-  return std::move(entry.bytes);
+  return bytes;
 }
 
 bool FileStore::awaitDrain(const std::string& path, std::size_t maxQueued,
@@ -55,10 +46,8 @@ bool FileStore::awaitDrain(const std::string& path, std::size_t maxQueued,
 std::optional<std::string> FileStore::tryGet(const std::string& path) const {
   std::lock_guard lock(mutex_);
   auto it = files_.find(path);
-  if (it == files_.end() || it->second.empty() || it->second.front().failed) {
-    return std::nullopt;
-  }
-  return it->second.front().bytes;
+  if (it == files_.end() || it->second.empty()) return std::nullopt;
+  return it->second.front();
 }
 
 void FileStore::remove(const std::string& path) {

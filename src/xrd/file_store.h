@@ -1,9 +1,10 @@
 /// \file file_store.h
 /// \brief Blocking path -> bytes store with publish/wait semantics.
 ///
-/// Backs result files on workers: the master's read of /result/<hash> blocks
-/// until the worker finishes the chunk query and publishes the dump — the
-/// same observable behaviour as an Xrootd file appearing when written.
+/// Backs result streams on workers: the master's read of /bstream/<batchId>
+/// blocks until the worker finishes a chunk query of that batch and
+/// publishes its result frame — the same observable behaviour as an Xrootd
+/// file appearing when written.
 #pragma once
 
 #include <chrono>
@@ -18,18 +19,14 @@
 
 namespace qserv::xrd {
 
-/// Each path holds a QUEUE of published payloads: identical chunk queries
-/// from concurrent user queries hash to the same result path, and every
-/// write transaction is answered by exactly one execution, so readers
-/// consume one payload each — no publish can be lost to an overwrite or a
-/// double read.
+/// Each path holds a QUEUE of published payloads: a batch stream carries one
+/// frame per chunk, and identical batches from concurrent user queries hash
+/// to the same stream, so readers consume one payload each — no publish can
+/// be lost to an overwrite or a double read.
 class FileStore {
  public:
   /// Append \p bytes at \p path and wake a waiter.
   void publish(const std::string& path, std::string bytes);
-
-  /// Append a failure at \p path; one waiter receives \p error.
-  void publishError(const std::string& path, util::Status error);
 
   /// Block until a payload is available at \p path, then consume it.
   util::Result<std::string> waitFor(
@@ -55,15 +52,9 @@ class FileStore {
   void abortAll();
 
  private:
-  struct Entry {
-    std::string bytes;
-    util::Status error;  // non-OK when the production failed
-    bool failed = false;
-  };
-
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::unordered_map<std::string, std::deque<Entry>> files_;
+  std::unordered_map<std::string, std::deque<std::string>> files_;
   bool aborted_ = false;
 };
 

@@ -39,8 +39,8 @@ class OfsPlugin {
     return readFile(path);
   }
 
-  /// Chunks this plugin exports; the redirector routes /query2/<CC> paths to
-  /// a server whose plugin exports CC.
+  /// Chunks this plugin exports; the redirector resolves a chunk id to a
+  /// server whose plugin exports it.
   virtual std::vector<std::int32_t> exportedChunks() const = 0;
 };
 

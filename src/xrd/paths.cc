@@ -25,18 +25,6 @@ std::optional<std::int32_t> parseIdPath(std::string_view path,
 
 }  // namespace
 
-std::string makeQueryPath(std::int32_t chunkId) {
-  return std::string(kQueryPrefix) + std::to_string(chunkId);
-}
-
-std::string makeResultPath(std::string_view md5Hex) {
-  return std::string(kResultPrefix) + std::string(md5Hex);
-}
-
-std::optional<std::int32_t> parseQueryPath(std::string_view path) {
-  return parseIdPath(path, kQueryPrefix);
-}
-
 std::string makeChunkPath(std::int32_t chunkId) {
   return std::string(kChunkPrefix) + std::to_string(chunkId);
 }
@@ -88,10 +76,6 @@ std::string makeBatchStreamPath(std::string_view batchId) {
 
 std::string makeBatchCancelPath(std::string_view batchId) {
   return std::string(kBatchCancelPrefix) + std::string(batchId);
-}
-
-std::optional<std::string> parseResultPath(std::string_view path) {
-  return parseHashPath(path, kResultPrefix);
 }
 
 std::optional<std::string> parseBatchPath(std::string_view path) {

@@ -1,16 +1,15 @@
 /// \file paths.h
-/// \brief Qserv's Xrootd path scheme (paper §5.4).
+/// \brief Qserv's Xrootd path scheme.
 ///
-/// Chunk queries are written to partition-addressed paths
-///   /query2/<chunkId>
-/// and results are read from hash-addressed paths
-///   /result/<32-hex-digit MD5 of the chunk query text>.
-///
-/// Batched dispatch (the §7.6 remedy) adds three hash-addressed path kinds,
-/// all keyed by the MD5 of the batch request payload:
-///   /batch/<batchId>    one write carries a whole chunk list for one worker
+/// The paper's master wrote each chunk query to its own partition-addressed
+/// path and read the result back from a hash-addressed one, one write+read
+/// transaction pair per chunk (§5.4). Chunk queries here travel in batches
+/// (the §7.6 remedy), over three hash-addressed path kinds keyed by the MD5
+/// of the batch request payload:
+///   /batch/<batchId>    one write carries a chunk list for one worker
 ///   /bstream/<batchId>  per-chunk result frames stream back over this path
 ///   /bcancel/<batchId>  the master abandons the batch (stops the stream)
+/// A chunk a batch could not deliver is retried as a batch of one.
 ///
 /// The replication control plane adds four administrative path kinds, served
 /// by the same data servers so fault injection and liveness apply to repair
@@ -28,8 +27,6 @@
 
 namespace qserv::xrd {
 
-inline constexpr std::string_view kQueryPrefix = "/query2/";
-inline constexpr std::string_view kResultPrefix = "/result/";
 inline constexpr std::string_view kBatchPrefix = "/batch/";
 inline constexpr std::string_view kBatchStreamPrefix = "/bstream/";
 inline constexpr std::string_view kBatchCancelPrefix = "/bcancel/";
@@ -37,12 +34,6 @@ inline constexpr std::string_view kPingPath = "/ping";
 inline constexpr std::string_view kChunkPrefix = "/chunk/";
 inline constexpr std::string_view kChunkLoadPrefix = "/chunkload/";
 inline constexpr std::string_view kChunkDropPrefix = "/chunkdrop/";
-
-/// "/query2/<chunkId>".
-std::string makeQueryPath(std::int32_t chunkId);
-
-/// "/result/<hash>"; \p md5Hex must be 32 lowercase hex digits.
-std::string makeResultPath(std::string_view md5Hex);
 
 /// "/batch/<batchId>"; \p batchId must be 32 lowercase hex digits.
 std::string makeBatchPath(std::string_view batchId);
@@ -52,12 +43,6 @@ std::string makeBatchStreamPath(std::string_view batchId);
 
 /// "/bcancel/<batchId>" — master-side abandonment of one batch.
 std::string makeBatchCancelPath(std::string_view batchId);
-
-/// Chunk id from a query path, or nullopt if \p path is not one.
-std::optional<std::int32_t> parseQueryPath(std::string_view path);
-
-/// Hash from a result path, or nullopt if \p path is not one.
-std::optional<std::string> parseResultPath(std::string_view path);
 
 /// Batch id from a batch path, or nullopt if \p path is not one.
 std::optional<std::string> parseBatchPath(std::string_view path);

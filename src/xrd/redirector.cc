@@ -4,7 +4,6 @@
 
 #include "util/metrics.h"
 #include "util/strings.h"
-#include "xrd/paths.h"
 
 namespace qserv::xrd {
 
@@ -85,17 +84,12 @@ util::CircuitBreaker& Redirector::breakerFor(const std::string& serverId) {
 }
 
 util::Result<DataServerPtr> Redirector::locate(
-    const std::string& path, std::span<const std::string> exclude) {
-  auto chunkId = parseQueryPath(path);
-  if (!chunkId) {
-    return util::Status::invalidArgument(
-        "redirector only resolves /query2/<chunkId> paths: " + path);
-  }
+    std::int32_t chunkId, std::span<const std::string> exclude) {
   auto& metrics = RedirectorMetrics::instance();
   std::lock_guard lock(mutex_);
   ++lookups_;
   metrics.lookups.add();
-  auto cached = cache_.find(*chunkId);
+  auto cached = cache_.find(chunkId);
   if (cached != cache_.end()) {
     const std::string& id = cached->second->id();
     if (cached->second->isUp() && !contains(exclude, id) &&
@@ -107,13 +101,13 @@ util::Result<DataServerPtr> Redirector::locate(
     cache_.erase(cached);  // dead, excluded, quarantined, or breaker-open
   }
   metrics.cacheMisses.add();
-  auto it = chunkMap_.find(*chunkId);
+  auto it = chunkMap_.find(chunkId);
   if (it == chunkMap_.end() || it->second.empty()) {
     return util::Status::notFound(
-        util::format("no data server exports chunk %d", *chunkId));
+        util::format("no data server exports chunk %d", chunkId));
   }
   const auto& replicas = it->second;
-  std::size_t& rr = rrCounter_[*chunkId];
+  std::size_t& rr = rrCounter_[chunkId];
   // First pass (round-robin): live, not excluded, not quarantined, breaker
   // allows.
   DataServerPtr degraded;  // sick-server fallback if no healthy replica
@@ -131,7 +125,7 @@ util::Result<DataServerPtr> Redirector::locate(
       continue;
     }
     rr = (rr + i + 1) % replicas.size();
-    cache_[*chunkId] = candidate;
+    cache_[chunkId] = candidate;
     return candidate;
   }
   // Every live, non-excluded replica has an open breaker: probing a sick
@@ -144,10 +138,10 @@ util::Result<DataServerPtr> Redirector::locate(
                            [](const auto& s) { return s->isUp(); });
   if (anyUp && !exclude.empty()) {
     return util::Status::unavailable(util::format(
-        "all live replicas of chunk %d already failed this query", *chunkId));
+        "all live replicas of chunk %d already failed this query", chunkId));
   }
   return util::Status::unavailable(
-      util::format("all replicas of chunk %d are down", *chunkId));
+      util::format("all replicas of chunk %d are down", chunkId));
 }
 
 void Redirector::reportFailure(std::int32_t chunkId,

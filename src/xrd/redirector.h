@@ -3,8 +3,8 @@
 ///
 /// "A client connects to a redirector, which acts as a caching namespace
 /// look-up service that redirects clients to appropriate data servers"
-/// (paper §5.1.2). Query paths (/query2/CC) resolve to a live server whose
-/// plugin exports chunk CC; with replication, several servers export the
+/// (paper §5.1.2). A chunk id resolves to a live server whose plugin
+/// exports that chunk; with replication, several servers export the
 /// same chunk and the redirector balances among them and fails over when a
 /// server goes down.
 ///
@@ -54,18 +54,18 @@ class Redirector {
   /// Remove \p serverId from the cluster entirely.
   void deregisterServer(const std::string& serverId);
 
-  /// Server by id (for direct reads of /result paths), or nullptr.
+  /// Server by id (batch writes and stream reads go to it directly), or
+  /// nullptr.
   DataServerPtr findServer(const std::string& serverId) const;
 
-  /// Resolve \p path (/query2/CC) to a live server exporting that chunk,
-  /// never one named in \p exclude (the replicas that already failed this
+  /// Resolve \p chunkId to a live server exporting that chunk, never one
+  /// named in \p exclude (the replicas that already failed this
   /// chunk query). Successive lookups of the same chunk hit an internal
   /// cache; a cached server that has gone down, failed, or is excluded is
   /// skipped and another replica chosen. Servers whose circuit breaker is
   /// open are avoided while a healthy replica exists.
   util::Result<DataServerPtr> locate(
-      const std::string& path,
-      std::span<const std::string> exclude = {});
+      std::int32_t chunkId, std::span<const std::string> exclude = {});
 
   /// Record that \p serverId failed a transaction for \p chunkId: evicts the
   /// cached chunk->server mapping (so the next lookup re-balances) and feeds

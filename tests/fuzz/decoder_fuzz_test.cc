@@ -1,7 +1,8 @@
 /// \file decoder_fuzz_test.cc
 /// \brief Seeded mutational fuzzing of the decoders that read another
 /// component's bytes: the chunk-result row codec, batch result frames, batch
-/// requests and the in-band observables line.
+/// requests, the in-band observables line and the MD5 integrity trailer,
+/// plus the worker's one chunk-query entry point (a /batch write).
 ///
 /// Inputs start from valid encodings and are mutated by bit flips,
 /// truncation, splices of two inputs, inserted bytes, and huge values
@@ -25,8 +26,12 @@
 #include "qserv/batch_codec.h"
 #include "qserv/dump_integrity.h"
 #include "qserv/observables_codec.h"
+#include "qserv/worker.h"
 #include "sql/rowcodec.h"
+#include "util/md5.h"
 #include "util/rng.h"
+#include "util/trace.h"
+#include "xrd/paths.h"
 
 namespace {
 // Largest single allocation while watching (see AllocationWatch).
@@ -310,6 +315,95 @@ TEST(DecoderFuzz, BatchRequestReturnsStatus) {
     std::size_t bytes = 0;
     for (const auto& c : request->chunks) bytes += c.payload.size();
     ASSERT_LE(bytes, input.size());
+  }
+}
+
+TEST(DecoderFuzz, DumpChecksumReturnsStatus) {
+  std::vector<std::string> corpus = resultCorpus();
+  std::string snapshot =
+      "-- qserv-chunk v1 5\n-- qserv-dump v1\nCREATE TABLE `Object_5` "
+      "(objectId INT);\nINSERT INTO `Object_5` VALUES (1),(2);\n";
+  core::appendDumpChecksum(snapshot);
+  corpus.push_back(snapshot);
+  const std::size_t trailerBytes = core::dumpChecksumTrailer("").size();
+  util::Rng rng(0xF0225);
+  int verified = 0;
+  for (int i = 0, n = iterations(); i < n; ++i) {
+    std::string input = mutate(rng, corpus);
+    util::Status status = core::verifyDumpChecksum(input);
+    if (!status.isOk()) {
+      ASSERT_EQ(status.code(), util::ErrorCode::kDataLoss) << "iteration " << i;
+      continue;
+    }
+    // Only a payload that really ends in its own trailer verifies.
+    ++verified;
+    ASSERT_GE(input.size(), trailerBytes);
+    std::string_view content(input.data(), input.size() - trailerBytes);
+    ASSERT_EQ(input.substr(content.size()), core::dumpChecksumTrailer(content))
+        << "iteration " << i;
+  }
+  // Mutations that miss the payload (e.g. a truncation to full length)
+  // leave some inputs intact.
+  EXPECT_GT(verified, 0);
+}
+
+TEST(DecoderFuzz, WorkerBatchWriteReturnsStatus) {
+  // Hostile batch requests straight into the worker's one chunk-query entry
+  // point. The worker is paused and every accepted batch is abandoned at
+  // once, so no task executes: this targets decoding, validation and
+  // enqueueing (including each payload's trace and class headers).
+  const core::CatalogConfig catalog = core::CatalogConfig::lsst(18, 6, 0.05);
+  const std::vector<std::int32_t> exported = {5, 101, 202, 303};
+  std::vector<std::string> corpus = {
+      core::encodeBatchRequest(
+          {{101, core::classHeaderLine(core::QueryClass::kInteractive) +
+                     "SELECT * FROM Object_101;\n"},
+           {202, std::string("bin\0ary", 7)},
+           {303, ""}},
+          8),
+      core::encodeBatchRequest(
+          {{5, util::traceHeaderLine(42) +
+                   core::classHeaderLine(core::QueryClass::kScan) +
+                   "SELECT COUNT(*) FROM Object_5"}},
+          1),
+      core::encodeBatchRequest({{7, "SELECT 1"}}, 0)};
+  // A declared chunk count far beyond what the bytes hold must be refused
+  // without sizing an allocation from it.
+  const std::string hugeCount = "-- QSERV-BATCH 2147483647 0\n";
+  {
+    AllocationWatch watch;
+    EXPECT_FALSE(core::decodeBatchRequest(hugeCount).isOk());
+    EXPECT_LE(watch.largest(), allocationBound(hugeCount.size()));
+  }
+  corpus.push_back(hugeCount);
+
+  util::Rng rng(0xF0226);
+  const int n = iterations();
+  constexpr int kPerWorker = 1000;
+  for (int begin = 0; begin < n; begin += kPerWorker) {
+    core::WorkerConfig config;
+    config.slots = 1;
+    config.startPaused = true;
+    config.scheduler = core::SchedulerMode::kSharedScan;
+    core::Worker worker("fuzz", std::make_shared<sql::Database>("fuzz"),
+                        catalog, exported, config);
+    for (int i = begin; i < std::min(n, begin + kPerWorker); ++i) {
+      std::string input = mutate(rng, corpus);
+      std::string batchId = util::Md5::hex(input);
+      util::Status status =
+          worker.writeFile(xrd::makeBatchPath(batchId), std::move(input));
+      if (status.isOk()) {
+        ASSERT_TRUE(
+            worker.writeFile(xrd::makeBatchCancelPath(batchId), "").isOk());
+        continue;
+      }
+      ASSERT_TRUE(status.code() == util::ErrorCode::kInvalidArgument ||
+                  status.code() == util::ErrorCode::kNotFound)
+          << "iteration " << i << ": " << status.toString();
+    }
+    worker.shutdown();
+    EXPECT_EQ(worker.tasksExecuted(), 0u);
+    EXPECT_EQ(worker.resultStreamsPending(), 0u);
   }
 }
 

@@ -1,8 +1,8 @@
 /// \file batch_dispatch_test.cc
 /// \brief Batched per-worker dispatch (§7.6 remedy): wire-codec roundtrips,
 /// batch accounting and observability, and a seeded randomized parity sweep
-/// asserting that batched and per-chunk dispatch both return a single-node
-/// oracle's answer across LV / HV / SHV query shapes.
+/// asserting that dispatch returns a single-node oracle's answer across
+/// LV / HV / SHV query shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,11 +112,10 @@ class BatchDispatchTest : public ::testing::Test {
     catalog_ = nullptr;
   }
 
-  static std::unique_ptr<MiniCluster> makeCluster(DispatchMode mode) {
+  static std::unique_ptr<MiniCluster> makeCluster() {
     ClusterOptions opts;
     opts.numWorkers = 3;
     opts.frontend.catalog = *catalog_;
-    opts.frontend.dispatchMode = mode;
     auto cluster = MiniCluster::create(opts, *catalogData_);
     EXPECT_TRUE(cluster.isOk()) << cluster.status().toString();
     return cluster.isOk() ? std::move(*cluster) : nullptr;
@@ -139,7 +138,7 @@ datagen::PartitionedCatalog* BatchDispatchTest::catalogData_ = nullptr;
 // ----------------------------------------------------------- batched basics
 
 TEST_F(BatchDispatchTest, OneBatchPerWorkerNotPerChunk) {
-  auto cluster = makeCluster(DispatchMode::kBatched);
+  auto cluster = makeCluster();
   ASSERT_TRUE(cluster);
   auto before = util::MetricsRegistry::instance().snapshot();
   auto exec = query(*cluster, "SELECT COUNT(*) FROM Object");
@@ -151,7 +150,6 @@ TEST_F(BatchDispatchTest, OneBatchPerWorkerNotPerChunk) {
   };
 
   ASSERT_TRUE(exec.result);
-  EXPECT_EQ(exec.dispatchMode, DispatchMode::kBatched);
   // A full-sky query on 3 workers needs exactly 3 batch requests, not one
   // write per chunk — that is the whole point of the remedy.
   EXPECT_EQ(exec.dispatchBatches, cluster->numWorkers());
@@ -166,10 +164,8 @@ TEST_F(BatchDispatchTest, OneBatchPerWorkerNotPerChunk) {
 }
 
 TEST_F(BatchDispatchTest, ExplainReportsDispatchStrategy) {
-  auto batched = makeCluster(DispatchMode::kBatched);
-  auto perChunk =
-      makeCluster(DispatchMode::kPerChunk);
-  ASSERT_TRUE(batched && perChunk);
+  auto batched = makeCluster();
+  ASSERT_TRUE(batched);
   auto dispatchRow = [&](MiniCluster& cluster) -> std::string {
     auto exec = query(cluster, "EXPLAIN SELECT COUNT(*) FROM Object");
     if (!exec.result) return {};
@@ -184,12 +180,10 @@ TEST_F(BatchDispatchTest, ExplainReportsDispatchStrategy) {
   EXPECT_NE(batchedDesc.find("batched"), std::string::npos) << batchedDesc;
   EXPECT_NE(batchedDesc.find("per-worker batches"), std::string::npos)
       << batchedDesc;
-  std::string perChunkDesc = dispatchRow(*perChunk);
-  EXPECT_NE(perChunkDesc.find("per-chunk"), std::string::npos) << perChunkDesc;
 }
 
 TEST_F(BatchDispatchTest, ProfileRecordsBatchTransferDistribution) {
-  auto cluster = makeCluster(DispatchMode::kBatched);
+  auto cluster = makeCluster();
   ASSERT_TRUE(cluster);
   auto exec = query(*cluster, "SELECT COUNT(*) FROM Object");
   ASSERT_TRUE(exec.result);
@@ -207,13 +201,11 @@ TEST_F(BatchDispatchTest, ProfileRecordsBatchTransferDistribution) {
 // ------------------------------------------------------------- parity sweep
 
 TEST_F(BatchDispatchTest, RandomizedParityWithSingleNodeOracle) {
-  // The paper's per-chunk dispatch and the batched path (one batch per
-  // worker, pipelined merge) run the same seeded query mix over the same
-  // sky; both must return what one database holding the unpartitioned
+  // Batched dispatch (one batch per worker, pipelined merge) runs a seeded
+  // query mix; it must return what one database holding the unpartitioned
   // catalog returns.
-  auto perChunk = makeCluster(DispatchMode::kPerChunk);
-  auto batched = makeCluster(DispatchMode::kBatched);
-  ASSERT_TRUE(perChunk && batched);
+  auto batched = makeCluster();
+  ASSERT_TRUE(batched);
   auto oracleDb = oracle::build(*catalogData_);
 
   // Each case: the distributed SQL, the oracle's equivalent (areaspec
@@ -269,14 +261,7 @@ TEST_F(BatchDispatchTest, RandomizedParityWithSingleNodeOracle) {
     auto want = oracleDb->execute(c.oracleSql);
     ASSERT_TRUE(want.isOk()) << want.status().toString() << " for "
                              << c.oracleSql;
-    auto viaPerChunk = query(*perChunk, c.sql);
     auto viaBatched = query(*batched, c.sql);
-    EXPECT_EQ(viaPerChunk.dispatchMode, DispatchMode::kPerChunk);
-    EXPECT_EQ(viaBatched.dispatchMode, DispatchMode::kBatched);
-    EXPECT_EQ(viaBatched.chunksDispatched, viaPerChunk.chunksDispatched)
-        << c.sql;
-    oracle::expectSameResult(viaPerChunk.result, *want, c.ordered,
-                             "per-chunk: " + c.sql);
     oracle::expectSameResult(viaBatched.result, *want, c.ordered,
                              "batched: " + c.sql);
   }

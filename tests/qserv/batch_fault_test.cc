@@ -1,12 +1,15 @@
 /// \file batch_fault_test.cc
-/// \brief Fault injection against the batched dispatch path (§7.6 remedy):
-/// a rejected batch write must fall back to per-chunk dispatch, a worker
-/// dying mid-stream must cost only its undelivered chunks (retried on a
-/// replica), and corrupted stream frames must be caught by the per-chunk
-/// MD5 trailer — never merged. Runs under `ctest -L faults`.
+/// \brief Fault injection against batched dispatch (§7.6 remedy): a
+/// rejected batch write must send its chunks to replicas as batches of one,
+/// a worker dying mid-stream must cost only its undelivered chunks (retried
+/// on a replica), corrupted stream frames must be caught by the per-chunk
+/// MD5 trailer — never merged — and abandoned streams must leave no state
+/// behind on the workers. Runs under `ctest -L faults`.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qserv/cluster.h"
@@ -60,7 +63,7 @@ class BatchFaultTest : public ::testing::Test {
   }
 
   /// Faulty-cluster base options: replicated chunks, fast retries, a hang
-  /// backstop. Batched dispatch is the frontend default.
+  /// backstop.
   static ClusterOptions faultyOptions() {
     ClusterOptions opts;
     opts.frontend.catalog = *catalog_;
@@ -84,7 +87,6 @@ class BatchFaultTest : public ::testing::Test {
       auto r = cluster.frontend().query(sql);
       EXPECT_TRUE(r.isOk()) << sql << ": " << r.status().toString();
       if (!r.isOk()) continue;
-      EXPECT_EQ(r->dispatchMode, DispatchMode::kBatched) << sql;
       const auto& want = (*oracle_)[qi];
       EXPECT_EQ(r->result->numRows(), want->numRows()) << sql;
       EXPECT_EQ(r->result->numColumns(), want->numColumns()) << sql;
@@ -130,14 +132,14 @@ class CounterDelta {
 };
 
 TEST_F(BatchFaultTest, BatchWritesRejectedFallBackToPerChunk) {
-  // Every write to a /batch/ path fails; the per-chunk paths are untouched.
-  // The dispatcher must route every chunk through the per-chunk retry path
-  // and still answer correctly — batching is an optimization, never a new
-  // failure mode.
+  // Worker 0 rejects every write to a /batch/ path. Its chunks must fall
+  // back to per-chunk dispatch — batches of one, answered by the replicas —
+  // and every query still returns the oracle's answer: batching is an
+  // optimization, never a new failure mode.
   ClusterOptions opts = faultyOptions();
   auto plan = xrd::FaultPlan::parse("write:path=/batch/,fail");
   ASSERT_TRUE(plan.isOk()) << plan.status().toString();
-  opts.faults = *plan;
+  opts.workerFaults[0] = *plan;
   auto cluster = MiniCluster::create(opts, *sky_);
   ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
 
@@ -147,14 +149,15 @@ TEST_F(BatchFaultTest, BatchWritesRejectedFallBackToPerChunk) {
 
   ASSERT_EQ(execs.size(), queries().size());
   std::size_t totalChunks = 0;
-  for (const auto& e : execs) totalChunks += e.chunksDispatched;
+  for (const auto& e : execs) {
+    totalChunks += e.chunksDispatched;
+    // No chunk result came from the worker that rejects every batch.
+    for (const auto& a : e.accounting) EXPECT_NE(a.workerId, "w0");
+  }
   EXPECT_GT(delta("faultinj.write_faults"), 0u);
-  // Every chunk of every query was recovered through the per-chunk path.
-  EXPECT_GE(delta("dispatch.batch_chunk_retries"), totalChunks);
-  // Batch writes were attempted (the counter ticks before the injector
-  // rejects them) but no batch ever established a result stream.
-  EXPECT_GT(delta("xrd.batch_writes"), 0u);
-  EXPECT_EQ(delta("xrd.stream_reads"), 0u);
+  // The rejected chunks were retried, and every chunk was delivered.
+  EXPECT_GT(delta("dispatch.batch_chunk_retries"), 0u);
+  EXPECT_GT(delta("xrd.stream_reads"), 0u);
   EXPECT_GE(delta("dispatch.chunks_ok"), totalChunks);
 }
 
@@ -188,7 +191,8 @@ TEST_F(BatchFaultTest, CorruptStreamFramesCaughtByChecksumNeverMerged) {
   // Worker 0 corrupts most of its stream reads. Corruption lands either in
   // a frame header (counted as a damaged frame, chunk re-fetched) or in a
   // frame body (caught by the per-chunk MD5 trailer). Both end in a clean
-  // per-chunk retry on the replica; the merger must never see corrupt data.
+  // batch-of-one retry on the replica; the merger must never see corrupt
+  // data.
   ClusterOptions opts = faultyOptions();
   auto plan = xrd::FaultPlan::parse("seed=20260808; read:p=0.6,corrupt");
   ASSERT_TRUE(plan.isOk()) << plan.status().toString();
@@ -208,6 +212,57 @@ TEST_F(BatchFaultTest, CorruptStreamFramesCaughtByChecksumNeverMerged) {
   EXPECT_GT(delta("dispatch.batch_chunk_retries"), 0u);
   // The integrity gate: nothing corrupt ever reached the merger.
   EXPECT_EQ(delta("merger.checksum_rejects"), 0u);
+}
+
+TEST_F(BatchFaultTest, AbandonedStreamsLeaveNoWorkerState) {
+  // Every result-frame read crawls, so a tight query deadline expires
+  // mid-stream and the dispatcher abandons batches whose frames are still
+  // queued or yet to be produced. A second cluster forces batches of one
+  // (worker 0 rejects every batch). Once the tasks drain, no worker may
+  // hold an unread result frame: a long-running worker's result store stays
+  // bounded.
+  auto slowFrames = xrd::FaultPlan::parse("read:path=/bstream/,delay=30");
+  ASSERT_TRUE(slowFrames.isOk()) << slowFrames.status().toString();
+  auto rejectBatches = xrd::FaultPlan::parse("write:path=/batch/,fail");
+  ASSERT_TRUE(rejectBatches.isOk()) << rejectBatches.status().toString();
+
+  ClusterOptions deadlineOpts = faultyOptions();
+  deadlineOpts.frontend.queryDeadlineSeconds = 0.02;
+  deadlineOpts.faults = *slowFrames;
+  ClusterOptions retryOpts = faultyOptions();
+  retryOpts.workerFaults[0] = *rejectBatches;
+
+  auto drained = [](MiniCluster& cluster) {
+    for (std::size_t w = 0; w < cluster.numWorkers(); ++w) {
+      for (int i = 0; i < 5000 && cluster.worker(w).queuedTasks() > 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(cluster.worker(w).queuedTasks(), 0u) << "worker " << w;
+      EXPECT_EQ(cluster.worker(w).resultStreamsPending(), 0u)
+          << "worker " << w;
+    }
+  };
+
+  auto deadlineCluster = MiniCluster::create(deadlineOpts, *sky_);
+  ASSERT_TRUE(deadlineCluster.isOk()) << deadlineCluster.status().toString();
+  CounterDelta delta;
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& sql : queries()) {
+      auto r = (*deadlineCluster)->frontend().query(sql);
+      if (!r.isOk()) {
+        EXPECT_EQ(r.status().code(), util::ErrorCode::kDeadlineExceeded)
+            << sql;
+      }
+    }
+  }
+  delta.stop();
+  EXPECT_GT(delta("dispatch.deadline_exceeded"), 0u);
+  drained(**deadlineCluster);
+
+  auto retryCluster = MiniCluster::create(retryOpts, *sky_);
+  ASSERT_TRUE(retryCluster.isOk()) << retryCluster.status().toString();
+  ASSERT_EQ(runAllAgainstOracle(**retryCluster).size(), queries().size());
+  drained(**retryCluster);
 }
 
 }  // namespace

@@ -153,13 +153,11 @@ TEST_F(FailoverTest, AllReplicasDownFailsFastAndCancelsSiblings) {
 TEST_F(FailoverTest, TransientFaultsRetryWithBackoffThenSucceed) {
   auto opts = baseOptions();
   opts.replication = 1;
-  // Per-chunk mode: this test pins the exact one-backoff-per-retry
-  // accounting of the per-chunk path (batched mode writes once per worker,
-  // so a p=0.3 write fault rarely fires; batch_fault_test covers the
-  // batched path's transient faults).
-  opts.frontend.dispatchMode = DispatchMode::kPerChunk;
   opts.frontend.dispatchMaxAttempts = 10;
-  // Every worker fails ~30% of query writes (seeded, so reproducible).
+  // Every worker fails ~30% of batch writes (seeded, so reproducible): a
+  // rejected batch sends each of its chunks into a batch of one, and each
+  // retry pays exactly one backoff draw. A query writes one batch per
+  // worker, so a few queries give the faults a chance to fire.
   auto plan = xrd::FaultPlan::parse("seed=1234; write:p=0.3,fail");
   ASSERT_TRUE(plan.isOk());
   opts.faults = *plan;
@@ -167,11 +165,13 @@ TEST_F(FailoverTest, TransientFaultsRetryWithBackoffThenSucceed) {
   ASSERT_TRUE(cluster.isOk());
 
   auto before = util::MetricsRegistry::instance().snapshot();
-  auto r = (*cluster)->frontend().query("SELECT COUNT(*) FROM Object");
+  for (int i = 0; i < 5; ++i) {
+    auto r = (*cluster)->frontend().query("SELECT COUNT(*) FROM Object");
+    ASSERT_TRUE(r.isOk()) << r.status().toString();
+    EXPECT_EQ(r->result->cell(0, 0).asInt(), oracleCount_);
+  }
   auto after = util::MetricsRegistry::instance().snapshot();
 
-  ASSERT_TRUE(r.isOk()) << r.status().toString();
-  EXPECT_EQ(r->result->cell(0, 0).asInt(), oracleCount_);
   std::uint64_t injected = delta(before, after, "faultinj.write_faults");
   std::uint64_t retries = delta(before, after, "dispatch.retries");
   EXPECT_GT(injected, 0u);

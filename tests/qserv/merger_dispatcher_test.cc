@@ -2,7 +2,9 @@
 
 #include <atomic>
 
+#include "qserv/batch_codec.h"
 #include "qserv/dispatcher.h"
+#include "qserv/dump_integrity.h"
 #include "qserv/merger.h"
 #include "qserv/observables_codec.h"
 #include "sql/dump.h"
@@ -25,9 +27,18 @@ sql::TablePtr makeRows(const std::string& name, std::vector<int> values) {
   return t;
 }
 
-/// A worker-shaped chunk result carrying \p values.
-std::string resultOf(std::vector<int> values) {
-  return sql::encodeTableBinary(*makeRows("r", std::move(values)), "r_x");
+/// \p payload sealed with the integrity trailer every chunk result carries.
+std::string sealed(std::string payload) {
+  appendDumpChecksum(payload);
+  return payload;
+}
+
+/// A worker-shaped chunk result carrying \p values, with \p extra (e.g. the
+/// observables line) between the rows and the trailer.
+std::string resultOf(std::vector<int> values, const std::string& extra = "") {
+  return sealed(
+      sql::encodeTableBinary(*makeRows("r", std::move(values)), "r_x") +
+      extra);
 }
 
 TEST(ResultMerger, UnionsDumpsIntoMergeTable) {
@@ -55,8 +66,7 @@ TEST(ResultMerger, ObservablesCommentIsHarmless) {
   ResultMerger merger("m");
   simio::WorkObservables obs;
   obs.rowsExamined = 9;
-  std::string dump = resultOf({1});
-  dump += encodeObservables(obs);
+  std::string dump = resultOf({1}, encodeObservables(obs));
   ASSERT_TRUE(merger.mergeResult(dump).isOk());
   EXPECT_EQ(merger.rowsMerged(), 1u);
 }
@@ -85,7 +95,8 @@ TEST(ResultMerger, MismatchedColumnCountFails) {
   ASSERT_TRUE(wide.appendRow(std::vector<sql::Value>{sql::Value(1),
                                                      sql::Value(2)})
                   .isOk());
-  EXPECT_FALSE(merger.mergeResult(sql::encodeTableBinary(wide, "r_b")).isOk());
+  EXPECT_FALSE(
+      merger.mergeResult(sealed(sql::encodeTableBinary(wide, "r_b"))).isOk());
 }
 
 TEST(ResultMerger, GarbagePayloadFails) {
@@ -98,7 +109,8 @@ TEST(ResultMerger, SqlDumpTextIsNotAResult) {
   // never replayed.
   ResultMerger merger("m");
   EXPECT_FALSE(
-      merger.mergeResult(sql::dumpTable(*makeRows("a", {1}), "r_a")).isOk());
+      merger.mergeResult(sealed(sql::dumpTable(*makeRows("a", {1}), "r_a")))
+          .isOk());
   EXPECT_EQ(merger.rowsMerged(), 0u);
 }
 
@@ -120,7 +132,8 @@ TEST(ResultMerger, IntResultWidensIntoDoubleMergeColumn) {
   ResultMerger merger("m");
   sql::Table dbl("d", sql::Schema({{"v", sql::ColumnType::kDouble}}));
   ASSERT_TRUE(dbl.appendRow(std::vector<sql::Value>{sql::Value(0.5)}).isOk());
-  ASSERT_TRUE(merger.mergeResult(sql::encodeTableBinary(dbl, "r_a")).isOk());
+  ASSERT_TRUE(
+      merger.mergeResult(sealed(sql::encodeTableBinary(dbl, "r_a"))).isOk());
   ASSERT_TRUE(merger.mergeResult(resultOf({2})).isOk());
   auto final = merger.finalize("SELECT SUM(v) FROM m");
   ASSERT_TRUE(final.isOk());
@@ -129,26 +142,42 @@ TEST(ResultMerger, IntResultWidensIntoDoubleMergeColumn) {
 
 // --------------------------------------------------------------- dispatcher
 
-/// A plugin that fails the first `failures` read attempts per path.
+/// Answer the batch request written to \p path: one result frame per chunk,
+/// produced by \p answer, published on the batch's stream.
+template <typename Answer>
+util::Status answerBatch(xrd::FileStore& store, const std::string& path,
+                         const std::string& payload, Answer answer) {
+  auto batchId = xrd::parseBatchPath(path);
+  if (!batchId) return util::Status::ok();  // /bcancel: nothing to stop
+  auto request = decodeBatchRequest(payload);
+  if (!request.isOk()) return request.status();
+  for (const BatchChunkRequest& chunk : request->chunks) {
+    store.publish(xrd::makeBatchStreamPath(*batchId),
+                  answer(chunk.chunkId, chunk.payload));
+  }
+  return util::Status::ok();
+}
+
+/// A plugin whose first `failures` chunk executions fail transiently.
 class FlakyPlugin : public xrd::OfsPlugin {
  public:
   FlakyPlugin(std::vector<std::int32_t> chunks, int failures)
       : chunks_(std::move(chunks)), failuresLeft_(failures) {}
 
   util::Status writeFile(const std::string& path, std::string payload) override {
-    auto chunk = xrd::parseQueryPath(path);
-    if (!chunk) return util::Status::invalidArgument("bad path");
+    if (!xrd::parseBatchPath(path)) return util::Status::ok();
     ++writes_;
-    std::string hash = util::Md5::hex(payload);
-    if (failuresLeft_.fetch_sub(1) > 0) {
-      store_.publishError(xrd::makeResultPath(hash),
-                          util::Status::unavailable("injected fault"));
-      return util::Status::ok();
-    }
-    auto table = makeRows("r", {static_cast<int>(*chunk)});
-    store_.publish(xrd::makeResultPath(hash),
-                   sql::encodeTableBinary(*table, "r_" + hash));
-    return util::Status::ok();
+    return answerBatch(store_, path, payload,
+                       [&](std::int32_t chunk, const std::string& query) {
+      if (failuresLeft_.fetch_sub(1) > 0) {
+        return encodeErrorFrame(chunk,
+                                util::Status::unavailable("injected fault"));
+      }
+      std::string hash = util::Md5::hex(query);
+      return encodeResultFrame(
+          chunk, sealed(sql::encodeTableBinary(
+                     *makeRows("r", {static_cast<int>(chunk)}), "r_" + hash)));
+    });
   }
 
   util::Result<std::string> readFile(const std::string& path) override {
@@ -225,15 +254,13 @@ TEST(Dispatcher, ParsesInBandObservables) {
   class ObsPlugin : public xrd::OfsPlugin {
    public:
     util::Status writeFile(const std::string& path, std::string payload) override {
-      (void)path;
-      simio::WorkObservables obs;
-      obs.bytesScanned = 12345;
-      obs.rowsExamined = 67;
-      std::string dump = resultOf({1});
-      dump += encodeObservables(obs);
-      store_.publish(xrd::makeResultPath(util::Md5::hex(payload)),
-                     std::move(dump));
-      return util::Status::ok();
+      return answerBatch(store_, path, payload,
+                         [](std::int32_t chunk, const std::string&) {
+        simio::WorkObservables obs;
+        obs.bytesScanned = 12345;
+        obs.rowsExamined = 67;
+        return encodeResultFrame(chunk, resultOf({1}, encodeObservables(obs)));
+      });
     }
     util::Result<std::string> readFile(const std::string& path) override {
       return store_.waitFor(path, std::chrono::milliseconds(1000));

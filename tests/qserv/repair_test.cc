@@ -8,14 +8,17 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "qserv/cluster.h"
+#include "sql/database.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
+#include "xrd/paths.h"
 
 namespace qserv::core {
 namespace {
@@ -35,6 +38,39 @@ std::int64_t objectCount(const datagen::PartitionedCatalog& catalog) {
   }
   return n;
 }
+
+/// \p snapshot cut right after its first table's dump: the tail lost at a
+/// statement boundary, so what remains is still a valid SQL script.
+std::string cutAfterFirstTable(const std::string& snapshot) {
+  constexpr std::string_view kTableHeader = "-- qserv-dump v1\n";
+  std::size_t first = snapshot.find(kTableHeader);
+  if (first == std::string::npos) return snapshot;
+  return snapshot.substr(0, snapshot.find(kTableHeader, first + 1));
+}
+
+/// A replica source that serves \p worker's chunk snapshots cut by
+/// cutAfterFirstTable (every other transaction is forwarded unchanged).
+class CutSnapshotPlugin : public xrd::OfsPlugin {
+ public:
+  explicit CutSnapshotPlugin(Worker& worker) : worker_(worker) {}
+  util::Status writeFile(const std::string& path,
+                         std::string payload) override {
+    return worker_.writeFile(path, std::move(payload));
+  }
+  util::Result<std::string> readFile(const std::string& path) override {
+    auto bytes = worker_.readFile(path);
+    if (bytes.isOk() && xrd::parseChunkPath(path)) {
+      *bytes = cutAfterFirstTable(*bytes);
+    }
+    return bytes;
+  }
+  std::vector<std::int32_t> exportedChunks() const override {
+    return worker_.exportedChunks();
+  }
+
+ private:
+  Worker& worker_;
+};
 
 /// Split \p catalog into (first `firstChunks` chunks, the rest), index
 /// entries partitioned to follow their chunk.
@@ -249,6 +285,42 @@ TEST_F(RepairTest, CorruptSnapshotRetriedFromCleanReplica) {
     EXPECT_FALSE(bad.isOk());
     EXPECT_FALSE((*cluster)->worker(0).exportsChunk(chunk2));
   }
+}
+
+// 3b. A snapshot that lost its tail at a statement boundary is still valid
+//     SQL, so only the integrity trailer tells it from a whole chunk: both
+//     install paths — a direct /chunkload and the repair copy — must refuse
+//     it rather than install a partial chunk.
+TEST_F(RepairTest, TruncatedSnapshotRefusedByChunkloadAndRepairCopy) {
+  auto cluster = MiniCluster::create(baseOptions(), *sky_);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  MiniCluster& c = **cluster;
+  ASSERT_FALSE(c.chunksOfWorker(1).empty());
+  std::int32_t chunk = c.chunksOfWorker(1).front();
+  ASSERT_FALSE(c.worker(0).exportsChunk(chunk));
+
+  auto snapshot = c.worker(1).readFile(xrd::makeChunkPath(chunk));
+  ASSERT_TRUE(snapshot.isOk()) << snapshot.status().toString();
+  std::string cut = cutAfterFirstTable(*snapshot);
+  ASSERT_LT(cut.size(), snapshot->size());
+  sql::Database replay("replay");
+  ASSERT_TRUE(replay.executeScript(cut).isOk());  // still valid SQL
+
+  util::Status loaded =
+      c.worker(0).writeFile(xrd::makeChunkLoadPath(chunk), cut);
+  EXPECT_EQ(loaded.code(), util::ErrorCode::kDataLoss) << loaded.toString();
+  EXPECT_FALSE(c.worker(0).exportsChunk(chunk));
+
+  c.redirector()->registerServer(std::make_shared<xrd::DataServer>(
+      "w1-cut", std::make_shared<CutSnapshotPlugin>(c.worker(1))));
+  auto before = util::MetricsRegistry::instance().snapshot();
+  util::Status copied =
+      c.repairController().replicateChunk(chunk, {"w1-cut"}, "w0");
+  auto after = util::MetricsRegistry::instance().snapshot();
+  c.redirector()->deregisterServer("w1-cut");
+  EXPECT_FALSE(copied.isOk());
+  EXPECT_FALSE(c.worker(0).exportsChunk(chunk));
+  EXPECT_GT(delta(before, after, "repair.checksum_mismatches"), 0u);
 }
 
 // 4. Re-admission after recovery (the staleness fix): while a worker is

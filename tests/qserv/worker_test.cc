@@ -51,11 +51,32 @@ class WorkerTest : public ::testing::Test {
     return std::make_unique<Worker>("w0", db_, config_, chunks_, wc);
   }
 
+  /// Write \p text for \p chunk as a batch of one; returns the batch id.
+  static util::Result<std::string> submit(Worker& w, std::int32_t chunk,
+                                          const std::string& text) {
+    std::string request = encodeBatchRequest({{chunk, text}}, 0);
+    std::string batchId = util::Md5::hex(request);
+    QSERV_RETURN_IF_ERROR(
+        w.writeFile(xrd::makeBatchPath(batchId), std::move(request)));
+    return batchId;
+  }
+
+  /// Read the next frame of batch \p batchId: its result body, or the
+  /// chunk's failure carried by an error frame.
+  static util::Result<std::string> await(Worker& w,
+                                         const std::string& batchId) {
+    QSERV_ASSIGN_OR_RETURN(std::string bytes,
+                           w.readFile(xrd::makeBatchStreamPath(batchId)));
+    QSERV_ASSIGN_OR_RETURN(BatchResultFrame frame, decodeResultFrame(bytes));
+    QSERV_RETURN_IF_ERROR(frame.status);
+    return std::move(frame.body);
+  }
+
   /// Round-trip one chunk query through the ofs interface.
-  util::Result<std::string> runQuery(Worker& w, std::int32_t chunk,
-                                     const std::string& text) {
-    QSERV_RETURN_IF_ERROR(w.writeFile(xrd::makeQueryPath(chunk), text));
-    return w.readFile(xrd::makeResultPath(util::Md5::hex(text)));
+  static util::Result<std::string> runQuery(Worker& w, std::int32_t chunk,
+                                            const std::string& text) {
+    QSERV_ASSIGN_OR_RETURN(std::string batchId, submit(w, chunk, text));
+    return await(w, batchId);
   }
 
   CatalogConfig config_;
@@ -79,7 +100,7 @@ TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
 
 TEST_F(WorkerTest, RejectsUnknownChunk) {
   auto w = makeWorker();
-  EXPECT_EQ(w->writeFile(xrd::makeQueryPath(999999), "SELECT 1;").code(),
+  EXPECT_EQ(submit(*w, 999999, "SELECT 1;").status().code(),
             util::ErrorCode::kNotFound);
 }
 
@@ -95,8 +116,9 @@ TEST_F(WorkerTest, BadSqlPublishesError) {
   auto w = makeWorker();
   std::int32_t chunk = populatedChunk_;
   std::string q = "SELECT FROM WHERE;";
-  ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
-  auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+  auto batchId = submit(*w, chunk, q);
+  ASSERT_TRUE(batchId.isOk());
+  auto r = await(*w, *batchId);
   EXPECT_FALSE(r.isOk());
 }
 
@@ -107,8 +129,9 @@ TEST_F(WorkerTest, UnrewrittenAreaspecFailsLoudly) {
   std::int32_t chunk = populatedChunk_;
   std::string q = "SELECT COUNT(*) FROM Object_" + std::to_string(chunk) +
                   " WHERE qserv_areaspec_box(0,0,1,1);";
-  ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
-  EXPECT_FALSE(w->readFile(xrd::makeResultPath(util::Md5::hex(q))).isOk());
+  auto batchId = submit(*w, chunk, q);
+  ASSERT_TRUE(batchId.isOk());
+  EXPECT_FALSE(await(*w, *batchId).isOk());
 }
 
 TEST_F(WorkerTest, ResultsAreOneShot) {
@@ -118,11 +141,14 @@ TEST_F(WorkerTest, ResultsAreOneShot) {
   std::int32_t chunk = populatedChunk_;
   std::string q = "SELECT COUNT(*) AS c FROM Object_" +
                   std::to_string(chunk) + ";";
-  auto first = runQuery(*w, chunk, q);
+  auto batchId = submit(*w, chunk, q);
+  ASSERT_TRUE(batchId.isOk());
+  auto first = await(*w, *batchId);
   ASSERT_TRUE(first.isOk());
-  // The result was consumed; a second read times out.
-  auto second = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+  // The frame was consumed on read; a second read times out.
+  auto second = w->readFile(xrd::makeBatchStreamPath(*batchId));
   EXPECT_FALSE(second.isOk());
+  EXPECT_EQ(w->resultStreamsPending(), 0u);
 }
 
 TEST_F(WorkerTest, SubchunkBuildAndCleanup) {
@@ -215,17 +241,18 @@ TEST_F(WorkerTest, ParallelTasksAcrossSlots) {
   WorkerConfig wc;
   wc.slots = 4;
   auto w = makeWorker(wc);
-  std::vector<std::string> queries;
+  std::vector<std::string> batches;
   for (int i = 0; i < 12; ++i) {
     std::int32_t chunk = chunks_[static_cast<std::size_t>(i) % chunks_.size()];
-    queries.push_back("SELECT COUNT(*) AS c FROM Object_" +
-                      std::to_string(chunk) + " WHERE ra_PS > " +
-                      std::to_string(i) + ";");
-    ASSERT_TRUE(
-        w->writeFile(xrd::makeQueryPath(chunk), queries.back()).isOk());
+    auto batchId = submit(*w, chunk,
+                          "SELECT COUNT(*) AS c FROM Object_" +
+                              std::to_string(chunk) + " WHERE ra_PS > " +
+                              std::to_string(i) + ";");
+    ASSERT_TRUE(batchId.isOk());
+    batches.push_back(*batchId);
   }
-  for (const auto& q : queries) {
-    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+  for (const auto& batchId : batches) {
+    auto r = await(*w, batchId);
     EXPECT_TRUE(r.isOk()) << r.status().toString();
   }
   EXPECT_EQ(w->tasksExecuted(), 12u);
@@ -245,13 +272,16 @@ TEST_F(WorkerTest, SharedScanGroupChargesIoOnce) {
                       std::to_string(chunk) + " WHERE ra_PS > " +
                       std::to_string(i * 100) + ";");
   }
+  std::vector<std::string> batches;
   for (const auto& q : queries) {
-    ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
+    auto batchId = submit(*w, chunk, q);
+    ASSERT_TRUE(batchId.isOk());
+    batches.push_back(*batchId);
   }
   w->resume();
   int charged = 0;
-  for (const auto& q : queries) {
-    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+  for (const auto& batchId : batches) {
+    auto r = await(*w, batchId);
     ASSERT_TRUE(r.isOk()) << r.status().toString();
     auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
@@ -276,13 +306,16 @@ TEST_F(WorkerTest, FifoChargesEveryScan) {
                       std::to_string(chunk) + " WHERE decl_PS > " +
                       std::to_string(-100 - i * 100) + ";");
   }
+  std::vector<std::string> batches;
   for (const auto& q : queries) {
-    ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
+    auto batchId = submit(*w, chunk, q);
+    ASSERT_TRUE(batchId.isOk());
+    batches.push_back(*batchId);
   }
   w->resume();
   int charged = 0;
-  for (const auto& q : queries) {
-    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+  for (const auto& batchId : batches) {
+    auto r = await(*w, batchId);
     ASSERT_TRUE(r.isOk());
     auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
@@ -310,13 +343,16 @@ TEST_F(WorkerTest, InteractiveClassBypassesScanGroup) {
           "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) +
           " WHERE decl_PS > -300;",
   };
+  std::vector<std::string> batches;
   for (const auto& q : queries) {
-    ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
+    auto batchId = submit(*w, chunk, q);
+    ASSERT_TRUE(batchId.isOk());
+    batches.push_back(*batchId);
   }
   w->resume();
   int charged = 0;
-  for (const auto& q : queries) {
-    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+  for (const auto& batchId : batches) {
+    auto r = await(*w, batchId);
     ASSERT_TRUE(r.isOk()) << r.status().toString();
     auto obs = decodeObservables(*r);
     ASSERT_TRUE(obs.has_value());
@@ -342,13 +378,14 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   std::string batchId = util::Md5::hex(wire);
   ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
   // A second scan of the same chunk queues behind it, into the same group.
-  std::string survivor = "SELECT COUNT(*) AS c FROM Object_" +
-                         std::to_string(chunk) + " WHERE decl_PS > -600;";
-  ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), survivor).isOk());
+  auto survivor = submit(*w, chunk,
+                         "SELECT COUNT(*) AS c FROM Object_" +
+                             std::to_string(chunk) + " WHERE decl_PS > -600;");
+  ASSERT_TRUE(survivor.isOk());
   // Abandon the batch before any task is claimed: the leader is skipped.
   ASSERT_TRUE(w->writeFile(xrd::makeBatchCancelPath(batchId), "").isOk());
   w->resume();
-  auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(survivor)));
+  auto r = await(*w, *survivor);
   ASSERT_TRUE(r.isOk()) << r.status().toString();
   auto obs = decodeObservables(*r);
   ASSERT_TRUE(obs.has_value());
@@ -399,9 +436,8 @@ TEST_F(WorkerTest, MalformedSubchunksHeaderFailsOnlyThatChunk) {
   std::string count =
       "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) + ";";
   for (const char* ids : {"abc", "99999999999", "-2147483649", "7x", "1,,-"}) {
-    std::string q = std::string("-- SUBCHUNKS: ") + ids + "\n" + count;
-    ASSERT_TRUE(w->writeFile(xrd::makeQueryPath(chunk), q).isOk());
-    auto r = w->readFile(xrd::makeResultPath(util::Md5::hex(q)));
+    auto r = runQuery(*w, chunk, std::string("-- SUBCHUNKS: ") + ids + "\n" +
+                                     count);
     ASSERT_FALSE(r.isOk()) << ids;
     EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument) << ids;
   }
@@ -427,8 +463,7 @@ TEST_F(WorkerTest, MalformedSubchunksHeaderFailsOnlyThatChunk) {
 TEST_F(WorkerTest, ShutdownRejectsNewWork) {
   auto w = makeWorker();
   w->shutdown();
-  EXPECT_FALSE(
-      w->writeFile(xrd::makeQueryPath(chunks_[0]), "SELECT 1;").isOk());
+  EXPECT_FALSE(submit(*w, chunks_[0], "SELECT 1;").isOk());
 }
 
 }  // namespace

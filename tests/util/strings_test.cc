@@ -54,8 +54,8 @@ TEST(Strings, CaseInsensitiveEquals) {
 }
 
 TEST(Strings, StartsEndsWith) {
-  EXPECT_TRUE(startsWith("/query2/123", "/query2/"));
-  EXPECT_FALSE(startsWith("/result/ab", "/query2/"));
+  EXPECT_TRUE(startsWith("/batch/123", "/batch/"));
+  EXPECT_FALSE(startsWith("/bstream/ab", "/batch/"));
   EXPECT_TRUE(endsWith("Object_12_3", "_3"));
   EXPECT_FALSE(endsWith("x", "xy"));
 }

@@ -48,7 +48,7 @@ TEST(Trace, NestedSpansCoverChildWindows) {
     ScopedSpan outer(trace, "czar", "dispatch");
     {
       ScopedSpan inner(trace, "dispatcher", "chunk 11");
-      ScopedSpan innermost(trace, "xrd", "write /query2/11");
+      ScopedSpan innermost(trace, "xrd", "write /batch/11");
     }
   }
   auto spans = trace->spans();  // completion order: innermost first

@@ -9,19 +9,22 @@
 #include "util/md5.h"
 #include "xrd/fault_injector.h"
 #include "xrd/file_store.h"
-#include "xrd/paths.h"
 
 namespace qserv::xrd {
 namespace {
 
-/// Minimal inner plugin: every written query is immediately answered with an
-/// echo of its payload under the usual /result/<md5> path.
+/// The path EchoPlugin answers a write of \p payload at.
+std::string echoPath(const std::string& payload) {
+  return "/echo/" + util::Md5::hex(payload);
+}
+
+/// Minimal inner plugin: every write is immediately answered with an echo
+/// of its payload at echoPath(payload).
 class EchoPlugin : public OfsPlugin {
  public:
   util::Status writeFile(const std::string& /*path*/,
                          std::string payload) override {
-    std::string hash = util::Md5::hex(payload);
-    store_.publish(makeResultPath(hash), "echo:" + payload);
+    store_.publish(echoPath(payload), "echo:" + payload);
     return util::Status::ok();
   }
 
@@ -44,7 +47,7 @@ FaultPlan parsePlan(const std::string& spec) {
 TEST(FaultPlan, ParsesFullSpec) {
   auto plan = parsePlan(
       "seed=42; write:p=0.25,fail=internal; read:p=0.5,corrupt=truncate; "
-      "read:after=100,down; write:path=/query2/7,delay=5");
+      "read:after=100,down; write:path=/batch/7,delay=5");
   EXPECT_EQ(plan.seed, 42u);
   ASSERT_EQ(plan.rules.size(), 4u);
   EXPECT_EQ(plan.rules[0].op, FaultOp::kWrite);
@@ -55,7 +58,7 @@ TEST(FaultPlan, ParsesFullSpec) {
   EXPECT_TRUE(plan.rules[1].truncate);
   EXPECT_EQ(plan.rules[2].afterOps, 100);
   EXPECT_TRUE(plan.rules[2].down);
-  EXPECT_EQ(plan.rules[3].pathPattern, "/query2/7");
+  EXPECT_EQ(plan.rules[3].pathPattern, "/batch/7");
   EXPECT_EQ(plan.rules[3].delay, std::chrono::milliseconds(5));
 }
 
@@ -77,7 +80,7 @@ TEST(FaultPlan, EmptySpecMeansNoInjection) {
 TEST(FaultyOfsPlugin, FailRuleInjectsChosenErrorCode) {
   FaultyOfsPlugin faulty(std::make_shared<EchoPlugin>(),
                          parsePlan("write:fail=internal"), "w0");
-  auto s = faulty.writeFile("/query2/1", "SELECT 1");
+  auto s = faulty.writeFile("/w/1", "SELECT 1");
   EXPECT_EQ(s.code(), util::ErrorCode::kInternal);
   EXPECT_NE(s.message().find("injected"), std::string::npos);
   EXPECT_EQ(faulty.injectedWriteFaults(), 1u);
@@ -85,40 +88,40 @@ TEST(FaultyOfsPlugin, FailRuleInjectsChosenErrorCode) {
 
 TEST(FaultyOfsPlugin, PathPatternScopesTheRule) {
   FaultyOfsPlugin faulty(std::make_shared<EchoPlugin>(),
-                         parsePlan("write:path=/query2/7,fail"), "w0");
-  EXPECT_TRUE(faulty.writeFile("/query2/1", "q").isOk());
-  EXPECT_FALSE(faulty.writeFile("/query2/7", "q").isOk());
+                         parsePlan("write:path=/w/7,fail"), "w0");
+  EXPECT_TRUE(faulty.writeFile("/w/1", "q").isOk());
+  EXPECT_FALSE(faulty.writeFile("/w/7", "q").isOk());
 }
 
 TEST(FaultyOfsPlugin, AfterOpsArmsLate) {
   FaultyOfsPlugin faulty(std::make_shared<EchoPlugin>(),
                          parsePlan("write:after=2,fail"), "w0");
-  EXPECT_TRUE(faulty.writeFile("/query2/1", "a").isOk());
-  EXPECT_TRUE(faulty.writeFile("/query2/1", "b").isOk());
-  EXPECT_FALSE(faulty.writeFile("/query2/1", "c").isOk());
+  EXPECT_TRUE(faulty.writeFile("/w/1", "a").isOk());
+  EXPECT_TRUE(faulty.writeFile("/w/1", "b").isOk());
+  EXPECT_FALSE(faulty.writeFile("/w/1", "c").isOk());
 }
 
 TEST(FaultyOfsPlugin, DownRuleIsPermanentUntilRevive) {
   FaultyOfsPlugin faulty(std::make_shared<EchoPlugin>(),
                          parsePlan("write:after=1,down"), "w0");
-  EXPECT_TRUE(faulty.writeFile("/query2/1", "a").isOk());
-  EXPECT_EQ(faulty.writeFile("/query2/1", "b").code(),
+  EXPECT_TRUE(faulty.writeFile("/w/1", "a").isOk());
+  EXPECT_EQ(faulty.writeFile("/w/1", "b").code(),
             util::ErrorCode::kUnavailable);
   EXPECT_TRUE(faulty.isDown());
   // Down blankets every operation, including reads of other paths.
-  EXPECT_EQ(faulty.readFile("/result/" + std::string(32, 'a')).status().code(),
+  EXPECT_EQ(faulty.readFile("/r/" + std::string(32, 'a')).status().code(),
             util::ErrorCode::kUnavailable);
   faulty.revive();
   EXPECT_FALSE(faulty.isDown());
-  EXPECT_TRUE(faulty.writeFile("/query2/1", "c").isOk());
+  EXPECT_TRUE(faulty.writeFile("/w/1", "c").isOk());
 }
 
 TEST(FaultyOfsPlugin, CorruptionMutatesTheReadPayload) {
   std::string query = "SELECT 2";
-  std::string resultPath = makeResultPath(util::Md5::hex(query));
+  std::string resultPath = echoPath(query);
   FaultyOfsPlugin faulty(std::make_shared<EchoPlugin>(),
                          parsePlan("read:corrupt"), "w0");
-  ASSERT_TRUE(faulty.writeFile("/query2/1", query).isOk());
+  ASSERT_TRUE(faulty.writeFile("/w/1", query).isOk());
   auto r = faulty.readFile(resultPath);
   ASSERT_TRUE(r.isOk()) << r.status().toString();
   EXPECT_NE(*r, "echo:" + query);  // bits flipped
@@ -128,10 +131,10 @@ TEST(FaultyOfsPlugin, CorruptionMutatesTheReadPayload) {
 
 TEST(FaultyOfsPlugin, TruncationHalvesTheReadPayload) {
   std::string query = "SELECT 3";
-  std::string resultPath = makeResultPath(util::Md5::hex(query));
+  std::string resultPath = echoPath(query);
   FaultyOfsPlugin faulty(std::make_shared<EchoPlugin>(),
                          parsePlan("read:corrupt=truncate"), "w0");
-  ASSERT_TRUE(faulty.writeFile("/query2/1", query).isOk());
+  ASSERT_TRUE(faulty.writeFile("/w/1", query).isOk());
   auto r = faulty.readFile(resultPath);
   ASSERT_TRUE(r.isOk());
   EXPECT_EQ(r->size(), std::string("echo:" + query).size() / 2);
@@ -141,7 +144,7 @@ TEST(FaultyOfsPlugin, DelayRuleSleepsAndCounts) {
   FaultyOfsPlugin faulty(std::make_shared<EchoPlugin>(),
                          parsePlan("write:delay=10"), "w0");
   auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(faulty.writeFile("/query2/1", "q").isOk());
+  ASSERT_TRUE(faulty.writeFile("/w/1", "q").isOk());
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_GE(elapsed, std::chrono::milliseconds(10));
   EXPECT_EQ(faulty.injectedDelays(), 1u);
@@ -153,7 +156,7 @@ TEST(FaultyOfsPlugin, ProbabilisticDecisionsAreSeedDeterministic) {
                            parsePlan("seed=99; write:p=0.5,fail"), id);
     std::vector<bool> outcomes;
     for (int i = 0; i < 64; ++i) {
-      outcomes.push_back(faulty.writeFile("/query2/1", "q").isOk());
+      outcomes.push_back(faulty.writeFile("/w/1", "q").isOk());
     }
     return outcomes;
   };

@@ -13,33 +13,33 @@
 namespace qserv::xrd {
 namespace {
 
-TEST(Paths, MakeAndParseQueryPath) {
-  EXPECT_EQ(makeQueryPath(42), "/query2/42");
-  EXPECT_EQ(parseQueryPath("/query2/42"), 42);
-  EXPECT_EQ(parseQueryPath("/query2/0"), 0);
-  EXPECT_FALSE(parseQueryPath("/query2/").has_value());
-  EXPECT_FALSE(parseQueryPath("/query2/abc").has_value());
-  EXPECT_FALSE(parseQueryPath("/result/42").has_value());
-  EXPECT_FALSE(parseQueryPath("/query2/99999999999").has_value());
+TEST(Paths, MakeAndParseChunkPath) {
+  EXPECT_EQ(makeChunkPath(42), "/chunk/42");
+  EXPECT_EQ(parseChunkPath("/chunk/42"), 42);
+  EXPECT_EQ(parseChunkPath("/chunk/0"), 0);
+  EXPECT_FALSE(parseChunkPath("/chunk/").has_value());
+  EXPECT_FALSE(parseChunkPath("/chunk/abc").has_value());
+  EXPECT_FALSE(parseChunkPath("/chunkload/42").has_value());
+  EXPECT_FALSE(parseChunkPath("/chunk/99999999999").has_value());
 }
 
-TEST(Paths, MakeAndParseResultPath) {
+TEST(Paths, MakeAndParseBatchPath) {
   std::string h = util::Md5::hex("SELECT 1");
-  std::string p = makeResultPath(h);
-  EXPECT_EQ(p, "/result/" + h);
-  EXPECT_EQ(parseResultPath(p), h);
-  EXPECT_FALSE(parseResultPath("/result/short").has_value());
-  EXPECT_FALSE(parseResultPath("/result/" + std::string(32, 'X')).has_value());
-  EXPECT_FALSE(parseResultPath("/query2/5").has_value());
+  std::string p = makeBatchPath(h);
+  EXPECT_EQ(p, "/batch/" + h);
+  EXPECT_EQ(parseBatchPath(p), h);
+  EXPECT_FALSE(parseBatchPath("/batch/short").has_value());
+  EXPECT_FALSE(parseBatchPath("/batch/" + std::string(32, 'X')).has_value());
+  EXPECT_FALSE(parseBatchPath(makeBatchStreamPath(h)).has_value());
 }
 
 TEST(FileStore, PublishThenGet) {
   FileStore fs;
-  fs.publish("/result/aa", "payload");
-  EXPECT_EQ(fs.tryGet("/result/aa"), "payload");
-  EXPECT_FALSE(fs.tryGet("/result/bb").has_value());
+  fs.publish("/bstream/aa", "payload");
+  EXPECT_EQ(fs.tryGet("/bstream/aa"), "payload");
+  EXPECT_FALSE(fs.tryGet("/bstream/bb").has_value());
   EXPECT_EQ(fs.size(), 1u);
-  fs.remove("/result/aa");
+  fs.remove("/bstream/aa");
   EXPECT_EQ(fs.size(), 0u);
 }
 
@@ -49,9 +49,9 @@ TEST(FileStore, WaitBlocksUntilPublish) {
   std::thread writer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     published = true;
-    fs.publish("/result/x", "late");
+    fs.publish("/bstream/x", "late");
   });
-  auto r = fs.waitFor("/result/x", std::chrono::milliseconds(2000));
+  auto r = fs.waitFor("/bstream/x", std::chrono::milliseconds(2000));
   ASSERT_TRUE(r.isOk()) << r.status().toString();
   EXPECT_TRUE(published.load());
   EXPECT_EQ(*r, "late");
@@ -60,15 +60,8 @@ TEST(FileStore, WaitBlocksUntilPublish) {
 
 TEST(FileStore, WaitTimesOut) {
   FileStore fs;
-  auto r = fs.waitFor("/result/never", std::chrono::milliseconds(20));
+  auto r = fs.waitFor("/bstream/never", std::chrono::milliseconds(20));
   EXPECT_EQ(r.status().code(), util::ErrorCode::kUnavailable);
-}
-
-TEST(FileStore, PublishErrorPropagates) {
-  FileStore fs;
-  fs.publishError("/result/bad", util::Status::internal("query failed"));
-  auto r = fs.waitFor("/result/bad", std::chrono::milliseconds(100));
-  EXPECT_EQ(r.status().code(), util::ErrorCode::kInternal);
 }
 
 TEST(FileStore, AbortWakesWaiters) {
@@ -77,23 +70,22 @@ TEST(FileStore, AbortWakesWaiters) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     fs.abortAll();
   });
-  auto r = fs.waitFor("/result/x", std::chrono::milliseconds(5000));
+  auto r = fs.waitFor("/bstream/x", std::chrono::milliseconds(5000));
   EXPECT_EQ(r.status().code(), util::ErrorCode::kAborted);
   aborter.join();
 }
 
-/// Test plugin: in-memory store of written queries, canned results.
+/// Test plugin: a write to /batch/<id> is answered at once by one frame on
+/// /bstream/<id> echoing the payload.
 class EchoPlugin : public OfsPlugin {
  public:
   explicit EchoPlugin(std::vector<std::int32_t> chunks)
       : chunks_(std::move(chunks)) {}
 
   util::Status writeFile(const std::string& path, std::string payload) override {
-    auto chunk = parseQueryPath(path);
-    if (!chunk) return util::Status::invalidArgument("bad path " + path);
-    // Publish the "result" immediately: hash of query -> echoed payload.
-    std::string hash = util::Md5::hex(payload);
-    store_.publish(makeResultPath(hash), "echo:" + payload);
+    auto batchId = parseBatchPath(path);
+    if (!batchId) return util::Status::invalidArgument("bad path " + path);
+    store_.publish(makeBatchStreamPath(*batchId), "echo:" + payload);
     return util::Status::ok();
   }
 
@@ -118,10 +110,10 @@ TEST(Redirector, RoutesChunksToExportingServer) {
   auto r = std::make_shared<Redirector>();
   r->registerServer(makeServer("w1", {1, 2, 3}));
   r->registerServer(makeServer("w2", {4, 5, 6}));
-  auto s = r->locate("/query2/5");
+  auto s = r->locate(5);
   ASSERT_TRUE(s.isOk()) << s.status().toString();
   EXPECT_EQ((*s)->id(), "w2");
-  auto s2 = r->locate("/query2/2");
+  auto s2 = r->locate(2);
   ASSERT_TRUE(s2.isOk());
   EXPECT_EQ((*s2)->id(), "w1");
 }
@@ -129,22 +121,16 @@ TEST(Redirector, RoutesChunksToExportingServer) {
 TEST(Redirector, UnknownChunkIsNotFound) {
   auto r = std::make_shared<Redirector>();
   r->registerServer(makeServer("w1", {1}));
-  EXPECT_EQ(r->locate("/query2/99").status().code(),
+  EXPECT_EQ(r->locate(99).status().code(),
             util::ErrorCode::kNotFound);
-}
-
-TEST(Redirector, NonQueryPathRejected) {
-  auto r = std::make_shared<Redirector>();
-  EXPECT_EQ(r->locate("/result/" + std::string(32, 'a')).status().code(),
-            util::ErrorCode::kInvalidArgument);
 }
 
 TEST(Redirector, CachesLookups) {
   auto r = std::make_shared<Redirector>();
   r->registerServer(makeServer("w1", {1}));
-  ASSERT_TRUE(r->locate("/query2/1").isOk());
-  ASSERT_TRUE(r->locate("/query2/1").isOk());
-  ASSERT_TRUE(r->locate("/query2/1").isOk());
+  ASSERT_TRUE(r->locate(1).isOk());
+  ASSERT_TRUE(r->locate(1).isOk());
+  ASSERT_TRUE(r->locate(1).isOk());
   EXPECT_EQ(r->lookups(), 3u);
   EXPECT_EQ(r->cacheHits(), 2u);
 }
@@ -162,11 +148,11 @@ TEST(Redirector, FailoverToLiveReplica) {
   auto w2 = makeServer("w2", {7});
   r->registerServer(w1);
   r->registerServer(w2);
-  auto first = r->locate("/query2/7");
+  auto first = r->locate(7);
   ASSERT_TRUE(first.isOk());
   // Kill the located server; the next lookup must return the other.
   (*first)->setUp(false);
-  auto second = r->locate("/query2/7");
+  auto second = r->locate(7);
   ASSERT_TRUE(second.isOk()) << second.status().toString();
   EXPECT_NE((*second)->id(), (*first)->id());
   EXPECT_TRUE((*second)->isUp());
@@ -177,7 +163,7 @@ TEST(Redirector, AllReplicasDownIsUnavailable) {
   auto w1 = makeServer("w1", {7});
   r->registerServer(w1);
   w1->setUp(false);
-  EXPECT_EQ(r->locate("/query2/7").status().code(),
+  EXPECT_EQ(r->locate(7).status().code(),
             util::ErrorCode::kUnavailable);
 }
 
@@ -187,7 +173,7 @@ TEST(Redirector, ExcludeSetSkipsNamedReplicas) {
   r->registerServer(makeServer("w2", {7}));
   std::vector<std::string> exclude{"w1"};
   for (int i = 0; i < 4; ++i) {
-    auto s = r->locate("/query2/7", exclude);
+    auto s = r->locate(7, exclude);
     ASSERT_TRUE(s.isOk()) << s.status().toString();
     EXPECT_EQ((*s)->id(), "w2");
   }
@@ -197,7 +183,7 @@ TEST(Redirector, AllLiveReplicasExcludedIsUnavailable) {
   auto r = std::make_shared<Redirector>();
   r->registerServer(makeServer("w1", {7}));
   std::vector<std::string> exclude{"w1"};
-  auto s = r->locate("/query2/7", exclude);
+  auto s = r->locate(7, exclude);
   EXPECT_EQ(s.status().code(), util::ErrorCode::kUnavailable);
   EXPECT_NE(s.status().message().find("already failed"), std::string::npos);
 }
@@ -210,7 +196,7 @@ TEST(Redirector, FailureEvictsPinnedCacheEntry) {
   auto r = std::make_shared<Redirector>();
   r->registerServer(makeServer("w1", {7}));
   r->registerServer(makeServer("w2", {7}));
-  auto first = r->locate("/query2/7");
+  auto first = r->locate(7);
   ASSERT_TRUE(first.isOk());
   const std::string failed = (*first)->id();
   // The failing server stays up (sick-but-up). Report the failure...
@@ -218,7 +204,7 @@ TEST(Redirector, FailureEvictsPinnedCacheEntry) {
   // ...and the retry, which excludes it, must reach the other replica
   // instead of the cached one.
   std::vector<std::string> exclude{failed};
-  auto second = r->locate("/query2/7", exclude);
+  auto second = r->locate(7, exclude);
   ASSERT_TRUE(second.isOk()) << second.status().toString();
   EXPECT_NE((*second)->id(), failed);
 }
@@ -236,7 +222,7 @@ TEST(Redirector, BreakerSteersAwayFromSickServer) {
   EXPECT_EQ(r->breakerState("w1"), util::CircuitBreaker::State::kOpen);
   // Lookups (no exclude set — a fresh query) now avoid w1 entirely.
   for (int i = 0; i < 6; ++i) {
-    auto s = r->locate("/query2/7");
+    auto s = r->locate(7);
     ASSERT_TRUE(s.isOk());
     EXPECT_EQ((*s)->id(), "w2");
   }
@@ -252,7 +238,7 @@ TEST(Redirector, BreakerOpenOnSoleReplicaStillServesDegraded) {
   ASSERT_EQ(r->breakerState("w1"), util::CircuitBreaker::State::kOpen);
   // Breakers must not self-inflict a total outage: with no healthy replica
   // left the open one is still returned (as a probe).
-  auto s = r->locate("/query2/7");
+  auto s = r->locate(7);
   ASSERT_TRUE(s.isOk()) << s.status().toString();
   EXPECT_EQ((*s)->id(), "w1");
 }
@@ -260,27 +246,29 @@ TEST(Redirector, BreakerOpenOnSoleReplicaStillServesDegraded) {
 TEST(Redirector, DeregisterRemovesServer) {
   auto r = std::make_shared<Redirector>();
   r->registerServer(makeServer("w1", {1}));
-  ASSERT_TRUE(r->locate("/query2/1").isOk());
+  ASSERT_TRUE(r->locate(1).isOk());
   r->deregisterServer("w1");
   EXPECT_FALSE(r->findServer("w1"));
-  EXPECT_EQ(r->locate("/query2/1").status().code(),
+  EXPECT_EQ(r->locate(1).status().code(),
             util::ErrorCode::kNotFound);
 }
 
 TEST(DataServer, DownServerRefusesTransactions) {
   auto s = makeServer("w1", {1});
   s->setUp(false);
-  EXPECT_EQ(s->write("/query2/1", "q").code(), util::ErrorCode::kUnavailable);
-  EXPECT_EQ(s->read("/result/x").status().code(),
+  std::string id(32, 'a');
+  EXPECT_EQ(s->write(makeBatchPath(id), "q").code(),
+            util::ErrorCode::kUnavailable);
+  EXPECT_EQ(s->read(makeBatchStreamPath(id)).status().code(),
             util::ErrorCode::kUnavailable);
 }
 
 TEST(DataServer, AccountsTransferredBytes) {
   auto s = makeServer("w1", {1});
-  ASSERT_TRUE(s->write("/query2/1", "0123456789").isOk());
+  std::string id = util::Md5::hex("0123456789");
+  ASSERT_TRUE(s->write(makeBatchPath(id), "0123456789").isOk());
   EXPECT_EQ(s->bytesWritten(), 10u);
-  std::string hash = util::Md5::hex("0123456789");
-  auto r = s->read(makeResultPath(hash));
+  auto r = s->read(makeBatchStreamPath(id));
   ASSERT_TRUE(r.isOk());
   EXPECT_EQ(s->bytesRead(), r->size());
 }
@@ -292,11 +280,13 @@ TEST(Client, TwoTransactionRoundTrip) {
   XrdClient client(redirector);
 
   std::string query = "SELECT COUNT(*) FROM Object_20;";
-  auto serverId = client.writeQuery(20, query);
-  ASSERT_TRUE(serverId.isOk()) << serverId.status().toString();
-  EXPECT_EQ(*serverId, "w2");
+  auto server = redirector->locate(20);
+  ASSERT_TRUE(server.isOk()) << server.status().toString();
+  EXPECT_EQ((*server)->id(), "w2");
+  std::string batchId = util::Md5::hex(query);
+  ASSERT_TRUE(client.writeBatch("w2", batchId, query).isOk());
 
-  auto result = client.readResult(*serverId, util::Md5::hex(query));
+  auto result = client.readBatchFrame("w2", batchId);
   ASSERT_TRUE(result.isOk()) << result.status().toString();
   EXPECT_EQ(*result, "echo:" + query);
 }
@@ -305,14 +295,18 @@ TEST(Client, WriteToMissingChunkFails) {
   auto redirector = std::make_shared<Redirector>();
   redirector->registerServer(makeServer("w1", {1}));
   XrdClient client(redirector);
-  EXPECT_FALSE(client.writeQuery(999, "q").isOk());
+  // No server exports chunk 999, so no batch can be addressed to it.
+  EXPECT_FALSE(redirector->locate(999).isOk());
+  EXPECT_EQ(client.writeBatch("ghost", std::string(32, 'a'), "q").code(),
+            util::ErrorCode::kNotFound);
 }
 
 TEST(Client, ReadFromUnknownServerFails) {
   auto redirector = std::make_shared<Redirector>();
   XrdClient client(redirector);
-  EXPECT_EQ(client.readResult("ghost", std::string(32, 'a')).status().code(),
-            util::ErrorCode::kNotFound);
+  EXPECT_EQ(
+      client.readBatchFrame("ghost", std::string(32, 'a')).status().code(),
+      util::ErrorCode::kNotFound);
 }
 
 TEST(Client, ConcurrentWritesAcrossWorkers) {
@@ -329,9 +323,11 @@ TEST(Client, ConcurrentWritesAcrossWorkers) {
     threads.emplace_back([&, t] {
       for (int c = t * 10; c < t * 10 + 10; ++c) {
         std::string q = "SELECT " + std::to_string(c);
-        auto sid = client.writeQuery(c, q);
-        if (!sid.isOk()) continue;
-        auto res = client.readResult(*sid, util::Md5::hex(q));
+        auto server = redirector->locate(c);
+        if (!server.isOk()) continue;
+        std::string batchId = util::Md5::hex(q);
+        if (!client.writeBatch((*server)->id(), batchId, q).isOk()) continue;
+        auto res = client.readBatchFrame((*server)->id(), batchId);
         if (res.isOk() && *res == "echo:" + q) ok.fetch_add(1);
       }
     });
