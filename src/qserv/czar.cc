@@ -1,7 +1,7 @@
 #include "qserv/czar.h"
 
 #include <algorithm>
-#include <thread>
+#include <mutex>
 
 #include "qserv/explain.h"
 #include "qserv/merger.h"
@@ -9,7 +9,6 @@
 #include "sql/parser.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/mpmc_queue.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
@@ -476,16 +475,17 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   live.setState("dispatching");
   QLOG(kInfo, "czar") << "dispatching " << rewrite.chunkQueries.size()
                       << " chunk queries for: " << sql;
-  // Pipelined dispatch + merge: chunk results flow through a bounded queue
-  // into the merger the moment they arrive — the czar never holds every
-  // result in memory at once, and the queue bound is the backpressure that
-  // lets a slow merger throttle collection (and the workers' stream windows
-  // behind it). One czar span covers the whole overlapped interval so the
-  // profile's stage times stay sequential.
+  // Pipelined dispatch + merge on this thread and the dispatcher's
+  // collectors: each collector verifies and decodes a chunk result on the
+  // thread that read it and appends it to the merge table before reading
+  // its next frame, so the czar never holds every result in memory at once
+  // and a slow merge throttles the stream windows behind it. One czar span
+  // covers the whole overlapped interval so the profile's stage times stay
+  // sequential.
   ResultMerger merger(mergeTable, trace);
-  std::vector<ChunkResult> results;  // payloads dropped after merging
-  Result<DispatchReport> report = Status::internal("dispatch never ran");
+  std::mutex sinkMutex;  // guards exec.accounting and mergeStatus
   Status mergeStatus = Status::ok();
+  Result<DispatchReport> report = Status::internal("dispatch never ran");
   {
     util::ScopedSpan span(trace, "czar", "dispatch");
     DispatchOptions options;
@@ -493,57 +493,45 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
       options.deadline = util::Deadline::afterSeconds(
           config_.queryDeadlineSeconds);
     }
-    util::MpmcQueue<ChunkResult> resultQueue(
-        static_cast<std::size_t>(std::max(1, config_.mergeQueueDepth)));
-    std::thread dispatchThread([&] {
-      report = dispatcher_.runStreamed(rewrite.chunkQueries, resultQueue,
-                                       trace, &live.chunksCompleted, options);
-      resultQueue.close();
-    });
-    while (std::optional<ChunkResult> r = resultQueue.pop()) {
-      if (mergeStatus.isOk()) {
-        mergeStatus = merger.mergeResult(r->dump);
-        if (!mergeStatus.isOk()) {
-          // Stop the work behind the queue, but keep draining it so the
-          // dispatcher is never wedged against a full sink.
-          options.cancel.cancel(mergeStatus);
-        }
-      }
-      r->dump.clear();  // merged (or abandoned); keep only the accounting
-      results.push_back(std::move(*r));
-    }
-    dispatchThread.join();
+    report = dispatcher_.runStreamed(
+        rewrite.chunkQueries,
+        [&](ChunkResult&& r) {
+          ChunkAccounting accounting{r.chunkId, std::move(r.workerId),
+                                     r.rows.observables()};
+          Status merged = merger.merge(std::move(r.rows));
+          std::lock_guard lock(sinkMutex);
+          exec.accounting.push_back(std::move(accounting));
+          if (mergeStatus.isOk()) mergeStatus = merged;
+          return merged;  // a failure cancels the rest of the run
+        },
+        trace, &live.chunksCompleted, options);
   }
   QSERV_RETURN_IF_ERROR(mergeStatus);
   QSERV_RETURN_IF_ERROR(report.status());
-  exec.chunksDispatched = results.size();
+  exec.chunksDispatched = exec.accounting.size();
   exec.dispatchBatches = report->batches;
-  CzarMetrics::instance().chunksDispatched.add(results.size());
+  CzarMetrics::instance().chunksDispatched.add(exec.chunksDispatched);
 
   live.setState("finalizing");
   {
     util::ScopedSpan span(trace, "czar", "final-aggregation");
-    QSERV_ASSIGN_OR_RETURN(exec.result,
-                           merger.finalize(rewrite.merge.finalSelectSql));
+    QSERV_ASSIGN_OR_RETURN(exec.result, merger.finalize(rewrite.merge));
   }
   exec.rowsMerged = merger.rowsMerged();
 
   // Virtual-time accounting. Batched dispatch replaces the per-chunk master
   // overhead with the amortized per-batch cost (§7.6's fix).
   const double dispatchSec = simio::amortizedBatchDispatchSec(
-      results.size(), exec.dispatchBatches, config_.cost);
-  exec.simTasks.reserve(results.size());
-  exec.accounting.reserve(results.size());
-  for (const auto& r : results) {
+      exec.accounting.size(), exec.dispatchBatches, config_.cost);
+  exec.simTasks.reserve(exec.accounting.size());
+  for (const ChunkAccounting& a : exec.accounting) {
     simio::SimChunkTask task;
-    task.worker = workerIndexOf(r.workerId);
-    task.serviceSec = simio::workerServiceSeconds(r.observables, config_.cost);
-    task.collectSec = simio::masterCollectSeconds(r.observables, config_.cost);
+    task.worker = workerIndexOf(a.workerId);
+    task.serviceSec = simio::workerServiceSeconds(a.observables, config_.cost);
+    task.collectSec = simio::masterCollectSeconds(a.observables, config_.cost);
     task.dispatchSec = dispatchSec;
     task.interactive = exec.queryClass == QueryClass::kInteractive;
     exec.simTasks.push_back(task);
-    exec.accounting.push_back(
-        ChunkAccounting{r.chunkId, r.workerId, r.observables});
   }
   exec.soloTiming = simio::simulateQuery(exec.simTasks, config_.cost);
   return exec;

@@ -42,10 +42,6 @@ struct FrontendConfig {
   /// Unread result frames a worker may buffer per batch stream before it
   /// stalls (backpressure toward the merger).
   int dispatchStreamWindow = 8;
-  /// Chunk results buffered between dispatch collection and the pipelined
-  /// merger; a slow merger fills this and throttles collection (and the
-  /// workers behind it).
-  int mergeQueueDepth = 8;
   /// Per-query wall-clock budget in seconds; <= 0 means unlimited. When the
   /// budget runs out, in-flight chunk attempts stop and the query fails
   /// with DEADLINE_EXCEEDED instead of hanging on a dead replica.

@@ -1,12 +1,12 @@
 #include "qserv/dispatcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <mutex>
 #include <unordered_map>
 
 #include "qserv/batch_codec.h"
-#include "qserv/dump_integrity.h"
-#include "qserv/observables_codec.h"
 #include "util/logging.h"
 #include "util/md5.h"
 #include "util/metrics.h"
@@ -167,12 +167,18 @@ Status Dispatcher::aggregateFailures(std::vector<ChunkOutcome> failures,
 Result<std::vector<ChunkResult>> Dispatcher::run(
     const std::vector<ChunkQuerySpec>& specs, const util::TracePtr& trace,
     std::atomic<std::size_t>* completed, const DispatchOptions& options) {
-  // Collect through a sink wide enough to never block, then restore the
-  // caller-visible ordering contract (results in spec order).
-  util::MpmcQueue<ChunkResult> sink(std::max<std::size_t>(1, specs.size()));
-  auto report = runStreamed(specs, sink, trace, completed, options);
+  // Collect every result, then restore the caller-visible ordering contract
+  // (results in spec order).
+  std::mutex mutex;
   std::vector<ChunkResult> out;
-  while (auto r = sink.tryPop()) out.push_back(std::move(*r));
+  auto report = runStreamed(
+      specs,
+      [&](ChunkResult&& r) {
+        std::lock_guard lock(mutex);
+        out.push_back(std::move(r));
+        return Status::ok();
+      },
+      trace, completed, options);
   QSERV_RETURN_IF_ERROR(report.status());
   std::unordered_map<std::int32_t, std::size_t> order;
   order.reserve(specs.size());
@@ -221,7 +227,7 @@ std::vector<BatchPlanEntry> Dispatcher::planBatches(
 Dispatcher::BatchOutcome Dispatcher::collectBatch(
     const std::string& workerId,
     const std::vector<const ChunkQuerySpec*>& chunks, int attempt,
-    util::MpmcQueue<ChunkResult>& sink, const util::TracePtr& trace,
+    const ResultSink& sink, const util::TracePtr& trace,
     std::atomic<std::size_t>* completed, const DispatchOptions& options) {
   auto& metrics = DispatchMetrics::instance();
   BatchOutcome outcome;
@@ -250,16 +256,30 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
       .attr("requestBytes", static_cast<std::int64_t>(requestBytes.size()));
   std::int64_t batchStartUs = util::Trace::nowUs();
 
-  // Every pending chunk becomes a retry item carrying \p why and excluding
-  // this worker — the shared bail-out of write failures and broken streams.
+  // A chunk this batch could not deliver becomes a retry item carrying
+  // \p why and excluding this worker.
+  auto retryLater = [&](const ChunkQuerySpec* spec, const Status& why) {
+    redirector_->reportFailure(spec->chunkId, workerId);
+    metrics.replicaExclusions.add();
+    metrics.batchChunkRetries.add();
+    outcome.retries.push_back(RetryItem{spec, {workerId}, attempt, why});
+  };
+  // Every pending chunk is retried — the shared bail-out of write failures
+  // and broken streams.
   auto retryPending = [&](const Status& why) {
-    for (auto& [chunkId, pc] : pending) {
-      redirector_->reportFailure(chunkId, workerId);
-      metrics.replicaExclusions.add();
-      metrics.batchChunkRetries.add();
-      outcome.retries.push_back(RetryItem{pc.spec, {workerId}, attempt, why});
-    }
+    for (auto& [chunkId, pc] : pending) retryLater(pc.spec, why);
     pending.clear();
+  };
+  // A chunk no other replica would answer better fails the query.
+  auto failChunk = [&](std::int32_t chunkId, const Status& why) {
+    metrics.chunksFailed.add();
+    addChunkSpan(trace, chunkId, batchStartUs, attempt,
+                 {{"worker", workerId}, {"error", why.toString()}});
+    outcome.failures.push_back(ChunkOutcome{chunkId, attempt, why});
+    options.cancel.cancel(why);
+    if (completed != nullptr) {
+      completed->fetch_add(1, std::memory_order_relaxed);
+    }
   };
 
   {
@@ -355,59 +375,46 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
 
     if (!frame->status.isOk()) {
       // The worker executed this chunk and failed.
-      Status why = frame->status;
-      if (isRetryable(why)) {
-        redirector_->reportFailure(chunkId, workerId);
-        metrics.replicaExclusions.add();
-        metrics.batchChunkRetries.add();
-        outcome.retries.push_back(
-            RetryItem{pc.spec, {workerId}, attempt, why});
+      if (isRetryable(frame->status)) {
+        retryLater(pc.spec, frame->status);
       } else {
-        metrics.chunksFailed.add();
-        addChunkSpan(trace, chunkId, batchStartUs, attempt,
-                     {{"worker", workerId}, {"error", why.toString()}});
-        outcome.failures.push_back(ChunkOutcome{chunkId, attempt, why});
-        options.cancel.cancel(why);
-        if (completed != nullptr) {
-          completed->fetch_add(1, std::memory_order_relaxed);
-        }
+        failChunk(chunkId, frame->status);
       }
       continue;
     }
 
-    std::string dump = std::move(frame->body);
-    if (Status integrity = verifyDumpChecksum(dump); !integrity.isOk()) {
+    // Verify and decode on this thread, outside any lock: the sink only
+    // appends typed columns.
+    Result<VerifiedResult> verified = VerifiedResult::decode(frame->body);
+    if (!verified.isOk() &&
+        verified.status().code() == util::ErrorCode::kDataLoss) {
       metrics.checksumMismatches.add();
-      redirector_->reportFailure(chunkId, workerId);
-      metrics.replicaExclusions.add();
-      metrics.batchChunkRetries.add();
       QLOG(kWarn, "dispatch")
           << "chunk " << chunkId << " in batch " << batchId.substr(0, 8)
-          << " from " << workerId << " damaged: " << integrity.toString();
-      outcome.retries.push_back(
-          RetryItem{pc.spec, {workerId}, attempt, integrity});
+          << " from " << workerId << " damaged: "
+          << verified.status().toString();
+      retryLater(pc.spec, verified.status());
+      continue;
+    }
+    redirector_->reportSuccess(workerId);
+    if (!verified.isOk()) {
+      // Intact bytes that are not one result table.
+      failChunk(chunkId, verified.status());
       continue;
     }
 
-    redirector_->reportSuccess(workerId);
-    ChunkResult out;
-    out.chunkId = chunkId;
-    out.workerId = workerId;
-    out.hash = std::move(pc.hash);
-    if (auto obs = decodeObservables(dump)) out.observables = *obs;
-    out.dump = std::move(dump);
     // One "chunk <id>" span per dispatched chunk, covering batch write
     // through frame arrival.
     addChunkSpan(trace, chunkId, batchStartUs, attempt,
                  {{"worker", workerId},
-                  {"dumpBytes", std::to_string(out.dump.size())}});
+                  {"dumpBytes", std::to_string(verified->payloadBytes())}});
     metrics.chunksOk.add();
     metrics.chunkSeconds.observe(
         static_cast<double>(util::Trace::nowUs() - batchStartUs) * 1e-6);
     ++outcome.ok;
-    if (!sink.push(std::move(out))) {
-      options.cancel.cancel(Status::aborted("result sink closed"));
-    }
+    Status sunk = sink(ChunkResult{chunkId, workerId, std::move(pc.hash),
+                                   std::move(verified).value()});
+    if (!sunk.isOk()) options.cancel.cancel(std::move(sunk));
     if (completed != nullptr) {
       completed->fetch_add(1, std::memory_order_relaxed);
     }
@@ -418,8 +425,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   return outcome;
 }
 
-Status Dispatcher::retryChunk(const RetryItem& item,
-                              util::MpmcQueue<ChunkResult>& sink,
+Status Dispatcher::retryChunk(const RetryItem& item, const ResultSink& sink,
                               const util::TracePtr& trace,
                               std::atomic<std::size_t>* completed,
                               const DispatchOptions& options,
@@ -520,7 +526,7 @@ Status Dispatcher::retryChunk(const RetryItem& item,
 }
 
 Result<DispatchReport> Dispatcher::runStreamed(
-    const std::vector<ChunkQuerySpec>& specs, util::MpmcQueue<ChunkResult>& sink,
+    const std::vector<ChunkQuerySpec>& specs, const ResultSink& sink,
     const util::TracePtr& trace, std::atomic<std::size_t>* completed,
     const DispatchOptions& options) {
   // Plan: one batch per (query, worker) at the redirector's current
@@ -559,15 +565,18 @@ Result<DispatchReport> Dispatcher::runStreamed(
     });
   };
 
-  // Wave 1: collectors stream each batch concurrently; unplaced chunks are
-  // retried alongside them. All tasks are pool leaves — they never wait on
-  // other pool work — so a shared pool cannot deadlock.
+  // Wave 1: the pool collects every batch but the last, which this thread
+  // collects itself; unplaced chunks are retried alongside them. All pool
+  // tasks are leaves — they never wait on other pool work — so a shared
+  // pool cannot deadlock.
   std::vector<std::future<BatchOutcome>> collectors;
   collectors.reserve(byWorker.size());
-  for (auto& [workerId, chunks] : byWorker) {
+  for (auto it = byWorker.begin(); it != byWorker.end() &&
+                                   std::next(it) != byWorker.end();
+       ++it) {
     collectors.push_back(pool_.submit(
-        [this, workerId = workerId, chunks = std::move(chunks), &sink, &trace,
-         &options, completed] {
+        [this, workerId = it->first, chunks = std::move(it->second), &sink,
+         &trace, &options, completed] {
           return collectBatch(workerId, chunks, /*attempt=*/1, sink, trace,
                               completed, options);
         }));
@@ -581,15 +590,20 @@ Result<DispatchReport> Dispatcher::runStreamed(
   std::vector<ChunkOutcome> failures;
   std::size_t cancelled = 0;
   std::vector<RetryItem> undelivered;
-  for (auto& f : collectors) {
-    BatchOutcome outcome = f.get();
+  auto account = [&](BatchOutcome outcome) {
     report.chunksOk += outcome.ok;
     cancelled += outcome.cancelled;
     for (auto& failure : outcome.failures) {
       failures.push_back(std::move(failure));
     }
     for (auto& retry : outcome.retries) undelivered.push_back(std::move(retry));
+  };
+  if (!byWorker.empty()) {
+    auto& [workerId, chunks] = *byWorker.rbegin();
+    account(collectBatch(workerId, chunks, /*attempt=*/1, sink, trace,
+                         completed, options));
   }
+  for (auto& f : collectors) account(f.get());
 
   // Wave 2: a batch of one for everything the batches could not deliver.
   // Submitted only after every collector finished so the caller thread never

@@ -30,19 +30,21 @@
 ///   attempt counts;
 /// - results carry a mandatory MD5 integrity trailer; a missing or
 ///   mismatched one is a retryable fault (re-fetched from another replica),
-///   never merged.
+///   never merged. A result that verifies but does not decode fails the
+///   query.
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "qserv/merger.h"
 #include "qserv/query_rewriter.h"
 #include "simio/cost_model.h"
 #include "util/backoff.h"
 #include "util/deadline.h"
-#include "util/mpmc_queue.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 #include "xrd/client.h"
@@ -53,9 +55,15 @@ struct ChunkResult {
   std::int32_t chunkId = 0;
   std::string workerId;
   std::string hash;
-  std::string dump;  ///< binary row-codec result + observables + MD5 trailer
-  simio::WorkObservables observables;
+  VerifiedResult rows;  ///< the verified, decoded table and observables
 };
+
+/// Receives each delivered chunk result on the collector thread that read
+/// it, possibly from several collectors at once. The collector reads its
+/// next frame only after the sink returns, so a slow sink throttles
+/// collection (and, through the stream window, the worker). A non-OK
+/// return cancels the run with that status.
+using ResultSink = std::function<util::Status(ChunkResult&&)>;
 
 struct DispatcherConfig {
   int parallelism = 16;  ///< concurrent batch collectors and retries
@@ -112,16 +120,14 @@ class Dispatcher {
       std::atomic<std::size_t>* completed = nullptr,
       const DispatchOptions& options = {});
 
-  /// Streamed dispatch: each ChunkResult is pushed into \p sink the moment
-  /// it arrives, so the caller can merge while later chunks are still
-  /// executing. The sink's bound is the pipeline's backpressure: a slow
-  /// consumer blocks collection, which stalls the batch streams' windows and
-  /// throttles the workers. Returns once every chunk reached a final state;
-  /// the sink is NOT closed — the caller owns its lifecycle. Error
-  /// aggregation matches run().
+  /// Streamed dispatch: each ChunkResult goes to \p sink the moment it is
+  /// read and verified, so the caller merges while later chunks are still
+  /// executing. The calling thread collects one batch itself and joins the
+  /// pool's collectors after its own returns; chunks a batch could not
+  /// deliver are retried as batches of one on the pool. Returns once every
+  /// chunk reached a final state. Error aggregation matches run().
   util::Result<DispatchReport> runStreamed(
-      const std::vector<ChunkQuerySpec>& specs,
-      util::MpmcQueue<ChunkResult>& sink,
+      const std::vector<ChunkQuerySpec>& specs, const ResultSink& sink,
       const util::TracePtr& trace = nullptr,
       std::atomic<std::size_t>* completed = nullptr,
       const DispatchOptions& options = {});
@@ -151,7 +157,7 @@ class Dispatcher {
   /// items.
   BatchOutcome collectBatch(const std::string& workerId,
                             const std::vector<const ChunkQuerySpec*>& chunks,
-                            int attempt, util::MpmcQueue<ChunkResult>& sink,
+                            int attempt, const ResultSink& sink,
                             const util::TracePtr& trace,
                             std::atomic<std::size_t>* completed,
                             const DispatchOptions& options);
@@ -161,8 +167,7 @@ class Dispatcher {
   /// exclude set \p item carries. Returns once the chunk is delivered,
   /// fails for good, or runs out of attempts or deadline, or is cancelled;
   /// \p attemptsOut reports the attempts spent.
-  util::Status retryChunk(const RetryItem& item,
-                          util::MpmcQueue<ChunkResult>& sink,
+  util::Status retryChunk(const RetryItem& item, const ResultSink& sink,
                           const util::TracePtr& trace,
                           std::atomic<std::size_t>* completed,
                           const DispatchOptions& options, int& attemptsOut);
@@ -178,7 +183,8 @@ class Dispatcher {
   /// Persistent dispatch pool, shared by every query this dispatcher runs
   /// (pool construction per query was a measurable cost on LV point
   /// queries). All submitted tasks are leaves — they never submit-and-wait
-  /// on the pool themselves — so sharing cannot deadlock.
+  /// on the pool themselves, and only callers outside the pool join them —
+  /// so sharing cannot deadlock.
   util::ThreadPool pool_;
 };
 

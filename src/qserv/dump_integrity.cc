@@ -33,14 +33,19 @@ void appendDumpChecksum(std::string& dump) {
 }
 
 util::Status verifyDumpChecksum(std::string_view dump) {
+  return verifiedDumpBody(dump).status();
+}
+
+util::Result<std::string_view> verifiedDumpBody(std::string_view dump) {
   std::size_t pos = trailerPos(dump);
   if (pos == std::string_view::npos) {
     return util::Status::dataLoss(util::format(
         "dump checksum trailer missing or damaged (%zu bytes)", dump.size()));
   }
   std::string_view declared = dump.substr(pos + kMarker.size(), kHexLen);
-  std::string actual = util::Md5::hex(dump.substr(0, pos));
-  if (declared == actual) return util::Status::ok();
+  std::string_view body = dump.substr(0, pos);
+  std::string actual = util::Md5::hex(body);
+  if (declared == actual) return body;
   return util::Status::dataLoss(util::format(
       "dump checksum mismatch: envelope declares %s, content is %s "
       "(%zu bytes)",

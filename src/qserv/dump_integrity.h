@@ -34,4 +34,8 @@ void appendDumpChecksum(std::string& dump);
 /// corrupt or truncated payload).
 util::Status verifyDumpChecksum(std::string_view dump);
 
+/// verifyDumpChecksum that also returns the verified content: \p dump
+/// without its trailer line.
+util::Result<std::string_view> verifiedDumpBody(std::string_view dump);
+
 }  // namespace qserv::core

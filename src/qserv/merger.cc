@@ -1,6 +1,8 @@
 #include "qserv/merger.h"
 
 #include "qserv/dump_integrity.h"
+#include "qserv/observables_codec.h"
+#include "sql/database.h"
 #include "sql/rowcodec.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
@@ -11,7 +13,13 @@ namespace {
 struct MergerMetrics {
   util::Counter& rowsMerged;
   util::Counter& dumpsReplayed;
+  /// Payloads refused by their MD5 trailer on the way into a merge table.
+  /// VerifiedResult::decode is that way's only door, and the dispatcher
+  /// counts its refusals as dispatch.checksum_mismatches (and re-fetches),
+  /// so this stays zero; it is kept so dashboards reading it see the
+  /// integrity gate hold.
   util::Counter& checksumRejects;
+  util::Counter& finalSelects;
   util::Histogram& dumpReplaySeconds;
 
   static MergerMetrics& instance() {
@@ -20,6 +28,7 @@ struct MergerMetrics {
         reg.counter("merger.rows_merged"),
         reg.counter("merger.dumps_replayed"),
         reg.counter("merger.checksum_rejects"),
+        reg.counter("merger.final_selects"),
         reg.histogram("merger.dump_replay_seconds"),
     };
     return *m;
@@ -27,60 +36,69 @@ struct MergerMetrics {
 };
 }  // namespace
 
-ResultMerger::ResultMerger(std::string mergeTable, util::TracePtr trace)
-    : db_("merge"), mergeTable_(std::move(mergeTable)),
-      trace_(std::move(trace)) {}
+util::Result<VerifiedResult> VerifiedResult::decode(std::string_view payload) {
+  QSERV_ASSIGN_OR_RETURN(std::string_view body, verifiedDumpBody(payload));
+  ResultBodyParts parts = splitObservables(body);
+  VerifiedResult out;
+  QSERV_ASSIGN_OR_RETURN(out.table_, sql::decodeTableBinary(parts.table));
+  if (auto obs = decodeObservables(parts.observables)) out.observables_ = *obs;
+  out.payloadBytes_ = payload.size();
+  return out;
+}
 
-util::Status ResultMerger::mergeResult(const std::string& payload) {
+ResultMerger::ResultMerger(std::string mergeTable, util::TracePtr trace)
+    : mergeTable_(std::move(mergeTable)), trace_(std::move(trace)) {}
+
+util::Status ResultMerger::merge(VerifiedResult result) {
   auto& metrics = MergerMetrics::instance();
   util::Stopwatch watch;
   util::ScopedSpan span(trace_, "merger", "replay dump");
-  span.attr("dumpBytes", static_cast<std::int64_t>(payload.size()));
-  // Last line of defense: the dispatcher already verifies-and-retries, but a
-  // corrupt result must never reach the merge table through any path.
-  if (util::Status integrity = verifyDumpChecksum(payload);
-      !integrity.isOk()) {
-    metrics.checksumRejects.add();
-    span.attr("error", integrity.toString());
-    return integrity;
-  }
-  std::size_t rows = 0;
+  span.attr("dumpBytes", static_cast<std::int64_t>(result.payloadBytes()));
+  const sql::TablePtr& table = result.table();
+  const std::size_t rows = table->numRows();
   util::Status status = util::Status::ok();
-  if (!merge_) {
-    // The first result's table becomes the merge table.
-    util::Result<sql::TablePtr> decoded = sql::decodeTableBinary(payload);
-    status = decoded.status();
-    if (status.isOk()) {
-      (*decoded)->rename(mergeTable_);
-      status = db_.registerTable(*decoded);
-      if (status.isOk()) {
-        merge_ = *decoded;
-        rows = merge_->numRows();
-      }
+  {
+    std::lock_guard lock(mutex_);
+    if (!merge_) {
+      // The first result's table becomes the merge table.
+      table->rename(mergeTable_);
+      merge_ = table;
+    } else {
+      status = merge_->appendFrom(*table);
     }
-  } else {
-    std::size_t before = merge_->numRows();
-    status = sql::appendTableBinary(payload, *merge_);
-    rows = merge_->numRows() - before;
+    if (status.isOk()) rowsMerged_ += rows;
   }
-  rowsMerged_ += rows;
-  metrics.rowsMerged.add(rows);
+  if (status.isOk()) metrics.rowsMerged.add(rows);
   metrics.dumpsReplayed.add();
   metrics.dumpReplaySeconds.observe(watch.elapsedSeconds());
-  span.attr("rows", static_cast<std::int64_t>(rows));
+  span.attr("rows", static_cast<std::int64_t>(status.isOk() ? rows : 0));
   if (!status.isOk()) span.attr("error", status.toString());
   return status;
 }
 
-util::Result<sql::TablePtr> ResultMerger::finalize(
-    const std::string& finalSelectSql) {
+std::uint64_t ResultMerger::rowsMerged() const {
+  std::lock_guard lock(mutex_);
+  return rowsMerged_;
+}
+
+util::Result<sql::TablePtr> ResultMerger::finalize(const MergePlan& plan) {
   util::ScopedSpan span(trace_, "merger", "finalize");
+  std::lock_guard lock(mutex_);
   if (!merge_) {
     // No chunk produced anything (e.g. zero chunks dispatched): an empty
     // result with no schema.
     return std::make_shared<sql::Table>("result", sql::Schema{});
   }
-  return db_.execute(finalSelectSql);
+  if (plan.identity) {
+    // `SELECT * FROM <merge>` would copy every column to return the same
+    // columns, types and rows in the same order.
+    merge_->rename("result");
+    return merge_;
+  }
+  MergerMetrics::instance().finalSelects.add();
+  sql::Database db("merge");
+  QSERV_RETURN_IF_ERROR(db.registerTable(merge_));
+  return db.execute(plan.finalSelectSql);
 }
 
 }  // namespace qserv::core

@@ -6,47 +6,84 @@
 /// which serves as the final result table for non-aggregating queries. When
 /// aggregation is needed, an aggregation query is executed on this table to
 /// produce the final result table." Here each chunk result arrives in the
-/// binary row codec (sql/rowcodec.h) and is decoded straight into the typed
-/// columns of one merge table: no table is created, registered or dropped
-/// per chunk, and no SQL runs until the final SELECT.
+/// binary row codec (sql/rowcodec.h). The dispatcher's collector verifies
+/// and decodes it on the thread that read it (VerifiedResult::decode), and
+/// the merger appends the decoded typed columns into one merge table under
+/// a lock that covers only that append: no table is created, registered or
+/// dropped per chunk, and no SQL runs until the final SELECT — none at all
+/// when the plan is the identity `SELECT * FROM <merge>`.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 
-#include "sql/database.h"
+#include "qserv/query_rewriter.h"
+#include "simio/cost_model.h"
+#include "sql/table.h"
 #include "util/trace.h"
 
 namespace qserv::core {
 
+/// One chunk result whose MD5 trailer matched and whose rows and
+/// observables decoded. decode() is the only way to make one, and
+/// ResultMerger::merge accepts nothing else, so no unverified payload can
+/// reach a merge table.
+class VerifiedResult {
+ public:
+  /// Verify \p payload's trailer (kDataLoss when it is missing or does not
+  /// match), split the table bytes off the `-- QSERV-OBS` line, and decode
+  /// both. A payload that verifies but whose table does not decode exactly
+  /// is kInvalidArgument; an unreadable observables line leaves the
+  /// observables zero.
+  static util::Result<VerifiedResult> decode(std::string_view payload);
+
+  const sql::TablePtr& table() const { return table_; }
+  const simio::WorkObservables& observables() const { return observables_; }
+  /// Size of the payload it was decoded from, trailer included.
+  std::size_t payloadBytes() const { return payloadBytes_; }
+
+ private:
+  VerifiedResult() = default;
+
+  sql::TablePtr table_;
+  simio::WorkObservables observables_;
+  std::size_t payloadBytes_ = 0;
+};
+
 class ResultMerger {
  public:
-  /// Merges into table \p mergeTable of a private per-query database (so
-  /// concurrent user queries never collide on temp table names). When
-  /// \p trace is set, per-result "replay dump" and finalize spans are
-  /// recorded under the "merger" component.
+  /// Merges into a table named \p mergeTable. When \p trace is set,
+  /// per-result "replay dump" and finalize spans are recorded under the
+  /// "merger" component.
   explicit ResultMerger(std::string mergeTable,
                         util::TracePtr trace = nullptr);
 
   ResultMerger(const ResultMerger&) = delete;
   ResultMerger& operator=(const ResultMerger&) = delete;
 
-  /// Verify one chunk result's MD5 trailer and append its rows to the merge
-  /// table. The first result's schema becomes the merge table's; later
-  /// results must fit it (Table::appendFrom's type rules).
-  util::Status mergeResult(const std::string& payload);
+  /// Append one verified chunk result to the merge table; thread-safe. The
+  /// first result's table becomes the merge table; later results must fit
+  /// it (Table::appendFrom's type rules). All-or-nothing: a result that
+  /// does not fit leaves the merge table untouched.
+  util::Status merge(VerifiedResult result);
 
-  /// Run the final SELECT (plain union passthrough or the aggregation
-  /// query) against the merge table.
-  util::Result<sql::TablePtr> finalize(const std::string& finalSelectSql);
+  /// The final result. An identity plan returns the merge table itself,
+  /// without parsing, executing or copying anything; any other plan runs
+  /// its final SELECT (the union's ORDER BY/LIMIT/DISTINCT or the
+  /// aggregation query) in a private database built for that purpose.
+  /// Call once, after every merge() returned.
+  util::Result<sql::TablePtr> finalize(const MergePlan& plan);
 
-  std::uint64_t rowsMerged() const { return rowsMerged_; }
+  std::uint64_t rowsMerged() const;
   const std::string& mergeTable() const { return mergeTable_; }
 
  private:
-  sql::Database db_;
   std::string mergeTable_;
   util::TracePtr trace_;
-  sql::TablePtr merge_;  ///< registered in db_ once the first result lands
+  mutable std::mutex mutex_;  ///< guards merge_ and rowsMerged_
+  sql::TablePtr merge_;       ///< the first result's table, adopted
   std::uint64_t rowsMerged_ = 0;
 };
 

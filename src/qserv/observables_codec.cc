@@ -21,6 +21,17 @@ std::string encodeObservables(const simio::WorkObservables& w) {
       w.rowsBuilt, w.indexLookups, w.resultBytes, w.resultRows);
 }
 
+ResultBodyParts splitObservables(std::string_view body) {
+  std::size_t pos = body.rfind(kMarker);
+  // The observables line must be the body's last line: one newline, at
+  // the end.
+  if (pos == std::string_view::npos || body.back() != '\n' ||
+      body.find('\n', pos) != body.size() - 1) {
+    return {body, {}};
+  }
+  return {body.substr(0, pos), body.substr(pos)};
+}
+
 std::optional<simio::WorkObservables> decodeObservables(
     std::string_view dump) {
   std::size_t pos = dump.rfind(kMarker);

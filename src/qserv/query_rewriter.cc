@@ -374,6 +374,8 @@ Result<RewriteResult> QueryRewriter::rewrite(
   }
   mergeSelect.limit = src.limit;
   out.merge.finalSelectSql = mergeSelect.toSql();
+  out.merge.identity = !analyzed.hasAggregates && !mergeSelect.distinct &&
+                       mergeSelect.orderBy.empty() && !mergeSelect.limit;
   return out;
 }
 

@@ -42,6 +42,9 @@ struct MergePlan {
   bool hasAggregation = false;
   /// Final SELECT over the merge table (already named inside the SQL).
   std::string finalSelectSql;
+  /// finalSelectSql is `SELECT * FROM <merge>`: no aggregation, DISTINCT,
+  /// ORDER BY or LIMIT, so the merge table already is the result.
+  bool identity = false;
 };
 
 struct RewriteResult {

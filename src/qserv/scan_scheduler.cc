@@ -91,12 +91,23 @@ bool ScanScheduler::enqueue(ScanTask task) {
 }
 
 bool ScanScheduler::enqueueAll(std::vector<ScanTask> tasks) {
+  std::size_t queued = 0;
+  std::size_t waiting = 0;
   {
     std::lock_guard lock(mu_);
     if (shuttingDown_) return false;
-    for (ScanTask& task : tasks) routeTask(std::move(task));
+    for (ScanTask& task : tasks) queued += routeTask(std::move(task)) ? 1 : 0;
+    waiting = waiting_;
   }
-  cv_.notify_all();
+  // Wake at most one waiting slot per queued task: a one-chunk batch wakes
+  // one slot, not all of them. A slot that claims nothing re-runs the same
+  // checks any other would, and busy slots find the rest when they come
+  // back to claim().
+  if (queued >= waiting) {
+    cv_.notify_all();
+  } else {
+    for (std::size_t i = 0; i < queued; ++i) cv_.notify_one();
+  }
   return true;
 }
 
@@ -115,7 +126,7 @@ bool ScanScheduler::routeTask(ScanTask&& task) {
     // the read instead of paying a second pass.
     passes_[active->second].joined.push_back(std::move(task));
     SchedulerMetrics::instance().scanJoins.add();
-    return true;
+    return false;
   }
   scans_[tier].push_back(std::move(task));
   return true;
@@ -132,12 +143,13 @@ ScanScheduler::Claim ScanScheduler::claim() {
     budgetWaiting = false;
   };
   for (;;) {
-    cv_.wait(lock, [&] {
-      return shuttingDown_ ||
-             (!paused_ && (!interactive_.empty() ||
-                           !scans_[kFastTier].empty() ||
-                           !scans_[kSlowTier].empty()));
-    });
+    while (!shuttingDown_ &&
+           (paused_ || (interactive_.empty() && scans_[kFastTier].empty() &&
+                        scans_[kSlowTier].empty()))) {
+      ++waiting_;
+      cv_.wait(lock);
+      --waiting_;
+    }
     if (shuttingDown_ && interactive_.empty() &&
         scans_[kFastTier].empty() && scans_[kSlowTier].empty()) {
       return {};  // drained
@@ -197,7 +209,9 @@ ScanScheduler::Claim ScanScheduler::claim() {
     if (budgetWaiting) {
       // Every claimable scan is budget-blocked and no interactive work is
       // queued: sleep until a pass closes or something arrives.
+      ++waiting_;
       cv_.wait(lock);
+      --waiting_;
     }
   }
 }

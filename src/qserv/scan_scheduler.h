@@ -110,7 +110,8 @@ class ScanScheduler {
   /// False when shutting down (the caller answers "unavailable").
   bool enqueue(ScanTask task);
   /// Atomically enqueue all-or-none (batch arrival); returns false when
-  /// shutting down.
+  /// shutting down. Wakes at most as many waiting slots as it queued tasks
+  /// (tasks that join an open pass need none).
   bool enqueueAll(std::vector<ScanTask> tasks);
 
   /// Block until a task (group) is claimable; empty claim = shut down and
@@ -160,6 +161,8 @@ class ScanScheduler {
   };
 
   // All helpers below require mu_ held.
+  /// Queue \p task in its lane, or join it to its chunk's open pass; true
+  /// when it was queued (and so needs a slot to claim it).
   bool routeTask(ScanTask&& task);
   int tierOf(std::uint64_t queryId) const;
   void rateQuery(std::uint64_t queryId, double execSeconds);
@@ -174,6 +177,7 @@ class ScanScheduler {
   std::condition_variable cv_;
   bool paused_ = false;
   bool shuttingDown_ = false;
+  std::size_t waiting_ = 0;  ///< slots blocked on cv_ in claim()
 
   /// kFifo routes every task here regardless of class (single FIFO lane);
   /// kSharedScan keeps it for the interactive priority lane only.

@@ -95,6 +95,11 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+util::Status trailing(std::size_t n) {
+  return util::Status::invalidArgument(util::format(
+      "binary table payload has %zu bytes after the table", n));
+}
+
 util::Status truncated() {
   return util::Status::invalidArgument("truncated binary table payload");
 }
@@ -189,6 +194,7 @@ util::Result<std::vector<ColumnBlock>> readColumns(Reader& reader,
         break;
     }
   }
+  if (reader.remaining() != 0) return trailing(reader.remaining());
   return blocks;
 }
 

@@ -20,8 +20,11 @@
 ///     int / double: nrows raw 8-byte values (0 at NULL rows);
 ///     string: nrows entries of u32 len + bytes (len 0 at NULL rows)
 ///
-/// Bytes after the last column section are ignored: workers append the
-/// `-- QSERV-OBS` observables line and the `-- QSERV-MD5` trailer there.
+/// A payload is exactly one table: bytes after the last column section are
+/// an error, like bytes missing from it. Workers append the `-- QSERV-OBS`
+/// observables line and the `-- QSERV-MD5` trailer after the table, so the
+/// reader splits those off first and hands the decoder only the table's
+/// span (qserv/merger.h, VerifiedResult::decode).
 #pragma once
 
 #include <string>
@@ -44,13 +47,14 @@ std::string encodeTableBinary(const Table& table,
 
 /// Decode a payload into a new table carrying the encoded name and schema.
 /// The table is not registered in any database. kInvalidArgument on any
-/// malformed or truncated payload; memory is reserved only for counts the
-/// remaining bytes can back.
+/// malformed or truncated payload, or one with bytes after the table;
+/// memory is reserved only for counts the remaining bytes can back.
 util::Result<TablePtr> decodeTableBinary(std::string_view payload);
 
 /// Decode a payload and append its rows to \p dest under
 /// Table::appendFrom's type rules. All-or-nothing: \p dest is untouched
-/// when the payload is malformed or its columns do not fit.
+/// when the payload is malformed, truncated, followed by trailing bytes, or
+/// its columns do not fit.
 util::Status appendTableBinary(std::string_view payload, Table& dest);
 
 }  // namespace qserv::sql

@@ -25,6 +25,7 @@
 
 #include "qserv/batch_codec.h"
 #include "qserv/dump_integrity.h"
+#include "qserv/merger.h"
 #include "qserv/observables_codec.h"
 #include "qserv/worker.h"
 #include "sql/rowcodec.h"
@@ -162,8 +163,8 @@ sql::Table sampleTable(util::Rng& rng, std::size_t rows) {
   return t;
 }
 
-/// A worker-shaped chunk result: row codec, observables line, MD5 trailer.
-std::string chunkResult(const sql::Table& t) {
+/// A worker-shaped chunk result body: row codec, then observables line.
+std::string chunkBody(const sql::Table& t) {
   std::string out = sql::encodeTableBinary(t, "r_0123456789abcdef");
   simio::WorkObservables obs;
   obs.bytesScanned = 1024;
@@ -171,6 +172,12 @@ std::string chunkResult(const sql::Table& t) {
   obs.resultBytes = 512;
   obs.resultRows = t.numRows();
   out += core::encodeObservables(obs);
+  return out;
+}
+
+/// A worker-shaped chunk result: the body sealed with its MD5 trailer.
+std::string chunkResult(const sql::Table& t) {
+  std::string out = chunkBody(t);
   core::appendDumpChecksum(out);
   return out;
 }
@@ -242,6 +249,39 @@ TEST(DecoderFuzz, RowCodecReturnsStatusAndBoundsAllocation) {
     }
   }
   // The mutations leave some inputs decodable (e.g. trailer damage only).
+  EXPECT_GT(decoded, 0);
+}
+
+TEST(DecoderFuzz, ResealedResultsReturnStatus) {
+  // Damage under a valid trailer gets past the MD5 check, so the czar's
+  // verify-and-decode step must still refuse it without crashing: a table
+  // that does not end exactly where the observables line begins fails.
+  util::Rng tables(11);
+  std::vector<std::string> corpus;
+  for (std::size_t rows : {0, 1, 3, 17, 64}) {
+    corpus.push_back(chunkBody(sampleTable(tables, rows)));
+  }
+  util::Rng rng(0xF0225);
+  int decoded = 0;
+  for (int i = 0, n = iterations(); i < n; ++i) {
+    std::string input = mutate(rng, corpus);
+    core::appendDumpChecksum(input);
+    util::Result<core::VerifiedResult> result = util::Status::internal("unset");
+    {
+      AllocationWatch watch;
+      result = core::VerifiedResult::decode(input);
+      ASSERT_LE(watch.largest(), allocationBound(input.size()))
+          << "iteration " << i;
+    }
+    if (!result.isOk()) {
+      ASSERT_EQ(result.status().code(), util::ErrorCode::kInvalidArgument)
+          << "iteration " << i;
+      continue;
+    }
+    ++decoded;
+    ASSERT_NE(result->table(), nullptr);
+    ASSERT_EQ(result->payloadBytes(), input.size());
+  }
   EXPECT_GT(decoded, 0);
 }
 

@@ -7,12 +7,16 @@
 /// behind on the workers. Runs under `ctest -L faults`.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "qserv/cluster.h"
+#include "qserv/dispatcher.h"
+#include "qserv/query_analysis.h"
+#include "qserv/query_rewriter.h"
 #include "util/metrics.h"
 
 namespace qserv::core {
@@ -263,6 +267,86 @@ TEST_F(BatchFaultTest, AbandonedStreamsLeaveNoWorkerState) {
   ASSERT_TRUE(retryCluster.isOk()) << retryCluster.status().toString();
   ASSERT_EQ(runAllAgainstOracle(**retryCluster).size(), queries().size());
   drained(**retryCluster);
+}
+
+TEST_F(BatchFaultTest, OneDispatchThreadAnswersFourWorkerFullSky) {
+  // With a pool of one, the caller collects one batch and the pool the
+  // other three in turn: still every chunk, the oracle's answer.
+  ClusterOptions opts;
+  opts.frontend.catalog = *catalog_;
+  opts.numWorkers = 4;
+  opts.frontend.dispatchParallelism = 1;
+  opts.frontend.dispatchStreamWindow = 2;
+  auto cluster = MiniCluster::create(opts, *sky_);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  auto execs = runAllAgainstOracle(**cluster);
+  ASSERT_EQ(execs.size(), queries().size());
+  for (const auto& e : execs) EXPECT_EQ(e.dispatchBatches, 4u);
+}
+
+TEST_F(BatchFaultTest, MergeFailureMidStreamCancelsSiblingsAndDrainsWorkers) {
+  // A sink that fails on its third result stands in for a merge failure:
+  // the run must stop its sibling batches, and every worker must end with
+  // no queued task and no unread frame.
+  ClusterOptions opts;
+  opts.frontend.catalog = *catalog_;
+  opts.numWorkers = 4;
+  auto cluster = MiniCluster::create(opts, *sky_);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  auto analyzed = analyzeQuery("SELECT objectId, ra_PS FROM Object", *catalog_);
+  ASSERT_TRUE(analyzed.isOk()) << analyzed.status().toString();
+  sphgeom::Chunker chunker = catalog_->makeChunker();
+  auto rewrite = QueryRewriter(*catalog_, chunker)
+                     .rewrite(*analyzed,
+                              (*cluster)->frontend().availableChunks(), "m");
+  ASSERT_TRUE(rewrite.isOk()) << rewrite.status().toString();
+  ASSERT_GT(rewrite->chunkQueries.size(), 8u);
+
+  DispatcherConfig config;
+  config.streamWindow = 1;
+  Dispatcher dispatcher((*cluster)->redirector(), config);
+  std::atomic<int> delivered{0};
+  CounterDelta delta;
+  auto report = dispatcher.runStreamed(
+      rewrite->chunkQueries, [&](ChunkResult&&) {
+        return ++delivered == 3 ? util::Status::invalidArgument("merge broke")
+                                : util::Status::ok();
+      });
+  delta.stop();
+  ASSERT_FALSE(report.isOk());
+  EXPECT_EQ(report.status().code(), util::ErrorCode::kAborted);
+  EXPECT_NE(report.status().message().find("merge broke"), std::string::npos);
+  EXPECT_LT(static_cast<std::size_t>(delivered.load()),
+            rewrite->chunkQueries.size());
+  EXPECT_GT(delta("dispatch.chunks_cancelled"), 0u);
+  for (std::size_t w = 0; w < (*cluster)->numWorkers(); ++w) {
+    auto& worker = (*cluster)->worker(w);
+    for (int i = 0; i < 5000 && (worker.queuedTasks() > 0 ||
+                                 worker.resultStreamsPending() > 0);
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(worker.queuedTasks(), 0u) << "worker " << w;
+    EXPECT_EQ(worker.resultStreamsPending(), 0u) << "worker " << w;
+  }
+}
+
+TEST_F(BatchFaultTest, DeadlineInsideCallerRunCollectorIsDeadlineExceeded) {
+  // One worker, so the query's only batch is collected on the calling
+  // thread; its frames crawl past the query's deadline.
+  ClusterOptions opts = faultyOptions();
+  opts.numWorkers = 1;
+  opts.replication = 1;
+  opts.frontend.queryDeadlineSeconds = 0.02;
+  auto slowFrames = xrd::FaultPlan::parse("read:path=/bstream/,delay=30");
+  ASSERT_TRUE(slowFrames.isOk()) << slowFrames.status().toString();
+  opts.faults = *slowFrames;
+  auto cluster = MiniCluster::create(opts, *sky_);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  auto r = (*cluster)->frontend().query("SELECT COUNT(*) FROM Object");
+  ASSERT_FALSE(r.isOk());
+  EXPECT_EQ(r.status().code(), util::ErrorCode::kDeadlineExceeded)
+      << r.status().toString();
 }
 
 }  // namespace

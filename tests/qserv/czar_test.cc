@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "qserv/cluster.h"
+#include "util/metrics.h"
 
 namespace qserv::core {
 namespace {
@@ -127,6 +128,31 @@ TEST_F(CzarTest, RepeatedQueriesAreStable) {
     if (first < 0) first = n;
     EXPECT_EQ(n, first);
   }
+}
+
+TEST_F(CzarTest, IdentityMergeRunsNoFinalSelect) {
+  // An objectId lookup's merge plan is `SELECT * FROM <merge>`: the merge
+  // table is the result, so no final SELECT is parsed or run. A COUNT
+  // aggregates its partials with one.
+  auto& selects =
+      util::MetricsRegistry::instance().counter("merger.final_selects");
+  auto min = frontend().query("SELECT MIN(objectId) FROM Object");
+  ASSERT_TRUE(min.isOk()) << min.status().toString();
+  std::int64_t id = min->result->cell(0, 0).asInt();
+
+  std::uint64_t before = selects.value();
+  auto lookup = frontend().query(
+      "SELECT objectId, ra_PS FROM Object WHERE objectId = " +
+      std::to_string(id));
+  ASSERT_TRUE(lookup.isOk()) << lookup.status().toString();
+  ASSERT_EQ(lookup->result->numRows(), 1u);
+  EXPECT_EQ(lookup->result->cell(0, 0).asInt(), id);
+  EXPECT_EQ(lookup->result->numColumns(), 2u);
+  EXPECT_EQ(selects.value(), before);
+
+  auto count = frontend().query("SELECT COUNT(*) FROM Object");
+  ASSERT_TRUE(count.isOk()) << count.status().toString();
+  EXPECT_EQ(selects.value(), before + 1);
 }
 
 }  // namespace

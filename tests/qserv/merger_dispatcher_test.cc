@@ -10,6 +10,7 @@
 #include "sql/dump.h"
 #include "sql/rowcodec.h"
 #include "util/md5.h"
+#include "util/metrics.h"
 #include "xrd/file_store.h"
 #include "xrd/paths.h"
 
@@ -41,22 +42,38 @@ std::string resultOf(std::vector<int> values, const std::string& extra = "") {
       extra);
 }
 
+/// Merge \p payload the only way a payload reaches a merge table: verify
+/// and decode it first.
+util::Status mergePayload(ResultMerger& merger, std::string_view payload) {
+  QSERV_ASSIGN_OR_RETURN(VerifiedResult result,
+                         VerifiedResult::decode(payload));
+  return merger.merge(std::move(result));
+}
+
+/// A plan that runs \p sql as the final SELECT.
+MergePlan finalSelect(std::string sql) {
+  MergePlan plan;
+  plan.finalSelectSql = std::move(sql);
+  return plan;
+}
+
 TEST(ResultMerger, UnionsDumpsIntoMergeTable) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeResult(resultOf({1, 2})).isOk());
-  ASSERT_TRUE(merger.mergeResult(resultOf({3})).isOk());
+  ASSERT_TRUE(mergePayload(merger, resultOf({1, 2})).isOk());
+  ASSERT_TRUE(mergePayload(merger, resultOf({3})).isOk());
   EXPECT_EQ(merger.rowsMerged(), 3u);
-  auto final = merger.finalize("SELECT SUM(v) FROM m");
+  auto final = merger.finalize(finalSelect("SELECT SUM(v) FROM m"));
   ASSERT_TRUE(final.isOk()) << final.status().toString();
   EXPECT_EQ((*final)->cell(0, 0).asInt(), 6);
 }
 
 TEST(ResultMerger, HandlesBinaryPayloads) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeResult(resultOf({5, 7})).isOk());
+  ASSERT_TRUE(mergePayload(merger, resultOf({5, 7})).isOk());
   // A second binary result appends into the adopted merge table.
-  ASSERT_TRUE(merger.mergeResult(resultOf({8})).isOk());
-  auto final = merger.finalize("SELECT COUNT(*) AS n, SUM(v) FROM m");
+  ASSERT_TRUE(mergePayload(merger, resultOf({8})).isOk());
+  auto final =
+      merger.finalize(finalSelect("SELECT COUNT(*) AS n, SUM(v) FROM m"));
   ASSERT_TRUE(final.isOk());
   EXPECT_EQ((*final)->cell(0, 0).asInt(), 3);
   EXPECT_EQ((*final)->cell(0, 1).asInt(), 20);
@@ -67,14 +84,14 @@ TEST(ResultMerger, ObservablesCommentIsHarmless) {
   simio::WorkObservables obs;
   obs.rowsExamined = 9;
   std::string dump = resultOf({1}, encodeObservables(obs));
-  ASSERT_TRUE(merger.mergeResult(dump).isOk());
+  ASSERT_TRUE(mergePayload(merger, dump).isOk());
   EXPECT_EQ(merger.rowsMerged(), 1u);
 }
 
 TEST(ResultMerger, EmptyDumpKeepsSchema) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeResult(resultOf({})).isOk());
-  auto final = merger.finalize("SELECT * FROM m");
+  ASSERT_TRUE(mergePayload(merger, resultOf({})).isOk());
+  auto final = merger.finalize(finalSelect("SELECT * FROM m"));
   ASSERT_TRUE(final.isOk());
   EXPECT_EQ((*final)->numRows(), 0u);
   EXPECT_EQ((*final)->numColumns(), 1u);
@@ -82,26 +99,26 @@ TEST(ResultMerger, EmptyDumpKeepsSchema) {
 
 TEST(ResultMerger, NoDumpsFinalizesEmpty) {
   ResultMerger merger("m");
-  auto final = merger.finalize("SELECT * FROM m");
+  auto final = merger.finalize(finalSelect("SELECT * FROM m"));
   ASSERT_TRUE(final.isOk());
   EXPECT_EQ((*final)->numRows(), 0u);
 }
 
 TEST(ResultMerger, MismatchedColumnCountFails) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeResult(resultOf({1})).isOk());
+  ASSERT_TRUE(mergePayload(merger, resultOf({1})).isOk());
   sql::Schema two({{"x", sql::ColumnType::kInt}, {"y", sql::ColumnType::kInt}});
   sql::Table wide("w", two);
   ASSERT_TRUE(wide.appendRow(std::vector<sql::Value>{sql::Value(1),
                                                      sql::Value(2)})
                   .isOk());
   EXPECT_FALSE(
-      merger.mergeResult(sealed(sql::encodeTableBinary(wide, "r_b"))).isOk());
+      mergePayload(merger, sealed(sql::encodeTableBinary(wide, "r_b"))).isOk());
 }
 
 TEST(ResultMerger, GarbagePayloadFails) {
   ResultMerger merger("m");
-  EXPECT_FALSE(merger.mergeResult("this is not a dump").isOk());
+  EXPECT_FALSE(mergePayload(merger, "this is not a dump").isOk());
 }
 
 TEST(ResultMerger, SqlDumpTextIsNotAResult) {
@@ -109,18 +126,18 @@ TEST(ResultMerger, SqlDumpTextIsNotAResult) {
   // never replayed.
   ResultMerger merger("m");
   EXPECT_FALSE(
-      merger.mergeResult(sealed(sql::dumpTable(*makeRows("a", {1}), "r_a")))
+      mergePayload(merger, sealed(sql::dumpTable(*makeRows("a", {1}), "r_a")))
           .isOk());
   EXPECT_EQ(merger.rowsMerged(), 0u);
 }
 
 TEST(ResultMerger, BadResultLeavesMergeTableUntouched) {
   ResultMerger merger("m");
-  ASSERT_TRUE(merger.mergeResult(resultOf({1, 2})).isOk());
+  ASSERT_TRUE(mergePayload(merger, resultOf({1, 2})).isOk());
   std::string truncated = resultOf({3, 4, 5});
   truncated.resize(truncated.size() - 3);
-  EXPECT_FALSE(merger.mergeResult(truncated).isOk());
-  auto final = merger.finalize("SELECT COUNT(*), SUM(v) FROM m");
+  EXPECT_FALSE(mergePayload(merger, truncated).isOk());
+  auto final = merger.finalize(finalSelect("SELECT COUNT(*), SUM(v) FROM m"));
   ASSERT_TRUE(final.isOk());
   EXPECT_EQ((*final)->cell(0, 0).asInt(), 2);
   EXPECT_EQ((*final)->cell(0, 1).asInt(), 3);
@@ -133,11 +150,100 @@ TEST(ResultMerger, IntResultWidensIntoDoubleMergeColumn) {
   sql::Table dbl("d", sql::Schema({{"v", sql::ColumnType::kDouble}}));
   ASSERT_TRUE(dbl.appendRow(std::vector<sql::Value>{sql::Value(0.5)}).isOk());
   ASSERT_TRUE(
-      merger.mergeResult(sealed(sql::encodeTableBinary(dbl, "r_a"))).isOk());
-  ASSERT_TRUE(merger.mergeResult(resultOf({2})).isOk());
-  auto final = merger.finalize("SELECT SUM(v) FROM m");
+      mergePayload(merger, sealed(sql::encodeTableBinary(dbl, "r_a"))).isOk());
+  ASSERT_TRUE(mergePayload(merger, resultOf({2})).isOk());
+  auto final = merger.finalize(finalSelect("SELECT SUM(v) FROM m"));
   ASSERT_TRUE(final.isOk());
   EXPECT_DOUBLE_EQ((*final)->cell(0, 0).asDouble(), 2.5);
+}
+
+TEST(ResultMerger, ResealedTruncatedTableFailsToMerge) {
+  // Bytes cut from the table and resealed with a valid trailer: the MD5
+  // holds, so only the codec can tell. Before the decoder knew where a
+  // table ends it read the observables line's first bytes as the last
+  // value and merged a wrong number.
+  simio::WorkObservables obs;
+  obs.rowsExamined = 3;
+  std::string table =
+      sql::encodeTableBinary(*makeRows("r", {3, 4, 5}), "r_x");
+  std::string cut = sealed(table.substr(0, table.size() - 3) +
+                           encodeObservables(obs));
+  std::string padded = sealed(table + "xyz" + encodeObservables(obs));
+  ResultMerger merger("m");
+  ASSERT_TRUE(mergePayload(merger, resultOf({1, 2})).isOk());
+  for (const std::string& bad : {cut, padded}) {
+    auto decoded = VerifiedResult::decode(bad);
+    ASSERT_FALSE(decoded.isOk());
+    EXPECT_EQ(decoded.status().code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_FALSE(mergePayload(merger, bad).isOk());
+  }
+  auto final = merger.finalize(finalSelect("SELECT COUNT(*), SUM(v) FROM m"));
+  ASSERT_TRUE(final.isOk());
+  EXPECT_EQ((*final)->cell(0, 0).asInt(), 2);
+  EXPECT_EQ((*final)->cell(0, 1).asInt(), 3);
+}
+
+TEST(ResultMerger, DamagedTrailerIsDataLoss) {
+  // The dispatcher re-fetches kDataLoss from another replica; anything else
+  // fails the query.
+  std::string damaged = resultOf({1});
+  damaged[2] ^= 0x20;
+  auto decoded = VerifiedResult::decode(damaged);
+  ASSERT_FALSE(decoded.isOk());
+  EXPECT_EQ(decoded.status().code(), util::ErrorCode::kDataLoss);
+}
+
+TEST(ResultMerger, IdentityPlanReturnsTheMergeTableAsTheFinalSelectWould) {
+  // SELECT * over the merge table and the identity shortcut must agree on
+  // names, types, NULLs and row order.
+  sql::Schema schema({{"id", sql::ColumnType::kInt},
+                      {"flux", sql::ColumnType::kDouble},
+                      {"name", sql::ColumnType::kString}});
+  auto chunk = [&](int base) {
+    sql::Table t("r", schema);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(t.appendRow(std::vector<sql::Value>{
+                                  sql::Value(base + i),
+                                  i == 1 ? sql::Value::null()
+                                         : sql::Value(base * 0.5 + i),
+                                  i == 2 ? sql::Value::null()
+                                         : sql::Value("n" + std::to_string(i))})
+                      .isOk());
+    }
+    simio::WorkObservables obs;
+    return sealed(sql::encodeTableBinary(t, "r_x") + encodeObservables(obs));
+  };
+  MergePlan identity = finalSelect("SELECT * FROM m");
+  identity.identity = true;
+  ResultMerger direct("m");
+  ResultMerger executed("m");
+  for (int base : {10, 20}) {
+    ASSERT_TRUE(mergePayload(direct, chunk(base)).isOk());
+    ASSERT_TRUE(mergePayload(executed, chunk(base)).isOk());
+  }
+  auto& selects = util::MetricsRegistry::instance().counter(
+      "merger.final_selects");
+  std::uint64_t before = selects.value();
+  auto got = direct.finalize(identity);
+  ASSERT_TRUE(got.isOk()) << got.status().toString();
+  EXPECT_EQ(selects.value(), before);  // nothing parsed or executed
+  auto want = executed.finalize(finalSelect("SELECT * FROM m"));
+  ASSERT_TRUE(want.isOk()) << want.status().toString();
+  EXPECT_EQ(selects.value(), before + 1);
+  EXPECT_EQ((*got)->name(), (*want)->name());
+  ASSERT_EQ((*got)->numColumns(), (*want)->numColumns());
+  ASSERT_EQ((*got)->numRows(), (*want)->numRows());
+  for (std::size_t c = 0; c < (*want)->numColumns(); ++c) {
+    EXPECT_EQ((*got)->schema().column(c).name,
+              (*want)->schema().column(c).name);
+    EXPECT_EQ((*got)->schema().column(c).type,
+              (*want)->schema().column(c).type);
+    for (std::size_t r = 0; r < (*want)->numRows(); ++r) {
+      EXPECT_EQ((*got)->cell(r, c).compare((*want)->cell(r, c)), 0)
+          << "row " << r << " col " << c;
+      EXPECT_EQ((*got)->cell(r, c).isNull(), (*want)->cell(r, c).isNull());
+    }
+  }
 }
 
 // --------------------------------------------------------------- dispatcher
@@ -211,7 +317,8 @@ TEST(Dispatcher, CollectsAllChunkResults) {
   EXPECT_EQ(results->size(), 3u);
   for (const auto& r : *results) {
     EXPECT_EQ(r.workerId, "w0");
-    EXPECT_FALSE(r.dump.empty());
+    ASSERT_NE(r.rows.table(), nullptr);
+    EXPECT_EQ(r.rows.table()->numRows(), 1u);
     // The dispatcher hashes the full payload: class header + query text.
     EXPECT_EQ(r.hash,
               util::Md5::hex(classHeaderLine(QueryClass::kScan) + "SELECT " +
@@ -275,8 +382,8 @@ TEST(Dispatcher, ParsesInBandObservables) {
   Dispatcher dispatcher(redirector, 1);
   auto results = dispatcher.run({ChunkQuerySpec{5, {}, "SELECT 5"}});
   ASSERT_TRUE(results.isOk());
-  EXPECT_DOUBLE_EQ((*results)[0].observables.bytesScanned, 12345.0);
-  EXPECT_EQ((*results)[0].observables.rowsExamined, 67u);
+  EXPECT_DOUBLE_EQ((*results)[0].rows.observables().bytesScanned, 12345.0);
+  EXPECT_EQ((*results)[0].rows.observables().rowsExamined, 67u);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
+#include <vector>
 
 namespace qserv::core {
 namespace {
@@ -291,6 +293,120 @@ TEST(ScanScheduler, EvictionMovesAlreadyQueuedTasks) {
   auto first = sched.claim();
   ASSERT_EQ(first.tasks.size(), 1u);
   EXPECT_EQ(first.tasks[0].chunkId, 4);
+}
+
+// -------------------------------------------------------------- wakeups
+
+/// Executor slots draining \p sched the way a worker's do, counting the
+/// tasks they finish. \p gate runs before each task finishes.
+class Slots {
+ public:
+  Slots(ScanScheduler& sched, int n,
+        std::function<void(const ScanTask&)> gate = {})
+      : sched_(sched), gate_(std::move(gate)) {
+    for (int i = 0; i < n; ++i) threads_.emplace_back([this] { loop(); });
+  }
+  ~Slots() { join(); }
+
+  void join() {
+    sched_.shutdown();
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  /// Wait until \p n tasks finished; false after 10 s (a lost wakeup).
+  bool awaitDone(int n) {
+    auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (done_.load() < n) {
+      if (std::chrono::steady_clock::now() > until) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    return true;
+  }
+
+ private:
+  void finish(const ScanTask& task) {
+    if (gate_) gate_(task);
+    sched_.finishTask(task, 0.0, true);
+    ++done_;
+  }
+
+  void loop() {
+    for (;;) {
+      auto claim = sched_.claim();
+      if (claim.tasks.empty()) return;
+      for (const ScanTask& task : claim.tasks) finish(task);
+      if (claim.passId == 0) continue;
+      for (auto joined = sched_.takeJoined(claim.passId); !joined.empty();
+           joined = sched_.takeJoined(claim.passId)) {
+        for (const ScanTask& task : joined) finish(task);
+      }
+    }
+  }
+
+  ScanScheduler& sched_;
+  std::function<void(const ScanTask&)> gate_;
+  std::atomic<int> done_{0};
+  std::vector<std::thread> threads_;
+};
+
+TEST(ScanScheduler, EnqueueAllNeverLosesAWakeup) {
+  // enqueueAll wakes at most one slot per queued task. Whatever the
+  // interleaving, every task of a batch must still be claimed: with idle
+  // slots, and with slots parked on a full memory budget.
+  for (int round = 0; round < 200; ++round) {
+    for (int k : {1, 3, 64}) {
+      for (bool budgetBlocked : {false, true}) {
+        ScanSchedulerConfig config = sharedScan(false);
+        config.scanMemoryBudgetBytes = 100.0;
+        ScanScheduler sched("w0", config);
+        ScanScheduler::Claim held;
+        if (budgetBlocked) {
+          // This thread holds the whole budget; the slots park on the
+          // queued scan that cannot fit.
+          ASSERT_TRUE(sched.enqueue(makeScan(1, 1, 100.0)));
+          held = sched.claim();
+          ASSERT_TRUE(sched.enqueue(makeScan(2, 2, 100.0)));
+        }
+        Slots slots(sched, 4);
+        std::vector<ScanTask> batch;
+        for (int i = 0; i < k; ++i) batch.push_back(makeInteractive(10 + i));
+        ASSERT_TRUE(sched.enqueueAll(std::move(batch)));
+        ASSERT_TRUE(slots.awaitDone(k))
+            << "round " << round << " k=" << k << " blocked=" << budgetBlocked;
+        if (budgetBlocked) {
+          sched.finishTask(held.tasks[0], 0.0, true);
+          EXPECT_TRUE(sched.takeJoined(held.passId).empty());
+          ASSERT_TRUE(slots.awaitDone(k + 1)) << "round " << round;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanScheduler, InteractiveArrivalWhileScansHoldEverySlot) {
+  // No slot is waiting when the interactive task arrives, so enqueueAll
+  // wakes none; the first slot to finish its scan must find it.
+  for (int round = 0; round < 200; ++round) {
+    ScanScheduler sched("w0", sharedScan(false));
+    std::atomic<int> scansRunning{0};
+    std::atomic<bool> release{false};
+    Slots slots(sched, 4, [&](const ScanTask& task) {
+      if (task.cls != QueryClass::kScan) return;
+      ++scansRunning;
+      while (!release.load()) std::this_thread::yield();
+    });
+    std::vector<ScanTask> scans;
+    for (int c = 0; c < 4; ++c) scans.push_back(makeScan(c, 1));
+    ASSERT_TRUE(sched.enqueueAll(std::move(scans)));
+    while (scansRunning.load() < 4) std::this_thread::yield();
+    std::vector<ScanTask> lookup;
+    lookup.push_back(makeInteractive(99));
+    ASSERT_TRUE(sched.enqueueAll(std::move(lookup)));
+    release.store(true);
+    ASSERT_TRUE(slots.awaitDone(5)) << "round " << round;
+  }
 }
 
 // ------------------------------------------------------------- shutdown

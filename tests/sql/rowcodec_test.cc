@@ -68,13 +68,19 @@ TEST(RowCodec, EmptyTable) {
   EXPECT_EQ((*loaded)->numColumns(), 1u);
 }
 
-TEST(RowCodec, TrailingBytesAreIgnored) {
-  // Workers append an observables comment after the binary blob.
+TEST(RowCodec, TrailingBytesAreRejected) {
+  // A payload is exactly one table: the reader splits the observables line
+  // off before decoding, so bytes past the last column are damage.
   auto t = sampleTable();
-  std::string bin = encodeTableBinary(*t, "t2") + "-- QSERV-OBS trailing\n";
-  auto loaded = decodeTableBinary(bin);
-  ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
-  EXPECT_EQ((*loaded)->numRows(), 3u);
+  std::string bin = encodeTableBinary(*t, "t2");
+  ASSERT_TRUE(decodeTableBinary(bin).isOk());
+  EXPECT_FALSE(decodeTableBinary(bin + "-- QSERV-OBS trailing\n").isOk());
+  EXPECT_FALSE(decodeTableBinary(bin + std::string(1, '\0')).isOk());
+  Table dest("d", t->schema());
+  EXPECT_FALSE(appendTableBinary(bin + "x", dest).isOk());
+  EXPECT_EQ(dest.numRows(), 0u);
+  EXPECT_TRUE(appendTableBinary(bin, dest).isOk());
+  EXPECT_EQ(dest.numRows(), 3u);
 }
 
 TEST(RowCodec, TruncationIsRejectedEverywhere) {

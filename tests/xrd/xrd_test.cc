@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/md5.h"
 #include "xrd/client.h"
@@ -73,6 +76,83 @@ TEST(FileStore, AbortWakesWaiters) {
   auto r = fs.waitFor("/bstream/x", std::chrono::milliseconds(5000));
   EXPECT_EQ(r.status().code(), util::ErrorCode::kAborted);
   aborter.join();
+}
+
+TEST(FileStore, TwoReadersOfOnePathEachGetOneFrame) {
+  // Identical batches from concurrent queries share a stream: each reader
+  // consumes one frame, and a frame left after a read reaches the other.
+  FileStore fs;
+  std::vector<std::string> got(2);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 2; ++i) {
+    readers.emplace_back([&, i] {
+      auto r = fs.waitFor("/bstream/s", std::chrono::milliseconds(5000));
+      got[i] = r.isOk() ? *r : r.status().toString();
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  fs.publish("/bstream/s", "a");
+  fs.publish("/bstream/s", "b");
+  for (auto& t : readers) t.join();
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(fs.size(), 0u);
+}
+
+TEST(FileStore, PublishOnOtherPathDoesNotSatisfyWaiter) {
+  FileStore fs;
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    fs.publish("/bstream/a", "for a");
+  });
+  auto r = fs.waitFor("/bstream/b", std::chrono::milliseconds(100));
+  writer.join();
+  EXPECT_EQ(r.status().code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(fs.tryGet("/bstream/a"), "for a");
+  EXPECT_EQ(fs.size(), 1u);  // only paths holding frames count
+}
+
+TEST(FileStore, RemoveReleasesWindowBlockedPublisher) {
+  FileStore fs;
+  fs.publish("/bstream/w", "1");
+  fs.publish("/bstream/w", "2");
+  auto start = std::chrono::steady_clock::now();
+  std::thread remover([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fs.remove("/bstream/w");
+  });
+  // A window of 2 is full until the stream is dropped.
+  EXPECT_TRUE(fs.awaitDrain("/bstream/w", 2, std::chrono::milliseconds(5000)));
+  remover.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_EQ(fs.size(), 0u);
+}
+
+TEST(FileStore, AbortAllReleasesAllWaiters) {
+  FileStore fs;
+  fs.publish("/bstream/full", "frame");
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> waiters;
+  for (const char* path : {"/bstream/a", "/bstream/b"}) {
+    waiters.emplace_back([&, path] {
+      auto r = fs.waitFor(path, std::chrono::milliseconds(10000));
+      if (r.status().code() == util::ErrorCode::kAborted) ++aborted;
+    });
+  }
+  waiters.emplace_back([&] {
+    if (!fs.awaitDrain("/bstream/full", 1, std::chrono::milliseconds(10000))) {
+      ++aborted;
+    }
+  });
+  auto start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  fs.abortAll();
+  for (auto& t : waiters) t.join();
+  EXPECT_EQ(aborted.load(), 3);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  // Later waits fail at once.
+  EXPECT_EQ(fs.waitFor("/bstream/full").status().code(),
+            util::ErrorCode::kAborted);
 }
 
 /// Test plugin: a write to /batch/<id> is answered at once by one frame on
