@@ -4,9 +4,12 @@
 /// (simio::CostParams) and the frontend's per-chunk overhead estimate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_util.h"
 #include "datagen/catalog_gen.h"
 #include "datagen/partitioner.h"
+#include "qserv/chunk_template.h"
 #include "qserv/query_analysis.h"
 #include "qserv/secondary_index.h"
 #include "sql/dump.h"
@@ -105,24 +108,102 @@ void BM_ParseLv3(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseLv3);
 
+// A 215-chunk full-sky query (e2ebench's fullsky shape): the czar rewrites
+// it into one chunk-query template plus a chunk list. Reported per chunk.
+std::vector<std::int32_t> fullSkyChunks(const sphgeom::Chunker& chunker) {
+  std::vector<std::int32_t> all = chunker.allChunks();
+  all.resize(std::min<std::size_t>(all.size(), 215));
+  return all;
+}
+
 void BM_AnalyzeAndRewriteChunkQuery(benchmark::State& state) {
-  core::CatalogConfig catalog = core::CatalogConfig::lsst();
+  core::CatalogConfig catalog = core::CatalogConfig::lsst(36, 6, 0.01667);
   sphgeom::Chunker chunker = catalog.makeChunker();
   core::QueryRewriter rewriter(catalog, chunker);
   auto analyzed = core::analyzeQuery(
-      "SELECT AVG(uFlux_SG) FROM Object WHERE "
-      "qserv_areaspec_box(0, 0, 10, 10) AND uRadius_PS > 0.04",
+      "SELECT COUNT(*), AVG(uFlux_SG) FROM Object WHERE uRadius_PS > 0.04",
       catalog);
-  std::vector<std::int32_t> chunks = {4000};
+  std::vector<std::int32_t> chunks = fullSkyChunks(chunker);
   util::Stopwatch watch;
   for (auto _ : state) {
     auto rewrite = rewriter.rewrite(*analyzed, chunks, "merged");
     benchmark::DoNotOptimize(rewrite);
   }
-  qserv::bench::recordRate("bench.micro.rewrite_chunk_query_ns_per_iter", watch,
-                          state.iterations());
+  const auto perChunk = static_cast<std::int64_t>(chunks.size());
+  state.counters["ns_per_chunk"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * perChunk),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel("measured");
+  qserv::bench::recordRate("bench.micro.rewrite_chunk_query_ns_per_chunk",
+                           watch, state.iterations() * perChunk);
 }
 BENCHMARK(BM_AnalyzeAndRewriteChunkQuery);
+
+// The worker's per-chunk cost of turning a shipped chunk query into an
+// executable statement: parsing per-chunk text (the baseline, as when every
+// chunk shipped its own statement) against binding a template parsed once
+// per batch.
+const char* kChunkTemplateSql =
+    "SELECT COUNT(*) AS QS0_COUNT, SUM(uFlux_SG) AS QS1_SUM, "
+    "COUNT(uFlux_SG) AS QS1_COUNT FROM Object AS Object "
+    "WHERE (uRadius_PS > 0.04)";
+
+void BM_ParseChunkQuery(benchmark::State& state) {
+  core::ChunkQueryTemplate query{kChunkTemplateSql,
+                                 {{0, core::TableBindingKind::kChunk}}};
+  auto plan = core::ChunkPlan::parse(query);
+  const std::string text = plan->boundSql(4000) + ";\n";
+  util::Stopwatch watch;
+  for (auto _ : state) {
+    auto stmts = sql::parseScript(text);
+    benchmark::DoNotOptimize(stmts);
+  }
+  state.SetLabel("measured");
+  qserv::bench::recordRate("bench.micro.parse_chunk_query_ns_per_iter", watch,
+                           state.iterations());
+}
+BENCHMARK(BM_ParseChunkQuery);
+
+void BM_BindChunkTemplate(benchmark::State& state) {
+  core::ChunkQueryTemplate query{kChunkTemplateSql,
+                                 {{0, core::TableBindingKind::kChunk}}};
+  auto plan = core::ChunkPlan::parse(query);
+  std::int32_t chunk = 0;
+  util::Stopwatch watch;
+  for (auto _ : state) {
+    std::vector<sql::TableRef> from = plan->stmt().from;
+    plan->bind(4000 + (chunk++ & 255), 0, from);
+    benchmark::DoNotOptimize(from);
+  }
+  state.SetLabel("measured");
+  qserv::bench::recordRate("bench.micro.bind_chunk_template_ns_per_iter",
+                           watch, state.iterations());
+}
+BENCHMARK(BM_BindChunkTemplate);
+
+// The czar's merge of a 215-chunk full-sky row query: each chunk result's
+// typed columns appended to the merge table in turn.
+void BM_MergeAppend215Chunks(benchmark::State& state) {
+  sql::Schema schema({{"objectId", sql::ColumnType::kInt},
+                      {"ra_PS", sql::ColumnType::kDouble},
+                      {"decl_PS", sql::ColumnType::kDouble}});
+  sql::Table part("r", schema);
+  for (int r = 0; r < 40; ++r) {
+    std::vector<sql::Value> row = {sql::Value(r), sql::Value(r * 0.5),
+                                   sql::Value(-r * 0.25)};
+    (void)part.appendRow(row);
+  }
+  util::Stopwatch watch;
+  for (auto _ : state) {
+    sql::Table merge("m", schema);
+    for (int c = 0; c < 215; ++c) (void)merge.appendFrom(part);
+    benchmark::DoNotOptimize(merge.numRows());
+  }
+  state.SetLabel("measured");
+  qserv::bench::recordRate("bench.micro.merge_append_215_chunks_ns_per_iter",
+                           watch, state.iterations());
+}
+BENCHMARK(BM_MergeAppend215Chunks);
 
 sql::Database* scanDb() {
   static sql::Database* db = [] {

@@ -4,10 +4,11 @@
 /// with precomputed overlap — and verified against a brute-force O(n^2)
 /// pass over the same region.
 ///
-/// Demonstrates §4.4's mechanism end to end: the frontend fragments the
-/// self-join into per-subchunk statements with a `-- SUBCHUNKS:` header,
-/// workers build Object_CC_SS and ObjectFullOverlap_CC_SS on the fly, and
-/// no inter-node data exchange ever happens.
+/// Demonstrates §4.4's mechanism end to end: the frontend writes the
+/// self-join once as a chunk-query template and lists each chunk's
+/// subchunks, workers build Object_CC_SS and ObjectFullOverlap_CC_SS on the
+/// fly and run the template once per subchunk, and no inter-node data
+/// exchange ever happens.
 #include <cstdio>
 
 #include "datagen/schemas.h"
@@ -99,12 +100,17 @@ int main() {
   core::QueryRewriter rw(catalog, chunker);
   auto chunks = qserv.chunksFor(sql);
   auto rewrite = rw.rewrite(*analyzed, {chunks->data(), 1}, "merged");
-  std::printf("\nfirst chunk query sent to a worker:\n");
-  std::string text = rewrite->chunkQueries[0].text;
-  std::size_t secondStmt = text.find(";\n");
-  secondStmt = text.find(";\n", secondStmt + 1);
-  std::printf("%s;\n  ... (%zu statements, one per subchunk)\n",
-              text.substr(0, secondStmt).c_str(),
-              rewrite->chunkQueries[0].subChunkIds.size());
+  std::printf("\nchunk-query template sent once per worker batch:\n  %s\n",
+              rewrite->chunkTemplate.describe().c_str());
+  const core::ChunkQuerySpec& first = rewrite->chunkQueries[0];
+  auto plan = core::ChunkPlan::parse(rewrite->chunkTemplate);
+  if (!plan.isOk()) {
+    std::fprintf(stderr, "template: %s\n", plan.status().toString().c_str());
+    return 1;
+  }
+  std::printf("chunk %d runs it once per subchunk (%zu of them), e.g.:\n"
+              "  %s;\n",
+              first.chunkId, first.subChunkIds.size(),
+              plan->boundSql(first.chunkId, first.subChunkIds[0]).c_str());
   return 0;
 }

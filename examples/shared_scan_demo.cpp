@@ -14,7 +14,7 @@
 #include "example_util.h"
 #include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
-#include "qserv/observables_codec.h"
+#include "qserv/merger.h"
 #include "qserv/worker.h"
 #include "util/md5.h"
 #include "util/strings.h"
@@ -65,11 +65,13 @@ int main() {
     // Each query arrives as its own batch of one chunk query.
     std::vector<std::string> batchIds;
     for (const char* pred : predicates) {
-      std::string request = core::encodeBatchRequest(
-          {{densest, util::format("SELECT COUNT(*) AS c FROM Object_%d "
-                                  "WHERE %s;",
-                                  densest, pred)}},
-          /*streamWindow=*/0);
+      core::BatchRequest batch;
+      batch.query.sql =
+          util::format("SELECT COUNT(*) AS c FROM Object WHERE %s", pred);
+      batch.query.bindings = {{0, core::TableBindingKind::kChunk}};
+      batch.templateHash = util::Md5::hex(batch.query.sql);
+      batch.chunks = {{densest, {}}};
+      std::string request = core::encodeBatchRequest(batch);
       batchIds.push_back(util::Md5::hex(request));
       if (!worker.writeFile(xrd::makeBatchPath(batchIds.back()), request)
                .isOk()) {
@@ -87,12 +89,13 @@ int main() {
       if (!frame.isOk()) return 1;
       auto result = core::decodeResultFrame(*frame);
       if (!result.isOk() || !result->status.isOk()) return 1;
-      auto obs = core::decodeObservables(result->body);
-      if (!obs) return 1;
-      double service = simio::workerServiceSeconds(*obs, params);
+      auto verified = core::VerifiedResult::decode(result->body);
+      if (!verified.isOk()) return 1;
+      const simio::WorkObservables& obs = verified->observables();
+      double service = simio::workerServiceSeconds(obs, params);
       nodeSeconds += service;
       std::printf("  query pays %s of disk -> %.1f s of node time\n",
-                  util::humanBytes(obs->bytesScanned).c_str(), service);
+                  util::humanBytes(obs.bytesScanned).c_str(), service);
     }
     std::printf("  total node time for the 3 queries: %.1f s\n\n",
                 nodeSeconds);

@@ -1,5 +1,7 @@
 #include "qserv/batch_codec.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace qserv::core {
@@ -9,9 +11,58 @@ using util::Status;
 
 namespace {
 
-constexpr std::string_view kBatchHeader = "-- QSERV-BATCH ";
-constexpr std::string_view kChunkHeader = "--#CHUNK ";
+constexpr std::string_view kRequestMagic = "QBR1";
 constexpr std::string_view kFrameHeader = "--#FRAME ";
+constexpr std::size_t kHashBytes = 32;
+
+void putLe(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out += static_cast<char>(v >> (8 * i));
+}
+
+/// Bounds-checked little-endian reader over a request envelope.
+class Reader {
+ public:
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  std::size_t left() const { return in_.size() - pos_; }
+
+  bool le(std::uint64_t& v, int bytes) {
+    if (left() < static_cast<std::size_t>(bytes)) return false;
+    v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(in_[pos_ + i]))
+           << (8 * i);
+    }
+    pos_ += static_cast<std::size_t>(bytes);
+    return true;
+  }
+
+  /// A non-negative int32 stored as a u32.
+  bool id(std::int32_t& v) {
+    std::uint64_t raw = 0;
+    if (!le(raw, 4) || raw > static_cast<std::uint64_t>(INT32_MAX)) {
+      return false;
+    }
+    v = static_cast<std::int32_t>(raw);
+    return true;
+  }
+
+  bool bytes(std::size_t n, std::string_view& out) {
+    if (left() < n) return false;
+    out = in_.substr(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
+ private:
+  std::string_view in_;
+  std::size_t pos_ = 0;
+};
+
+Status bad(const char* what) {
+  return Status::invalidArgument(std::string("batch request: ") + what);
+}
 
 /// Parse a non-negative decimal integer starting at \p pos; advances \p pos
 /// past it. Returns -1 when no digits are present or the value overflows.
@@ -34,87 +85,123 @@ bool skipChar(const std::string& s, std::size_t& pos, char c) {
 
 }  // namespace
 
-std::string encodeBatchRequest(const std::vector<BatchChunkRequest>& chunks,
-                               int streamWindow) {
-  std::size_t total = 64;
-  for (const auto& c : chunks) total += c.payload.size() + 32;
+std::string encodeBatchRequest(const BatchRequest& request) {
+  std::size_t total = 64 + request.query.sql.size() +
+                      3 * request.query.bindings.size() +
+                      8 * request.chunks.size();
+  for (const ChunkQuerySpec& c : request.chunks) {
+    total += 4 * c.subChunkIds.size();
+  }
   std::string out;
   out.reserve(total);
-  out += util::format("%s%zu %d\n", std::string(kBatchHeader).c_str(),
-                      chunks.size(), streamWindow);
-  for (const auto& c : chunks) {
-    out += util::format("%s%d %zu\n", std::string(kChunkHeader).c_str(),
-                        c.chunkId, c.payload.size());
-    out += c.payload;
-    out += '\n';
+  out += kRequestMagic;
+  putLe(out, request.traceId, 8);
+  putLe(out, request.query.queryClass == QueryClass::kInteractive ? 0 : 1, 1);
+  putLe(out, request.query.aggregate ? 1 : 0, 1);
+  putLe(out, static_cast<std::uint32_t>(std::max(0, request.streamWindow)),
+        4);
+  out += request.templateHash;  // 32 hex digits; the decoder checks them
+  putLe(out, request.query.sql.size(), 4);
+  out += request.query.sql;
+  putLe(out, request.query.bindings.size(), 2);
+  for (const TableBinding& b : request.query.bindings) {
+    putLe(out, b.from, 2);
+    putLe(out, static_cast<std::uint8_t>(b.kind), 1);
+  }
+  putLe(out, request.chunks.size(), 4);
+  for (const ChunkQuerySpec& c : request.chunks) {
+    putLe(out, static_cast<std::uint32_t>(c.chunkId), 4);
+    putLe(out, c.subChunkIds.size(), 4);
+    for (std::int32_t sc : c.subChunkIds) {
+      putLe(out, static_cast<std::uint32_t>(sc), 4);
+    }
   }
   return out;
 }
 
-Result<BatchRequest> decodeBatchRequest(const std::string& payload) {
-  std::size_t pos = 0;
-  if (payload.compare(0, kBatchHeader.size(), kBatchHeader) != 0) {
-    return Status::invalidArgument("batch request: missing header");
-  }
-  pos = kBatchHeader.size();
-  std::int64_t count = parseInt(payload, pos);
-  if (count < 0 || !skipChar(payload, pos, ' ')) {
-    return Status::invalidArgument("batch request: bad chunk count");
-  }
-  std::int64_t window = parseInt(payload, pos);
-  if (window < 0 || !skipChar(payload, pos, '\n')) {
-    return Status::invalidArgument("batch request: bad stream window");
-  }
-  // Every chunk frame takes at least its header, two one-digit numbers and
-  // two separators: a count the remaining bytes cannot hold is a lie, and
-  // must not size an allocation.
-  if (static_cast<std::size_t>(count) >
-      (payload.size() - pos) / (kChunkHeader.size() + 5)) {
-    return Status::invalidArgument(
-        "batch request: chunk count exceeds payload");
+Result<BatchRequest> decodeBatchRequest(std::string_view payload) {
+  Reader in(payload);
+  std::string_view magic;
+  if (!in.bytes(kRequestMagic.size(), magic) || magic != kRequestMagic) {
+    return bad("missing magic");
   }
   BatchRequest out;
+  std::uint64_t classByte = 0, flags = 0, window = 0;
+  if (!in.le(out.traceId, 8) || !in.le(classByte, 1) || !in.le(flags, 1) ||
+      !in.le(window, 4)) {
+    return bad("truncated header");
+  }
+  if (classByte > 1) return bad("unknown query class");
+  if ((flags & ~std::uint64_t{1}) != 0) return bad("unknown flags");
+  if (window > static_cast<std::uint64_t>(INT32_MAX)) {
+    return bad("bad stream window");
+  }
+  out.query.queryClass =
+      classByte == 0 ? QueryClass::kInteractive : QueryClass::kScan;
+  out.query.aggregate = (flags & 1) != 0;
   out.streamWindow = static_cast<int>(window);
-  out.chunks.reserve(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    if (payload.compare(pos, kChunkHeader.size(), kChunkHeader) != 0) {
-      return Status::invalidArgument(
-          util::format("batch request: missing chunk frame %lld",
-                       static_cast<long long>(i)));
+
+  std::string_view hash;
+  if (!in.bytes(kHashBytes, hash)) return bad("truncated template hash");
+  for (char c : hash) {
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) {
+      return bad("template hash is not lowercase hex");
     }
-    pos += kChunkHeader.size();
-    std::int64_t chunkId = parseInt(payload, pos);
-    if (chunkId < 0 || !skipChar(payload, pos, ' ')) {
-      return Status::invalidArgument("batch request: bad chunk id");
-    }
-    std::int64_t len = parseInt(payload, pos);
-    if (len < 0 || !skipChar(payload, pos, '\n') ||
-        pos + static_cast<std::size_t>(len) > payload.size()) {
-      return Status::invalidArgument(
-          util::format("batch request: bad payload length for chunk %lld",
-                       static_cast<long long>(chunkId)));
-    }
-    BatchChunkRequest chunk;
-    chunk.chunkId = static_cast<std::int32_t>(chunkId);
-    chunk.payload = payload.substr(pos, static_cast<std::size_t>(len));
-    pos += static_cast<std::size_t>(len);
-    if (!skipChar(payload, pos, '\n')) {
-      return Status::invalidArgument("batch request: missing frame separator");
-    }
-    out.chunks.push_back(std::move(chunk));
   }
-  if (pos != payload.size()) {
-    return Status::invalidArgument("batch request: trailing bytes");
+  out.templateHash = hash;
+
+  std::uint64_t sqlBytes = 0;
+  std::string_view sql;
+  if (!in.le(sqlBytes, 4) ||
+      !in.bytes(static_cast<std::size_t>(sqlBytes), sql)) {
+    return bad("template length exceeds payload");
   }
+  out.query.sql = sql;
+
+  std::uint64_t bindings = 0;
+  if (!in.le(bindings, 2) || bindings > in.left() / 3) {
+    return bad("binding count exceeds payload");
+  }
+  out.query.bindings.reserve(static_cast<std::size_t>(bindings));
+  for (std::uint64_t i = 0; i < bindings; ++i) {
+    std::uint64_t from = 0, kind = 0;
+    (void)in.le(from, 2);  // the count check above covers these bytes
+    (void)in.le(kind, 1);
+    if (kind > static_cast<std::uint64_t>(TableBindingKind::kFullOverlap)) {
+      return bad("unknown table binding kind");
+    }
+    out.query.bindings.push_back(TableBinding{
+        static_cast<std::uint16_t>(from), static_cast<TableBindingKind>(kind)});
+  }
+
+  // Every chunk takes at least its id and its subchunk count: a count the
+  // remaining bytes cannot hold is a lie, and must not size an allocation.
+  std::uint64_t chunks = 0;
+  if (!in.le(chunks, 4) || chunks > in.left() / 8) {
+    return bad("chunk count exceeds payload");
+  }
+  out.chunks.resize(static_cast<std::size_t>(chunks));
+  for (ChunkQuerySpec& chunk : out.chunks) {
+    std::uint64_t subChunks = 0;
+    if (!in.id(chunk.chunkId)) return bad("bad chunk id");
+    if (!in.le(subChunks, 4) || subChunks > in.left() / 4) {
+      return bad("subchunk count exceeds payload");
+    }
+    chunk.subChunkIds.resize(static_cast<std::size_t>(subChunks));
+    for (std::int32_t& sc : chunk.subChunkIds) {
+      if (!in.id(sc)) return bad("bad subchunk id");
+    }
+  }
+  if (in.left() != 0) return bad("trailing bytes");
   return out;
 }
 
-std::string encodeResultFrame(std::int32_t chunkId, const std::string& dump) {
+std::string encodeResultFrame(std::int32_t chunkId, const std::string& body) {
   std::string out;
-  out.reserve(dump.size() + 32);
+  out.reserve(body.size() + 32);
   out += util::format("%s%d ok %zu\n", std::string(kFrameHeader).c_str(),
-                      chunkId, dump.size());
-  out += dump;
+                      chunkId, body.size());
+  out += body;
   return out;
 }
 

@@ -3,22 +3,33 @@
 ///
 /// Production Qserv batches all chunk tasks destined for one worker into a
 /// single "UberJob" request and streams per-chunk results back over one
-/// shared channel. This codec defines both directions of that protocol:
+/// shared channel. This codec defines both directions of that protocol.
 ///
-/// Request (written once to /batch/<md5-of-request>):
-///   -- QSERV-BATCH <nChunks> <streamWindow>\n
-///   --#CHUNK <chunkId> <payloadBytes>\n
-///   <payloadBytes bytes: the unchanged per-chunk query payload>\n
-///   ... repeated nChunks times ...
+/// Request (written once to /batch/<md5-of-request>): one typed binary
+/// envelope carrying the query's chunk-query template once. All integers
+/// are little-endian.
 ///
-/// Each embedded payload is the chunk query exactly as the dispatcher built
-/// it (trace and class headers included), so a chunk's result hash — the MD5
-/// of its payload — is the same whichever batch carries it, and a failed
-/// batch member is retried verbatim as a batch of one.
+///   "QBR1"                          magic
+///   u64  trace id                   0 = untraced
+///   u8   query class                0 interactive, 1 scan
+///   u8   flags                      bit 0: aggregate; other bits zero
+///   u32  stream window              max unread frames, 0 = unbounded
+///   32   template MD5               lowercase hex of the template SQL
+///   u32  template length, bytes     the chunk-query template (one SELECT)
+///   u16  binding count, then per binding: u16 FROM index, u8 kind
+///   u32  chunk count, then per chunk: i32 chunk id, u32 subchunk count,
+///        i32 per subchunk id
+///
+/// Every count is checked against the bytes left before anything is sized
+/// from it, and the envelope must end exactly after its last chunk. A
+/// chunk's result identity is (template MD5, chunk id): the same whichever
+/// batch carries it, so a failed batch member is retried as a batch of one
+/// without re-deriving anything.
 ///
 /// Result frames (each one FileStore entry at /bstream/<batchId>):
-///   --#FRAME <chunkId> ok <bodyBytes>\n<body>     body = the normal dump,
-///       observables comment and MD5 integrity trailer included, or
+///   --#FRAME <chunkId> ok <bodyBytes>\n<body>     body = the row-codec
+///       table, the fixed-width binary observables (observables_codec.h)
+///       and the MD5 integrity trailer over both, or
 ///   --#FRAME <chunkId> err <code> <bodyBytes>\n<body>   body = the worker's
 ///       failure Status message, <code> its numeric ErrorCode.
 ///
@@ -29,42 +40,44 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "qserv/chunk_template.h"
 #include "util/status.h"
 
 namespace qserv::core {
 
-/// One chunk's slice of a batch request.
-struct BatchChunkRequest {
-  std::int32_t chunkId = 0;
-  std::string payload;  ///< per-chunk query payload, unchanged
-};
-
-/// Serialize \p chunks into one batch request payload. \p streamWindow is
-/// the backpressure bound the worker applies to unread result frames
-/// (0 = unbounded).
-std::string encodeBatchRequest(const std::vector<BatchChunkRequest>& chunks,
-                               int streamWindow);
-
-/// Parsed batch request.
+/// One batch: a query's chunk-query template and the chunks of it that one
+/// worker runs.
 struct BatchRequest {
-  std::vector<BatchChunkRequest> chunks;
+  std::uint64_t traceId = 0;  ///< the query's trace; 0 = untraced
+  /// Backpressure bound the worker applies to unread result frames
+  /// (0 = unbounded).
   int streamWindow = 0;
+  /// MD5 (32 lowercase hex digits) of query.sql; each result table is
+  /// named "r_<templateHash>".
+  std::string templateHash;
+  ChunkQueryTemplate query;
+  std::vector<ChunkQuerySpec> chunks;
 };
 
-/// Decode a batch request; kInvalidArgument on any framing violation.
-util::Result<BatchRequest> decodeBatchRequest(const std::string& payload);
+/// Serialize \p request into one batch envelope.
+std::string encodeBatchRequest(const BatchRequest& request);
+
+/// Decode a batch envelope; kInvalidArgument on any framing violation,
+/// without allocating more than the payload's bytes can back.
+util::Result<BatchRequest> decodeBatchRequest(std::string_view payload);
 
 /// One chunk's result frame on the batch stream.
 struct BatchResultFrame {
   std::int32_t chunkId = 0;
   util::Status status;  ///< ok, or the worker-side failure
-  std::string body;     ///< dump (ok) with trailer; empty on error frames
+  std::string body;     ///< result with trailer; empty on error frames
 };
 
-/// Serialize an ok frame carrying \p dump.
-std::string encodeResultFrame(std::int32_t chunkId, const std::string& dump);
+/// Serialize an ok frame carrying \p body.
+std::string encodeResultFrame(std::int32_t chunkId, const std::string& body);
 
 /// Serialize an error frame carrying \p status.
 std::string encodeErrorFrame(std::int32_t chunkId, const util::Status& status);

@@ -460,13 +460,11 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
                            rewriter.rewrite(analyzed, chunks, mergeTable));
     span.attr("chunkQueries",
               static_cast<std::int64_t>(rewrite.chunkQueries.size()));
-    // Scheduler class, shipped to every worker in the -- QSERV-CLASS
-    // payload header (scan_scheduler.h): point/secondary-index lookups ride
-    // the interactive priority lane, multi-chunk scans the shared-scan lane.
+    // Scheduler class, shipped to every worker in the batch envelope
+    // (scan_scheduler.h): point/secondary-index lookups ride the
+    // interactive priority lane, multi-chunk scans the shared-scan lane.
     exec.queryClass = deriveQueryClass(analyzed, chunks.size());
-    for (auto& spec : rewrite.chunkQueries) {
-      spec.queryClass = exec.queryClass;
-    }
+    rewrite.chunkTemplate.queryClass = exec.queryClass;
     span.attr("class", queryClassName(exec.queryClass));
   }
 
@@ -494,7 +492,7 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
           config_.queryDeadlineSeconds);
     }
     report = dispatcher_.runStreamed(
-        rewrite.chunkQueries,
+        rewrite.chunkTemplate, rewrite.chunkQueries,
         [&](ChunkResult&& r) {
           ChunkAccounting accounting{r.chunkId, std::move(r.workerId),
                                      r.rows.observables()};

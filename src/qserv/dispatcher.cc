@@ -67,19 +67,6 @@ bool isRetryable(const Status& s) {
          s.code() == util::ErrorCode::kDataLoss;
 }
 
-/// The payload a worker receives for \p spec. Header comments carry the
-/// trace id (so the worker can attach its spans to this query) and the
-/// scheduler class. The result hash is the MD5 of this payload, so a chunk
-/// retried as a batch of one re-derives the same hash.
-std::string buildChunkPayload(const ChunkQuerySpec& spec,
-                              const util::TracePtr& trace) {
-  std::string payload;
-  if (trace) payload += util::traceHeaderLine(trace->id());
-  payload += classHeaderLine(spec.queryClass);
-  payload += spec.text;
-  return payload;
-}
-
 /// Record the one "chunk <id>" dispatcher span trace consumers key on, with
 /// the attempts the chunk took.
 void addChunkSpan(const util::TracePtr& trace, std::int32_t chunkId,
@@ -111,6 +98,16 @@ struct Dispatcher::RetryItem {
   std::vector<std::string> exclude;  ///< replicas that already failed it
   int priorAttempts = 0;
   Status prior = Status::internal("not attempted");
+};
+
+/// What every batch of one dispatch run shares.
+struct Dispatcher::Run {
+  const ChunkQueryTemplate& query;
+  std::string templateHash;  ///< MD5 of query.sql, taken once per run
+  const ResultSink& sink;
+  const util::TracePtr& trace;
+  std::atomic<std::size_t>* completed;
+  const DispatchOptions& options;
 };
 
 struct Dispatcher::BatchOutcome {
@@ -165,14 +162,15 @@ Status Dispatcher::aggregateFailures(std::vector<ChunkOutcome> failures,
 }
 
 Result<std::vector<ChunkResult>> Dispatcher::run(
-    const std::vector<ChunkQuerySpec>& specs, const util::TracePtr& trace,
-    std::atomic<std::size_t>* completed, const DispatchOptions& options) {
+    const ChunkQueryTemplate& query, const std::vector<ChunkQuerySpec>& specs,
+    const util::TracePtr& trace, std::atomic<std::size_t>* completed,
+    const DispatchOptions& options) {
   // Collect every result, then restore the caller-visible ordering contract
   // (results in spec order).
   std::mutex mutex;
   std::vector<ChunkResult> out;
   auto report = runStreamed(
-      specs,
+      query, specs,
       [&](ChunkResult&& r) {
         std::lock_guard lock(mutex);
         out.push_back(std::move(r));
@@ -227,27 +225,28 @@ std::vector<BatchPlanEntry> Dispatcher::planBatches(
 Dispatcher::BatchOutcome Dispatcher::collectBatch(
     const std::string& workerId,
     const std::vector<const ChunkQuerySpec*>& chunks, int attempt,
-    const ResultSink& sink, const util::TracePtr& trace,
-    std::atomic<std::size_t>* completed, const DispatchOptions& options) {
+    const Run& run) {
   auto& metrics = DispatchMetrics::instance();
+  const util::TracePtr& trace = run.trace;
+  const DispatchOptions& options = run.options;
+  std::atomic<std::size_t>* completed = run.completed;
   BatchOutcome outcome;
   xrd::XrdClient client(redirector_);
   util::Stopwatch watch;
 
-  struct PendingChunk {
-    const ChunkQuerySpec* spec;
-    std::string hash;
-  };
-  std::vector<BatchChunkRequest> request;
-  request.reserve(chunks.size());
-  std::unordered_map<std::int32_t, PendingChunk> pending;
+  BatchRequest request;
+  request.traceId = trace ? trace->id() : 0;
+  request.streamWindow = config_.streamWindow;
+  request.templateHash = run.templateHash;
+  request.query = run.query;
+  request.chunks.reserve(chunks.size());
+  std::unordered_map<std::int32_t, const ChunkQuerySpec*> pending;
   pending.reserve(chunks.size());
   for (const ChunkQuerySpec* spec : chunks) {
-    std::string payload = buildChunkPayload(*spec, trace);
-    pending.emplace(spec->chunkId, PendingChunk{spec, util::Md5::hex(payload)});
-    request.push_back(BatchChunkRequest{spec->chunkId, std::move(payload)});
+    pending.emplace(spec->chunkId, spec);
+    request.chunks.push_back(*spec);
   }
-  std::string requestBytes = encodeBatchRequest(request, config_.streamWindow);
+  std::string requestBytes = encodeBatchRequest(request);
   std::string batchId = util::Md5::hex(requestBytes);
 
   util::ScopedSpan span(trace, "dispatcher",
@@ -267,7 +266,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   // Every pending chunk is retried — the shared bail-out of write failures
   // and broken streams.
   auto retryPending = [&](const Status& why) {
-    for (auto& [chunkId, pc] : pending) retryLater(pc.spec, why);
+    for (auto& [chunkId, spec] : pending) retryLater(spec, why);
     pending.clear();
   };
   // A chunk no other replica would answer better fails the query.
@@ -369,14 +368,14 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     }
     auto it = pending.find(frame->chunkId);
     if (it == pending.end()) continue;  // duplicate or stale frame
-    PendingChunk pc = std::move(it->second);
+    const ChunkQuerySpec* spec = it->second;
     pending.erase(it);
     std::int32_t chunkId = frame->chunkId;
 
     if (!frame->status.isOk()) {
       // The worker executed this chunk and failed.
       if (isRetryable(frame->status)) {
-        retryLater(pc.spec, frame->status);
+        retryLater(spec, frame->status);
       } else {
         failChunk(chunkId, frame->status);
       }
@@ -393,7 +392,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
           << "chunk " << chunkId << " in batch " << batchId.substr(0, 8)
           << " from " << workerId << " damaged: "
           << verified.status().toString();
-      retryLater(pc.spec, verified.status());
+      retryLater(spec, verified.status());
       continue;
     }
     redirector_->reportSuccess(workerId);
@@ -412,8 +411,8 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     metrics.chunkSeconds.observe(
         static_cast<double>(util::Trace::nowUs() - batchStartUs) * 1e-6);
     ++outcome.ok;
-    Status sunk = sink(ChunkResult{chunkId, workerId, std::move(pc.hash),
-                                   std::move(verified).value()});
+    Status sunk = run.sink(ChunkResult{chunkId, workerId, run.templateHash,
+                                       std::move(verified).value()});
     if (!sunk.isOk()) options.cancel.cancel(std::move(sunk));
     if (completed != nullptr) {
       completed->fetch_add(1, std::memory_order_relaxed);
@@ -425,12 +424,11 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   return outcome;
 }
 
-Status Dispatcher::retryChunk(const RetryItem& item, const ResultSink& sink,
-                              const util::TracePtr& trace,
-                              std::atomic<std::size_t>* completed,
-                              const DispatchOptions& options,
+Status Dispatcher::retryChunk(const RetryItem& item, const Run& run,
                               int& attemptsOut) {
   auto& metrics = DispatchMetrics::instance();
+  const util::TracePtr& trace = run.trace;
+  const DispatchOptions& options = run.options;
   const ChunkQuerySpec& spec = *item.spec;
   std::int64_t startUs = util::Trace::nowUs();
   // Deterministic, per-chunk-decorrelated backoff stream.
@@ -497,8 +495,7 @@ Status Dispatcher::retryChunk(const RetryItem& item, const ResultSink& sink,
     }
     const std::string workerId = (*server)->id();
     attemptSpan.attr("worker", workerId);
-    BatchOutcome outcome = collectBatch(workerId, {&spec}, attempt + 1, sink,
-                                        trace, completed, options);
+    BatchOutcome outcome = collectBatch(workerId, {&spec}, attempt + 1, run);
     if (outcome.retries.empty()) {
       // Delivered, failed for good, or cancelled: collectBatch accounted
       // for the chunk.
@@ -521,14 +518,18 @@ Status Dispatcher::retryChunk(const RetryItem& item, const ResultSink& sink,
   }
   addChunkSpan(trace, spec.chunkId, startUs, attemptsOut,
                {{"error", last.toString()}});
-  if (completed != nullptr) completed->fetch_add(1, std::memory_order_relaxed);
+  if (run.completed != nullptr) {
+    run.completed->fetch_add(1, std::memory_order_relaxed);
+  }
   return last;
 }
 
 Result<DispatchReport> Dispatcher::runStreamed(
-    const std::vector<ChunkQuerySpec>& specs, const ResultSink& sink,
-    const util::TracePtr& trace, std::atomic<std::size_t>* completed,
-    const DispatchOptions& options) {
+    const ChunkQueryTemplate& query, const std::vector<ChunkQuerySpec>& specs,
+    const ResultSink& sink, const util::TracePtr& trace,
+    std::atomic<std::size_t>* completed, const DispatchOptions& options) {
+  const Run run{query, util::Md5::hex(query.sql), sink, trace, completed,
+                options};
   // Plan: one batch per (query, worker) at the redirector's current
   // placement; chunks without a live placement go straight to the retry
   // path, which re-locates them and owns the precise error semantics.
@@ -539,8 +540,8 @@ Result<DispatchReport> Dispatcher::runStreamed(
   DispatchMetrics::instance().batchFallbackChunks.add(unplaced.size());
 
   auto submitRetry = [&](RetryItem item) {
-    return pool_.submit([this, item = std::move(item), &trace, &options,
-                         &sink, completed] {
+    return pool_.submit([this, item = std::move(item), &run, &options,
+                         completed] {
       ChunkOutcome outcome;
       outcome.chunkId = item.spec->chunkId;
       if (options.cancel.cancelled()) {
@@ -554,8 +555,7 @@ Result<DispatchReport> Dispatcher::runStreamed(
         }
         return outcome;
       }
-      outcome.status =
-          retryChunk(item, sink, trace, completed, options, outcome.attempts);
+      outcome.status = retryChunk(item, run, outcome.attempts);
       if (!outcome.status.isOk() &&
           outcome.status.code() != util::ErrorCode::kAborted) {
         // This query can no longer succeed: stop siblings now.
@@ -575,10 +575,8 @@ Result<DispatchReport> Dispatcher::runStreamed(
                                    std::next(it) != byWorker.end();
        ++it) {
     collectors.push_back(pool_.submit(
-        [this, workerId = it->first, chunks = std::move(it->second), &sink,
-         &trace, &options, completed] {
-          return collectBatch(workerId, chunks, /*attempt=*/1, sink, trace,
-                              completed, options);
+        [this, workerId = it->first, chunks = std::move(it->second), &run] {
+          return collectBatch(workerId, chunks, /*attempt=*/1, run);
         }));
   }
   std::vector<std::future<ChunkOutcome>> retries;
@@ -600,8 +598,7 @@ Result<DispatchReport> Dispatcher::runStreamed(
   };
   if (!byWorker.empty()) {
     auto& [workerId, chunks] = *byWorker.rbegin();
-    account(collectBatch(workerId, chunks, /*attempt=*/1, sink, trace,
-                         completed, options));
+    account(collectBatch(workerId, chunks, /*attempt=*/1, run));
   }
   for (auto& f : collectors) account(f.get());
 

@@ -10,7 +10,10 @@
 /// result frame per chunk back on /bstream/<id>. Collectors read the streams
 /// concurrently on a thread pool; per-chunk results carry the worker id and
 /// the paper-scale work observables used by the virtual-time simulation
-/// (which prices the paper's per-chunk master cost itself).
+/// (which prices the paper's per-chunk master cost itself). A query's chunk
+/// query travels as one ChunkQueryTemplate per batch, never as per-chunk
+/// text; its MD5 is taken once per run and, with the chunk id, identifies
+/// every result.
 ///
 /// Failure handling (the czar "manages transient errors", §5.2). A chunk a
 /// batch could not deliver (rejected batch write, broken stream, damaged
@@ -40,8 +43,8 @@
 #include <string>
 #include <vector>
 
+#include "qserv/chunk_template.h"
 #include "qserv/merger.h"
-#include "qserv/query_rewriter.h"
 #include "simio/cost_model.h"
 #include "util/backoff.h"
 #include "util/deadline.h"
@@ -54,7 +57,7 @@ namespace qserv::core {
 struct ChunkResult {
   std::int32_t chunkId = 0;
   std::string workerId;
-  std::string hash;
+  std::string hash;  ///< MD5 of the template: with chunkId, the identity
   VerifiedResult rows;  ///< the verified, decoded table and observables
 };
 
@@ -110,11 +113,12 @@ class Dispatcher {
   /// failed chunk with its attempt count, and sibling chunk queries still
   /// queued when the first failure lands are cancelled, not executed.
   ///
-  /// When \p trace is set, its id is stamped into each payload (so workers
+  /// When \p trace is set, its id travels in each batch request (so workers
   /// attach their spans to the same trace) and per-chunk dispatcher/xrd
   /// spans are recorded. When \p completed is set it is incremented as each
   /// chunk query finishes (live progress for SHOW PROCESSLIST).
   util::Result<std::vector<ChunkResult>> run(
+      const ChunkQueryTemplate& query,
       const std::vector<ChunkQuerySpec>& specs,
       const util::TracePtr& trace = nullptr,
       std::atomic<std::size_t>* completed = nullptr,
@@ -127,6 +131,7 @@ class Dispatcher {
   /// deliver are retried as batches of one on the pool. Returns once every
   /// chunk reached a final state. Error aggregation matches run().
   util::Result<DispatchReport> runStreamed(
+      const ChunkQueryTemplate& query,
       const std::vector<ChunkQuerySpec>& specs, const ResultSink& sink,
       const util::TracePtr& trace = nullptr,
       std::atomic<std::size_t>* completed = nullptr,
@@ -143,6 +148,7 @@ class Dispatcher {
   struct RetryItem;
   struct BatchOutcome;
   struct ChunkOutcome;
+  struct Run;
 
   /// \p specs grouped by the worker the redirector currently places them
   /// on; chunks without a live placement become retry items in
@@ -152,25 +158,20 @@ class Dispatcher {
       std::vector<RetryItem>& unplaced);
 
   /// Write one batch of \p chunks, each on its \p attempt-th attempt, to
-  /// \p workerId and collect its result stream: delivered chunks go to
-  /// \p sink, and chunks the batch could not deliver come back as retry
+  /// \p workerId and collect its result stream: delivered chunks go to the
+  /// run's sink, and chunks the batch could not deliver come back as retry
   /// items.
   BatchOutcome collectBatch(const std::string& workerId,
                             const std::vector<const ChunkQuerySpec*>& chunks,
-                            int attempt, const ResultSink& sink,
-                            const util::TracePtr& trace,
-                            std::atomic<std::size_t>* completed,
-                            const DispatchOptions& options);
+                            int attempt, const Run& run);
 
   /// Retry one chunk the batch path could not deliver as a batch of one on
   /// the next replica, resuming the attempt budget, backoff schedule and
   /// exclude set \p item carries. Returns once the chunk is delivered,
   /// fails for good, or runs out of attempts or deadline, or is cancelled;
   /// \p attemptsOut reports the attempts spent.
-  util::Status retryChunk(const RetryItem& item, const ResultSink& sink,
-                          const util::TracePtr& trace,
-                          std::atomic<std::size_t>* completed,
-                          const DispatchOptions& options, int& attemptsOut);
+  util::Status retryChunk(const RetryItem& item, const Run& run,
+                          int& attemptsOut);
 
   /// Build run()/runStreamed()'s aggregated error from per-chunk outcomes.
   static util::Status aggregateFailures(std::vector<ChunkOutcome> failures,

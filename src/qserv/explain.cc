@@ -289,7 +289,7 @@ ExplainPlan buildExplainPlan(const AnalyzedQuery& analyzed,
   plan.pruning = classifyPruning(analyzed, chunks);
   plan.chunkCount = static_cast<std::int64_t>(chunks.size());
   if (rewrite && !rewrite->chunkQueries.empty()) {
-    plan.chunkTemplate = rewrite->chunkQueries.front().text;
+    plan.chunkTemplate = rewrite->chunkTemplate.describe();
   }
   plan.joinStrategy = classifyJoin(analyzed);
   classifyFilter(analyzed, plan);

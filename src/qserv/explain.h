@@ -26,7 +26,7 @@ struct ExplainPlan {
   std::string statement;      ///< normalized (re-serialized) SELECT
   std::string pruning;        ///< secondary-index / spatial cover / full sky
   std::int64_t chunkCount = 0;
-  std::string chunkTemplate;  ///< first rewritten chunk query ("" if none)
+  std::string chunkTemplate;  ///< the chunk-query template ("" if none)
   std::string joinStrategy;   ///< zone / hash / nested loop / none
   std::string filter;         ///< vectorized-kernel vs scalar-residual split
   std::string zoneMap;        ///< zone-map pruning eligibility

@@ -38,10 +38,11 @@ struct MergerMetrics {
 
 util::Result<VerifiedResult> VerifiedResult::decode(std::string_view payload) {
   QSERV_ASSIGN_OR_RETURN(std::string_view body, verifiedDumpBody(payload));
-  ResultBodyParts parts = splitObservables(body);
+  QSERV_ASSIGN_OR_RETURN(ResultBodyParts parts, splitObservables(body));
   VerifiedResult out;
+  QSERV_ASSIGN_OR_RETURN(out.observables_,
+                         decodeObservables(parts.observables));
   QSERV_ASSIGN_OR_RETURN(out.table_, sql::decodeTableBinary(parts.table));
-  if (auto obs = decodeObservables(parts.observables)) out.observables_ = *obs;
   out.payloadBytes_ = payload.size();
   return out;
 }

@@ -33,10 +33,9 @@ namespace qserv::core {
 class VerifiedResult {
  public:
   /// Verify \p payload's trailer (kDataLoss when it is missing or does not
-  /// match), split the table bytes off the `-- QSERV-OBS` line, and decode
-  /// both. A payload that verifies but whose table does not decode exactly
-  /// is kInvalidArgument; an unreadable observables line leaves the
-  /// observables zero.
+  /// match), split the table bytes off the observables block that ends the
+  /// body, and decode both. A payload that verifies but whose table or
+  /// observables do not decode exactly is kInvalidArgument.
   static util::Result<VerifiedResult> decode(std::string_view payload);
 
   const sql::TablePtr& table() const { return table_; }

@@ -1,56 +1,73 @@
 #include "qserv/observables_codec.h"
 
-#include <cinttypes>
+#include <bit>
 #include <cmath>
-#include <cstdio>
-
-#include "util/strings.h"
+#include <cstdint>
 
 namespace qserv::core {
 
 namespace {
-constexpr std::string_view kMarker = "-- QSERV-OBS ";
+
+void putU64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
 }
+
+std::uint64_t getU64(std::string_view in, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+}  // namespace
 
 std::string encodeObservables(const simio::WorkObservables& w) {
-  return util::format(
-      "-- QSERV-OBS bytes=%.0f rows=%" PRIu64 " pairs=%" PRIu64
-      " match=%" PRIu64 " built=%" PRIu64 " idx=%" PRIu64
-      " rbytes=%.0f rrows=%" PRIu64 "\n",
-      w.bytesScanned, w.rowsExamined, w.pairsEvaluated, w.joinMatches,
-      w.rowsBuilt, w.indexLookups, w.resultBytes, w.resultRows);
+  std::string out;
+  out.reserve(kObservablesBytes);
+  // Whole bytes, rounded half-to-even: what the simulation has always been
+  // fed (the observables were once printed with "%.0f").
+  putU64(out, std::bit_cast<std::uint64_t>(std::nearbyint(w.bytesScanned)));
+  putU64(out, w.rowsExamined);
+  putU64(out, w.pairsEvaluated);
+  putU64(out, w.joinMatches);
+  putU64(out, w.rowsBuilt);
+  putU64(out, w.indexLookups);
+  putU64(out, std::bit_cast<std::uint64_t>(std::nearbyint(w.resultBytes)));
+  putU64(out, w.resultRows);
+  return out;
 }
 
-ResultBodyParts splitObservables(std::string_view body) {
-  std::size_t pos = body.rfind(kMarker);
-  // The observables line must be the body's last line: one newline, at
-  // the end.
-  if (pos == std::string_view::npos || body.back() != '\n' ||
-      body.find('\n', pos) != body.size() - 1) {
-    return {body, {}};
+util::Result<ResultBodyParts> splitObservables(std::string_view body) {
+  if (body.size() < kObservablesBytes) {
+    return util::Status::invalidArgument(
+        "chunk result too short to end in an observables block");
   }
-  return {body.substr(0, pos), body.substr(pos)};
+  std::size_t cut = body.size() - kObservablesBytes;
+  return ResultBodyParts{body.substr(0, cut), body.substr(cut)};
 }
 
-std::optional<simio::WorkObservables> decodeObservables(
-    std::string_view dump) {
-  std::size_t pos = dump.rfind(kMarker);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::string line(dump.substr(pos + kMarker.size()));
+util::Result<simio::WorkObservables> decodeObservables(
+    std::string_view block) {
+  if (block.size() != kObservablesBytes) {
+    return util::Status::invalidArgument(
+        "observables block must be 64 bytes");
+  }
   simio::WorkObservables w;
-  if (std::sscanf(line.c_str(),
-                  "bytes=%lf rows=%" SCNu64 " pairs=%" SCNu64
-                  " match=%" SCNu64 " built=%" SCNu64 " idx=%" SCNu64
-                  " rbytes=%lf rrows=%" SCNu64,
-                  &w.bytesScanned, &w.rowsExamined, &w.pairsEvaluated,
-                  &w.joinMatches, &w.rowsBuilt, &w.indexLookups,
-                  &w.resultBytes, &w.resultRows) != 8) {
-    return std::nullopt;
-  }
-  // Byte counts price simulated work: a NaN, infinite or negative one from
-  // a damaged line must not reach the cost model.
+  w.bytesScanned = std::bit_cast<double>(getU64(block, 0));
+  w.rowsExamined = getU64(block, 8);
+  w.pairsEvaluated = getU64(block, 16);
+  w.joinMatches = getU64(block, 24);
+  w.rowsBuilt = getU64(block, 32);
+  w.indexLookups = getU64(block, 40);
+  w.resultBytes = std::bit_cast<double>(getU64(block, 48));
+  w.resultRows = getU64(block, 56);
   for (double bytes : {w.bytesScanned, w.resultBytes}) {
-    if (!std::isfinite(bytes) || bytes < 0.0) return std::nullopt;
+    if (!std::isfinite(bytes) || bytes < 0.0) {
+      return util::Status::invalidArgument(
+          "observables carry a NaN, infinite or negative byte count");
+    }
   }
   return w;
 }

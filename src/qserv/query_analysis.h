@@ -72,8 +72,8 @@ util::Result<AnalyzedQuery> analyzeQuery(std::string_view sql,
 /// True when any aggregate function call appears in \p expr.
 bool exprHasAggregate(const sql::Expr& expr);
 
-/// Derive the scheduler class the czar ships in the `-- QSERV-CLASS` payload
-/// header, from analysis coverage: point / secondary-index lookups (pinned
+/// Derive the scheduler class the czar ships in the batch request envelope,
+/// from analysis coverage: point / secondary-index lookups (pinned
 /// objectIds, or a restriction that prunes to at most one chunk) are
 /// interactive; anything touching multiple chunks is a scan. \p chunkCount
 /// is the pruned dispatch cover's size.

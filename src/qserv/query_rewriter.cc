@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "datagen/partitioner.h"
 #include "util/strings.h"
 
 namespace qserv::core {
@@ -262,60 +261,41 @@ Result<RewriteResult> QueryRewriter::rewrite(
   }
 
   // Give every partitioned table an explicit alias equal to its original
-  // binding name, so qualified column references keep resolving after the
-  // table is renamed to its chunk table.
+  // binding name, so qualified column references keep resolving once the
+  // worker binds the entry to its chunk table; the entry itself names the
+  // catalog's base table and is marked for binding.
   for (std::size_t i = 0; i < chunkTemplate.from.size(); ++i) {
-    if (analyzed.from[i].partitioned != nullptr &&
-        chunkTemplate.from[i].alias.empty()) {
-      chunkTemplate.from[i].alias = chunkTemplate.from[i].table;
+    const PartitionedTable* table = analyzed.from[i].partitioned;
+    if (table == nullptr) continue;
+    TableRef& ref = chunkTemplate.from[i];
+    if (ref.alias.empty()) ref.alias = ref.table;
+    ref.table = table->name;
+    TableBindingKind kind = TableBindingKind::kChunk;
+    if (analyzed.isNearNeighbor) {
+      // o1 reads the subchunk, o2 its full-overlap companion (§5.4).
+      kind = i == 0 ? TableBindingKind::kSubChunk
+                    : TableBindingKind::kFullOverlap;
     }
+    out.chunkTemplate.bindings.push_back(
+        TableBinding{static_cast<std::uint16_t>(i), kind});
   }
+  out.chunkTemplate.sql = chunkTemplate.toSql();
+  out.chunkTemplate.aggregate = analyzed.hasAggregates;
 
   // ------------------------------------------------------------ per chunk
+  out.chunkQueries.reserve(chunks.size());
   for (std::int32_t chunkId : chunks) {
     ChunkQuerySpec spec;
     spec.chunkId = chunkId;
-
     if (analyzed.isNearNeighbor) {
-      const PartitionedTable& table = *analyzed.from[0].partitioned;
       // Subchunks to visit: all of the chunk's, pruned by the area
       // restriction when present (only o1's subchunk needs to intersect).
-      std::vector<std::int32_t> subChunks =
+      spec.subChunkIds =
           analyzed.areaRestriction
               ? chunker_.subChunksIntersecting(chunkId,
                                                *analyzed.areaRestriction)
               : chunker_.subChunksOf(chunkId);
-      if (subChunks.empty()) continue;
-      spec.subChunkIds = subChunks;
-
-      std::string text = "-- SUBCHUNKS: ";
-      std::vector<std::string> ids;
-      ids.reserve(subChunks.size());
-      for (std::int32_t sc : subChunks) ids.push_back(std::to_string(sc));
-      text += util::join(ids, ", ") + "\n";
-
-      // Aggregating chunk queries return scale-independent partials; the
-      // worker's cost accounting must not scale their result sizes.
-      if (analyzed.hasAggregates) text += "-- QSERV-AGG\n";
-      for (std::int32_t sc : subChunks) {
-        SelectStmt stmt = chunkTemplate.clone();
-        stmt.from[0].table =
-            datagen::subChunkTableName(table.name, chunkId, sc);
-        stmt.from[1].table = datagen::subChunkTableName(
-            table.name + "FullOverlap", chunkId, sc);
-        text += stmt.toSql() + ";\n";
-      }
-      spec.text = std::move(text);
-    } else {
-      SelectStmt stmt = chunkTemplate.clone();
-      for (std::size_t i = 0; i < stmt.from.size(); ++i) {
-        if (analyzed.from[i].partitioned != nullptr) {
-          stmt.from[i].table = datagen::chunkTableName(
-              analyzed.from[i].partitioned->name, chunkId);
-        }
-      }
-      spec.text = (analyzed.hasAggregates ? "-- QSERV-AGG\n" : "") +
-                  stmt.toSql() + ";\n";
+      if (spec.subChunkIds.empty()) continue;
     }
     out.chunkQueries.push_back(std::move(spec));
   }

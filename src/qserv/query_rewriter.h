@@ -3,7 +3,10 @@
 ///
 /// Rewrites performed, following the paper's worked example:
 ///  - Table references: `Object` -> `Object_CC` per chunk, with the original
-///    binding name kept as an alias so column qualifiers still resolve.
+///    binding name kept as an alias so column qualifiers still resolve. The
+///    chunk query is rendered once, as a ChunkQueryTemplate whose partitioned
+///    FROM entries keep their base names and are bound per chunk on the
+///    worker (chunk_template.h).
 ///  - `qserv_areaspec_box(...)` (already extracted by analysis) -> a
 ///    `qserv_ptInSphericalBox(<ra>, <decl>, ...) = 1` conjunct on the
 ///    director table, executed by the worker-side UDF.
@@ -12,10 +15,10 @@
 ///    merge query as SUM(`QS<k>_SUM`) / SUM(`QS<k>_COUNT`); COUNT -> SUM of
 ///    partial counts; SUM/MIN/MAX -> same aggregate over partials. GROUP BY
 ///    is applied per chunk and re-applied over the merge table.
-///  - Near-neighbor self-joins: one statement per subchunk, joining the
-///    subchunk table Object_CC_SS against the on-the-fly overlap table
-///    ObjectFullOverlap_CC_SS, with the required subchunk list declared in
-///    the `-- SUBCHUNKS:` header (§5.4 chunk query representation).
+///  - Near-neighbor self-joins: the statement runs once per subchunk,
+///    joining the subchunk table Object_CC_SS against the on-the-fly overlap
+///    table ObjectFullOverlap_CC_SS; each chunk lists the subchunks it needs
+///    (§5.4 chunk query representation).
 ///  - ORDER BY / LIMIT move to the merge query (chunks also apply top-k
 ///    when a LIMIT is present).
 #pragma once
@@ -24,19 +27,10 @@
 #include <string>
 #include <vector>
 
+#include "qserv/chunk_template.h"
 #include "qserv/query_analysis.h"
 
 namespace qserv::core {
-
-/// One dispatchable chunk query.
-struct ChunkQuerySpec {
-  std::int32_t chunkId = 0;
-  std::vector<std::int32_t> subChunkIds;  ///< non-empty for near-neighbor
-  std::string text;                       ///< chunk query shipped in a batch
-  /// Scheduler class the dispatcher ships in the `-- QSERV-CLASS` header
-  /// (set by the czar from deriveQueryClass; scan is the safe default).
-  QueryClass queryClass = QueryClass::kScan;
-};
 
 struct MergePlan {
   bool hasAggregation = false;
@@ -48,7 +42,10 @@ struct MergePlan {
 };
 
 struct RewriteResult {
-  std::vector<ChunkQuerySpec> chunkQueries;
+  /// The chunk query, once. Its queryClass is left at kScan: the czar sets
+  /// it from deriveQueryClass.
+  ChunkQueryTemplate chunkTemplate;
+  std::vector<ChunkQuerySpec> chunkQueries;  ///< the chunks it runs on
   MergePlan merge;
 };
 

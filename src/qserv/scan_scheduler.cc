@@ -5,7 +5,6 @@
 
 #include "util/metrics.h"
 #include "util/stopwatch.h"
-#include "util/strings.h"
 
 namespace qserv::core {
 
@@ -33,8 +32,6 @@ struct SchedulerMetrics {
     return *m;
   }
 };
-
-constexpr std::string_view kClassHeader = "-- QSERV-CLASS:";
 }  // namespace
 
 const char* queryClassName(QueryClass cls) {
@@ -45,32 +42,6 @@ const char* queryClassName(QueryClass cls) {
       return "scan";
   }
   return "scan";
-}
-
-std::string classHeaderLine(QueryClass cls) {
-  return std::string("-- QSERV-CLASS: ") + queryClassName(cls) + "\n";
-}
-
-std::optional<QueryClass> parseClassHeader(const std::string& payload) {
-  // The header block is the run of leading `--` comment lines; other
-  // headers (-- QSERV-TRACE, -- SUBCHUNKS) may precede the CLASS line.
-  std::size_t pos = 0;
-  while (pos + 2 <= payload.size() && payload[pos] == '-' &&
-         payload[pos + 1] == '-') {
-    std::size_t eol = payload.find('\n', pos);
-    std::size_t len =
-        eol == std::string::npos ? payload.size() - pos : eol - pos;
-    std::string_view line(payload.data() + pos, len);
-    if (util::startsWith(line, kClassHeader)) {
-      auto name = util::trim(line.substr(kClassHeader.size()));
-      if (name == "interactive") return QueryClass::kInteractive;
-      if (name == "scan") return QueryClass::kScan;
-      return std::nullopt;
-    }
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return std::nullopt;
 }
 
 ScanScheduler::ScanScheduler(std::string workerId, ScanSchedulerConfig config)

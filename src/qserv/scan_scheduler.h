@@ -8,8 +8,8 @@
 /// wpublish::QueriesAndChunks):
 ///
 ///  - every task arrives tagged with a query class (the czar derives it
-///    from analysis coverage and ships it in a `-- QSERV-CLASS` payload
-///    header): `interactive` for point/secondary-index lookups, `scan` for
+///    from analysis coverage and ships it in the batch request envelope):
+///    `interactive` for point/secondary-index lookups, `scan` for
 ///    multi-chunk table scans;
 ///  - interactive tasks live in a priority lane and claim executor slots
 ///    ahead of any queued scan — they never wait behind a scan group;
@@ -32,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,7 +48,7 @@ enum class SchedulerMode {
 };
 
 /// Query cost class, derived by the czar from analysis coverage and carried
-/// to workers in the `-- QSERV-CLASS:` payload header.
+/// to workers in the batch request envelope.
 enum class QueryClass {
   kInteractive,  ///< point / secondary-index lookup — low-volume lane
   kScan,         ///< multi-chunk table scan — shared-scan lane
@@ -57,20 +56,11 @@ enum class QueryClass {
 
 const char* queryClassName(QueryClass cls);
 
-/// The payload header line the dispatcher prepends: "-- QSERV-CLASS: scan\n".
-std::string classHeaderLine(QueryClass cls);
-
-/// Parse the `-- QSERV-CLASS:` header from \p payload's leading comment
-/// lines; nullopt when absent (callers default to kScan — the conservative
-/// class for a header-less payload).
-std::optional<QueryClass> parseClassHeader(const std::string& payload);
-
 /// One queued chunk query, as the worker sees it.
 struct ScanTask {
   std::int32_t chunkId = 0;
-  std::string payload;
-  std::string hash;
-  std::uint64_t traceId = 0;    ///< from the -- QSERV-TRACE header; 0 = none
+  std::vector<std::int32_t> subChunkIds;  ///< tables to build before running
+  std::uint64_t traceId = 0;    ///< from the batch request; 0 = none
   std::uint64_t queryId = 0;    ///< rate-tier key (the trace id today)
   std::int64_t enqueuedUs = 0;  ///< trace-clock time of arrival
   QueryClass cls = QueryClass::kScan;

@@ -1,7 +1,6 @@
 #include "qserv/worker.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "datagen/partitioner.h"
@@ -9,9 +8,9 @@
 #include "qserv/dump_integrity.h"
 #include "qserv/observables_codec.h"
 #include "sql/dump.h"
+#include "sql/executor.h"
 #include "sql/rowcodec.h"
 #include "util/logging.h"
-#include "util/md5.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -182,25 +181,6 @@ Status Worker::writeFile(const std::string& path, std::string payload) {
       path);
 }
 
-ScanTask Worker::makeTask(std::int32_t chunkId, std::string payload,
-                          std::int64_t enqueuedUs) const {
-  ScanTask task;
-  task.chunkId = chunkId;
-  task.hash = util::Md5::hex(payload);
-  if (auto traceId = util::parseTraceHeader(payload)) task.traceId = *traceId;
-  task.queryId = task.traceId;
-  task.enqueuedUs = enqueuedUs;
-  // Header-less payloads (raw test traffic) default to scan class — the
-  // conservative choice, and the one that preserves same-chunk grouping.
-  task.cls = parseClassHeader(payload).value_or(QueryClass::kScan);
-  if (config_.scheduler == SchedulerMode::kSharedScan &&
-      task.cls == QueryClass::kScan) {
-    task.memoryBytes = chunkMemoryBytes(chunkId);
-  }
-  task.payload = std::move(payload);
-  return task;
-}
-
 double Worker::chunkMemoryBytes(std::int32_t chunkId) const {
   double bytes = 0.0;
   for (const auto& table : catalog_.tables) {
@@ -223,7 +203,7 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
     // No task would ever finish, and so unregister, an empty batch.
     return Status::invalidArgument("batch " + batchId + " has no chunks");
   }
-  for (const BatchChunkRequest& chunk : request->chunks) {
+  for (const ChunkQuerySpec& chunk : request->chunks) {
     if (!exportsChunk(chunk.chunkId)) {
       // Reject the whole batch: the master's placement was stale, and it
       // re-locates each chunk and retries it as a batch of one.
@@ -238,11 +218,27 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
   stream->window = request->streamWindow;
   stream->remaining.store(static_cast<int>(request->chunks.size()),
                           std::memory_order_release);
+  // One parse per batch; the tasks bind their chunks into copies of its
+  // FROM list. A parse failure answers every chunk with an error frame.
+  stream->plan = ChunkPlan::parse(request->query);
+  stream->aggregate = request->query.aggregate;
+  stream->resultName = "r_" + request->templateHash;
+  const QueryClass cls = request->query.queryClass;
   std::int64_t nowUs = util::Trace::nowUs();
   std::vector<ScanTask> tasks;
   tasks.reserve(request->chunks.size());
-  for (BatchChunkRequest& chunk : request->chunks) {
-    ScanTask task = makeTask(chunk.chunkId, std::move(chunk.payload), nowUs);
+  for (ChunkQuerySpec& chunk : request->chunks) {
+    ScanTask task;
+    task.chunkId = chunk.chunkId;
+    task.subChunkIds = std::move(chunk.subChunkIds);
+    task.traceId = request->traceId;
+    task.queryId = task.traceId;
+    task.enqueuedUs = nowUs;
+    task.cls = cls;
+    if (config_.scheduler == SchedulerMode::kSharedScan &&
+        cls == QueryClass::kScan) {
+      task.memoryBytes = chunkMemoryBytes(chunk.chunkId);
+    }
     task.batch = stream;
     tasks.push_back(std::move(task));
   }
@@ -511,45 +507,6 @@ void Worker::runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
 }
 
-Result<std::vector<std::int32_t>> Worker::parseSubchunksHeader(
-    const std::string& payload) {
-  std::vector<std::int32_t> out;
-  constexpr std::string_view kHeader = "-- SUBCHUNKS:";
-  // The header block is the run of leading `--` comment lines; other
-  // headers (e.g. -- QSERV-TRACE) may precede the SUBCHUNKS line.
-  std::size_t pos = 0;
-  while (pos + 2 <= payload.size() && payload[pos] == '-' &&
-         payload[pos + 1] == '-') {
-    std::size_t eol = payload.find('\n', pos);
-    std::size_t len =
-        eol == std::string::npos ? payload.size() - pos : eol - pos;
-    std::string_view line(payload.data() + pos, len);
-    if (util::startsWith(line, kHeader)) {
-      for (const auto& part : util::split(line.substr(kHeader.size()), ',')) {
-        auto token = util::trim(part);
-        if (token.empty()) continue;
-        std::int32_t id = 0;
-        auto [end, ec] =
-            std::from_chars(token.data(), token.data() + token.size(), id);
-        if (ec != std::errc() || end != token.data() + token.size()) {
-          return Status::invalidArgument(util::format(
-              "bad subchunk id '%.*s' in SUBCHUNKS header",
-              static_cast<int>(token.size()), token.data()));
-        }
-        out.push_back(id);
-      }
-      return out;
-    }
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return out;
-}
-
-bool Worker::isAggregateQuery(const std::string& payload) {
-  return payload.find("-- QSERV-AGG\n") != std::string::npos;
-}
-
 double Worker::rowBytesFor(const std::string& tableName) const {
   for (const auto& t : catalog_.tables) {
     if (tableName == t.name || util::startsWith(tableName, t.name + "_") ||
@@ -670,6 +627,30 @@ void Worker::releaseSubchunks(std::int32_t chunkId,
   }
 }
 
+Result<sql::TablePtr> Worker::executePlan(const ChunkPlan& plan,
+                                          const ScanTask& task,
+                                          sql::ExecStats& stats) {
+  std::vector<sql::TableRef> from = plan.stmt().from;
+  if (!plan.perSubChunk()) {
+    plan.bind(task.chunkId, 0, from);
+    return sql::executeSelect(*db_, plan.stmt(), from, stats);
+  }
+  // One execution per subchunk, unioned (paper §5.4's per-subchunk
+  // statements, bound from one parse).
+  sql::TablePtr combined;
+  for (std::int32_t sc : task.subChunkIds) {
+    plan.bind(task.chunkId, sc, from);
+    QSERV_ASSIGN_OR_RETURN(sql::TablePtr part,
+                           sql::executeSelect(*db_, plan.stmt(), from, stats));
+    if (!combined) {
+      combined = std::move(part);
+    } else {
+      QSERV_RETURN_IF_ERROR(combined->appendFrom(*part));
+    }
+  }
+  return combined;
+}
+
 Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
                                         bool chargeScanIo) {
   auto& metrics = WorkerMetrics::instance();
@@ -691,9 +672,14 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
     finishBatchChunk(task.batch);
     return TaskOutcome{};
   };
-  auto parsedSubChunks = parseSubchunksHeader(task.payload);
-  if (!parsedSubChunks.isOk()) return fail(parsedSubChunks.status());
-  const std::vector<std::int32_t>& subChunks = *parsedSubChunks;
+  if (!task.batch->plan.isOk()) return fail(task.batch->plan.status());
+  const ChunkPlan& plan = *task.batch->plan;
+  const std::vector<std::int32_t>& subChunks = task.subChunkIds;
+  if (plan.perSubChunk() && subChunks.empty()) {
+    return fail(Status::invalidArgument(util::format(
+        "chunk %d: a per-subchunk template needs a subchunk list",
+        task.chunkId)));
+  }
 
   util::Result<sql::ExecStats> buildStats = sql::ExecStats{};
   {
@@ -711,7 +697,7 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
   if (!buildStats.isOk()) return fail(buildStats.status());
 
   sql::ExecStats stats;
-  auto result = db_->executeScript(task.payload, &stats);
+  auto result = executePlan(plan, task, stats);
   {
     util::Stopwatch dropWatch;
     releaseSubchunks(task.chunkId, subChunks);
@@ -725,7 +711,7 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
     return fail(result.status());
   }
 
-  const std::string resultName = "r_" + task.hash;
+  const std::string& resultName = task.batch->resultName;
   std::string dump = sql::encodeTableBinary(**result, resultName);
 
   // Work observables at paper scale (see WorkerConfig::rowScale).
@@ -754,7 +740,7 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
   // prices the paper's mysqldump transfer (§5.4), so resultBytes is the size
   // of the dump this result would have been. Only its INSERT payload scales;
   // the envelope (header, DROP, CREATE) is fixed.
-  const double resultScale = isAggregateQuery(task.payload) ? 1.0 : scale;
+  const double resultScale = task.batch->aggregate ? 1.0 : scale;
   obs.resultRows = static_cast<std::uint64_t>(
       static_cast<double>((*result)->numRows()) * resultScale);
   const sql::DumpSize dumped = sql::dumpedBytes(**result, resultName);

@@ -5,8 +5,10 @@
 /// arrive in batches written to /batch/<id>, execute on the worker's local
 /// SQL database against its chunk tables, and each chunk's result streams
 /// back as one frame on /bstream/<id>: the binary row codec
-/// (sql/rowcodec.h), followed by the in-band `-- QSERV-OBS` observables line
-/// and the MD5 trailer. A fixed number of executor slots (the
+/// (sql/rowcodec.h), followed by the fixed-width observables block and the
+/// MD5 trailer. A batch carries its query's chunk-query template once; the
+/// worker parses it once per batch and binds each chunk task's tables into
+/// its FROM list (chunk_template.h). A fixed number of executor slots (the
 /// paper's clusters ran 4) drain a ScanScheduler: in kFifo mode that is the
 /// paper's plain queue ("do not implement any concept of query cost", §6.4);
 /// in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
@@ -15,8 +17,8 @@
 /// bytes against a memory budget. See scan_scheduler.h.
 ///
 /// Subchunk tables (Object_CC_SS) and their overlap companions
-/// (ObjectFullOverlap_CC_SS) are built on the fly when a chunk query's
-/// `-- SUBCHUNKS:` header demands them, refcounted across concurrent tasks,
+/// (ObjectFullOverlap_CC_SS) are built on the fly for the subchunks a batch
+/// lists for a chunk, refcounted across concurrent tasks,
 /// and dropped when the last user finishes (or kept, with the cache option —
 /// the paper notes caching is possible but not implemented; ours defaults
 /// off to match).
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "qserv/catalog_config.h"
+#include "qserv/chunk_template.h"
 #include "qserv/scan_scheduler.h"
 #include "simio/cost_model.h"
 #include "sql/database.h"
@@ -50,6 +53,12 @@ struct BatchStream {
   int window = 0;          ///< max unread frames (0 = unbounded)
   std::atomic<bool> abandoned{false};
   std::atomic<int> remaining{0};  ///< chunks not yet finished/skipped
+  /// The batch's template, parsed once on arrival and shared read-only by
+  /// its tasks; a template that does not parse fails every chunk with the
+  /// parse error.
+  util::Result<ChunkPlan> plan{util::Status::internal("no plan")};
+  bool aggregate = false;  ///< results are scale-independent partials
+  std::string resultName;  ///< "r_<template md5>", every result's table name
 };
 
 struct WorkerConfig {
@@ -169,20 +178,11 @@ class Worker : public xrd::OfsPlugin {
   void addExport(std::int32_t chunkId);
   void removeExport(std::int32_t chunkId);
 
-  /// Parse the `-- SUBCHUNKS:` header from the payload's leading comment
-  /// lines; empty when absent, kInvalidArgument when an id is not an int32.
-  static util::Result<std::vector<std::int32_t>> parseSubchunksHeader(
-      const std::string& payload);
-
-  /// True when the chunk query carries the `-- QSERV-AGG` marker: its
-  /// result is a scale-independent partial aggregate.
-  static bool isAggregateQuery(const std::string& payload);
-
-  /// Build a ScanTask from an arriving chunk-query payload: hash, trace id,
-  /// query class (`-- QSERV-CLASS` header; header-less payloads default to
-  /// scan class), and the scan memory charge.
-  ScanTask makeTask(std::int32_t chunkId, std::string payload,
-                    std::int64_t enqueuedUs) const;
+  /// Run \p plan for \p task: bound to its chunk once, or to each of its
+  /// subchunks in turn with the outputs unioned.
+  util::Result<sql::TablePtr> executePlan(const ChunkPlan& plan,
+                                          const ScanTask& task,
+                                          sql::ExecStats& stats);
 
   /// Build (or reuse) the subchunk + overlap tables needed by \p task;
   /// returns build-side execution stats.

@@ -443,8 +443,9 @@ ExprPtr cloneWithColumnsAsNull(const Expr& expr) {
 
 class SelectExec {
  public:
-  SelectExec(Database& db, const SelectStmt& sel, ExecStats& stats)
-      : db_(db), sel_(sel), stats_(stats),
+  SelectExec(Database& db, const SelectStmt& sel,
+             std::span<const TableRef> from, ExecStats& stats)
+      : db_(db), sel_(sel), from_(from), stats_(stats),
         registry_(db.functions()) {}
 
   /// Static output type of \p expr, or nullopt when undeterminable.
@@ -564,7 +565,7 @@ class SelectExec {
 
  private:
   Status resolveFrom() {
-    for (const TableRef& ref : sel_.from) {
+    for (const TableRef& ref : from_) {
       std::string key =
           ref.database.empty() ? ref.table : ref.database + "." + ref.table;
       // The table and its indexes come from one publish, so an index probe
@@ -1411,6 +1412,7 @@ class SelectExec {
 
   Database& db_;
   const SelectStmt& sel_;
+  std::span<const TableRef> from_;  ///< sel_.from, or the tables bound to it
   ExecStats& stats_;
   const FunctionRegistry& registry_;
 
@@ -1449,8 +1451,19 @@ Result<TablePtr> emptyResult() {
 
 Result<TablePtr> executeSelect(Database& db, const SelectStmt& sel,
                                ExecStats& stats) {
+  return executeSelect(db, sel, sel.from, stats);
+}
+
+Result<TablePtr> executeSelect(Database& db, const SelectStmt& sel,
+                               std::span<const TableRef> from,
+                               ExecStats& stats) {
+  if (from.size() != sel.from.size()) {
+    return Status::invalidArgument(util::format(
+        "%zu FROM tables bound to a statement with %zu", from.size(),
+        sel.from.size()));
+  }
   ++stats.statements;
-  SelectExec exec(db, sel, stats);
+  SelectExec exec(db, sel, from, stats);
   return exec.run();
 }
 

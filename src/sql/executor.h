@@ -12,6 +12,8 @@
 /// Object x Source equi-join with a residual spatial predicate.
 #pragma once
 
+#include <span>
+
 #include "sql/ast.h"
 #include "sql/database.h"
 
@@ -24,6 +26,13 @@ util::Result<TablePtr> executeStatement(Database& db, const Statement& stmt,
 
 /// Execute a parsed SELECT.
 util::Result<TablePtr> executeSelect(Database& db, const SelectStmt& sel,
+                                     ExecStats& stats);
+
+/// Execute \p sel reading \p from in place of its own FROM list (same
+/// length, same order). A statement parsed once can so run against other
+/// tables — a chunk-query template bound per chunk — without being copied.
+util::Result<TablePtr> executeSelect(Database& db, const SelectStmt& sel,
+                                     std::span<const TableRef> from,
                                      ExecStats& stats);
 
 }  // namespace qserv::sql

@@ -1,9 +1,7 @@
 /// \file lexer.h
 /// \brief SQL tokenizer for the embedded engine and the Qserv frontend.
 ///
-/// Comments (`-- ...` and `/* ... */`) are skipped; the worker extracts the
-/// `-- SUBCHUNKS:` protocol header from raw text before parsing, so the
-/// lexer never sees it.
+/// Comments (`-- ...` and `/* ... */`) are skipped.
 #pragma once
 
 #include <cstdint>

@@ -21,8 +21,8 @@
 ///     string: nrows entries of u32 len + bytes (len 0 at NULL rows)
 ///
 /// A payload is exactly one table: bytes after the last column section are
-/// an error, like bytes missing from it. Workers append the `-- QSERV-OBS`
-/// observables line and the `-- QSERV-MD5` trailer after the table, so the
+/// an error, like bytes missing from it. Workers append a binary
+/// observables block and the `-- QSERV-MD5` trailer after the table, so the
 /// reader splits those off first and hands the decoder only the table's
 /// span (qserv/merger.h, VerifiedResult::decode).
 #pragma once

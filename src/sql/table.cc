@@ -1,5 +1,6 @@
 #include "sql/table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -108,12 +109,25 @@ void Table::Column::append(const Value& v) {
   }
 }
 
+namespace {
+/// Make room for \p n more elements, growing geometrically. Reserving
+/// exactly size()+n on every append defeats std::vector's doubling: each
+/// append then reallocates and copies the whole column, and a merge table
+/// fed one chunk result at a time pays that once per chunk.
+template <class Vec>
+void growFor(Vec& v, std::size_t n) {
+  if (v.capacity() - v.size() < n) {
+    v.reserve(std::max(v.size() + n, 2 * v.capacity()));
+  }
+}
+}  // namespace
+
 void Table::Column::reserveMore(std::size_t n) {
-  nulls.reserve(nulls.size() + n);
+  growFor(nulls, n);
   switch (type) {
-    case ColumnType::kInt: ints.reserve(ints.size() + n); break;
-    case ColumnType::kDouble: doubles.reserve(doubles.size() + n); break;
-    case ColumnType::kString: strings.reserve(strings.size() + n); break;
+    case ColumnType::kInt: growFor(ints, n); break;
+    case ColumnType::kDouble: growFor(doubles, n); break;
+    case ColumnType::kString: growFor(strings, n); break;
   }
 }
 

@@ -4,11 +4,11 @@
 ///
 /// A Trace collects timed spans from every component a query touches. The
 /// czar creates one per user query and registers it in the process-wide
-/// TraceRegistry under a fresh trace id; the dispatcher stamps that id into
-/// each chunk-query payload as a leading SQL comment (`-- QSERV-TRACE: <id>`)
-/// so workers — which receive only the payload through the xrd fabric, just
-/// like a remote node would receive a request header — can look the trace up
-/// and attach their queue-wait/execute spans. All spans share one process
+/// TraceRegistry under a fresh trace id; the dispatcher writes that id into
+/// each batch request envelope (qserv/batch_codec.h) so workers — which
+/// receive only the request through the xrd fabric, just like a remote node
+/// would receive a request header — can look the trace up and attach their
+/// queue-wait/execute spans. All spans share one process
 /// clock (microseconds since first use), so a finished trace renders as a
 /// single aligned timeline: toChromeJson() emits Chrome trace_event
 /// format that opens directly in chrome://tracing or https://ui.perfetto.dev.
@@ -94,9 +94,10 @@ class ScopedSpan {
 };
 
 /// Process-wide id -> in-flight trace map. Components that receive a trace
-/// id out-of-band (workers, via the payload header) use it to find the
-/// query's trace; ids of finished queries are released by the czar, after
-/// which worker spans for them are silently dropped (the query is gone).
+/// id out-of-band (workers, via the batch request envelope) use it to find
+/// the query's trace; ids of finished queries are released by the czar,
+/// after which worker spans for them are silently dropped (the query is
+/// gone).
 class TraceRegistry {
  public:
   static TraceRegistry& instance();
@@ -116,10 +117,11 @@ class TraceRegistry {
   std::uint64_t nextId_ = 1;
 };
 
-/// "-- QSERV-TRACE: <id>\n" — the payload header carrying the trace id.
+/// "-- QSERV-TRACE: <id>\n" — the trace id as a SQL comment line, for
+/// carrying it inside SQL text (chunk queries carry it in a typed field).
 std::string traceHeaderLine(std::uint64_t traceId);
 
-/// Trace id from a payload's leading comment lines, if present.
+/// Trace id from SQL text's leading comment lines, if present.
 std::optional<std::uint64_t> parseTraceHeader(const std::string& payload);
 
 }  // namespace qserv::util

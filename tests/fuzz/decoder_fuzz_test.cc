@@ -1,7 +1,7 @@
 /// \file decoder_fuzz_test.cc
 /// \brief Seeded mutational fuzzing of the decoders that read another
 /// component's bytes: the chunk-result row codec, batch result frames, batch
-/// requests, the in-band observables line and the MD5 integrity trailer,
+/// request envelopes, the observables block and the MD5 integrity trailer,
 /// plus the worker's one chunk-query entry point (a /batch write).
 ///
 /// Inputs start from valid encodings and are mutated by bit flips,
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -163,7 +164,7 @@ sql::Table sampleTable(util::Rng& rng, std::size_t rows) {
   return t;
 }
 
-/// A worker-shaped chunk result body: row codec, then observables line.
+/// A worker-shaped chunk result body: row codec, then observables block.
 std::string chunkBody(const sql::Table& t) {
   std::string out = sql::encodeTableBinary(t, "r_0123456789abcdef");
   simio::WorkObservables obs;
@@ -336,24 +337,122 @@ TEST(DecoderFuzz, ResultFrameReturnsStatus) {
   }
 }
 
+/// Batch envelopes to mutate: a per-subchunk join over three chunks, a
+/// plain interactive lookup, and a template with no bindings.
+std::vector<core::BatchRequest> envelopeRequests() {
+  std::vector<core::BatchRequest> out(3);
+  out[0].traceId = 42;
+  out[0].streamWindow = 8;
+  out[0].templateHash = util::Md5::hex("nn");
+  out[0].query.sql =
+      "SELECT COUNT(*) AS c FROM Object AS o1, Object AS o2 WHERE "
+      "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1";
+  out[0].query.bindings = {{0, core::TableBindingKind::kSubChunk},
+                           {1, core::TableBindingKind::kFullOverlap}};
+  out[0].query.aggregate = true;
+  out[0].chunks = {{101, {1, 2, 3}}, {202, {4}}, {303, {}}};
+  out[1].templateHash = util::Md5::hex("lv");
+  out[1].query.sql = "SELECT * FROM Object AS Object WHERE objectId = 7";
+  out[1].query.bindings = {{0, core::TableBindingKind::kChunk}};
+  out[1].query.queryClass = core::QueryClass::kInteractive;
+  out[1].chunks = {{5, {}}};
+  out[2].streamWindow = 1;
+  out[2].templateHash = util::Md5::hex("raw");
+  out[2].query.sql = std::string("SELECT 1\0bin", 12);
+  out[2].chunks = {{7, {}}};
+  return out;
+}
+
+/// Byte offsets of the envelope's length and count fields, read off a valid
+/// encoding of \p r (see batch_codec.h for the layout).
+struct EnvelopeFields {
+  std::size_t classByte = 12;
+  std::size_t templateLength = 50;
+  std::size_t bindingCount = 0;
+  std::size_t chunkCount = 0;
+  std::size_t firstSubchunkCount = 0;  ///< 0 when there are no chunks
+};
+
+EnvelopeFields fieldsOf(const core::BatchRequest& r) {
+  EnvelopeFields f;
+  f.bindingCount = f.templateLength + 4 + r.query.sql.size();
+  f.chunkCount = f.bindingCount + 2 + 3 * r.query.bindings.size();
+  if (!r.chunks.empty()) f.firstSubchunkCount = f.chunkCount + 4 + 4;
+  return f;
+}
+
+/// The envelope mutator: generic byte damage half the time, otherwise a
+/// structural lie written over one length, count or enum field.
+std::string mutateEnvelope(util::Rng& rng,
+                           const std::vector<core::BatchRequest>& requests) {
+  const core::BatchRequest& r = requests[rng.below(requests.size())];
+  std::string s = core::encodeBatchRequest(r);
+  if (rng.below(2) == 0) return mutate(rng, {s});
+  const EnvelopeFields f = fieldsOf(r);
+  static const std::uint64_t kLies[] = {0xffffffffu, 0x7fffffffu, 1u << 20,
+                                        65535, 2, 1, 0};
+  std::uint64_t lie = kLies[rng.below(7)];
+  switch (rng.below(5)) {
+    case 0: putLe(s, f.classByte, 2 + rng.below(254), 1); break;
+    case 1: putLe(s, f.templateLength, lie, 4); break;
+    case 2: putLe(s, f.bindingCount, lie, 2); break;
+    case 3: putLe(s, f.chunkCount, lie, 4); break;
+    case 4:
+      if (f.firstSubchunkCount != 0) putLe(s, f.firstSubchunkCount, lie, 4);
+      break;
+  }
+  return s;
+}
+
 TEST(DecoderFuzz, BatchRequestReturnsStatus) {
-  std::vector<std::string> corpus = {
-      core::encodeBatchRequest({{101, "SELECT * FROM Object_101;\n"},
-                                {202, std::string("bin\0ary", 7)},
-                                {303, ""}},
-                               8),
-      core::encodeBatchRequest({}, 0),
-      core::encodeBatchRequest({{5, "SELECT COUNT(*) FROM Object_5"}}, 1)};
+  const std::vector<core::BatchRequest> requests = envelopeRequests();
+  // Each structural lie on its own: a chunk count the remaining bytes
+  // cannot hold, a template length past the end, a subchunk list that
+  // overflows, an unknown class byte.
+  for (const core::BatchRequest& r : requests) {
+    const std::string good = core::encodeBatchRequest(r);
+    const EnvelopeFields f = fieldsOf(r);
+    std::vector<std::string> lies;
+    for (std::uint64_t v : {std::uint64_t{0xffffffffu},
+                            std::uint64_t{r.chunks.size() + 1}}) {
+      std::string bad = good;
+      putLe(bad, f.chunkCount, v, 4);
+      lies.push_back(bad);
+    }
+    std::string bad = good;
+    putLe(bad, f.templateLength, good.size(), 4);
+    lies.push_back(bad);
+    bad = good;
+    putLe(bad, f.firstSubchunkCount, 0x40000000u, 4);
+    lies.push_back(bad);
+    bad = good;
+    putLe(bad, f.classByte, 7, 1);
+    lies.push_back(bad);
+    for (const std::string& lie : lies) {
+      AllocationWatch watch;
+      auto decoded = core::decodeBatchRequest(lie);
+      ASSERT_FALSE(decoded.isOk());
+      EXPECT_EQ(decoded.status().code(), util::ErrorCode::kInvalidArgument);
+      EXPECT_LE(watch.largest(), allocationBound(lie.size()));
+    }
+  }
+
   util::Rng rng(0xF0223);
   for (int i = 0, n = iterations(); i < n; ++i) {
-    std::string input = mutate(rng, corpus);
-    auto request = core::decodeBatchRequest(input);
+    std::string input = mutateEnvelope(rng, requests);
+    util::Result<core::BatchRequest> request = util::Status::internal("unset");
+    {
+      AllocationWatch watch;
+      request = core::decodeBatchRequest(input);
+      ASSERT_LE(watch.largest(), allocationBound(input.size()))
+          << "iteration " << i;
+    }
     if (!request.isOk()) {
       EXPECT_EQ(request.status().code(), util::ErrorCode::kInvalidArgument);
       continue;
     }
-    std::size_t bytes = 0;
-    for (const auto& c : request->chunks) bytes += c.payload.size();
+    std::size_t bytes = request->query.sql.size();
+    for (const auto& c : request->chunks) bytes += 8 + 4 * c.subChunkIds.size();
     ASSERT_LE(bytes, input.size());
   }
 }
@@ -388,35 +487,13 @@ TEST(DecoderFuzz, DumpChecksumReturnsStatus) {
 }
 
 TEST(DecoderFuzz, WorkerBatchWriteReturnsStatus) {
-  // Hostile batch requests straight into the worker's one chunk-query entry
-  // point. The worker is paused and every accepted batch is abandoned at
-  // once, so no task executes: this targets decoding, validation and
-  // enqueueing (including each payload's trace and class headers).
+  // Hostile batch envelopes straight into the worker's one chunk-query
+  // entry point. The worker is paused and every accepted batch is abandoned
+  // at once, so no task executes: this targets decoding, validation,
+  // template parsing and enqueueing.
   const core::CatalogConfig catalog = core::CatalogConfig::lsst(18, 6, 0.05);
-  const std::vector<std::int32_t> exported = {5, 101, 202, 303};
-  std::vector<std::string> corpus = {
-      core::encodeBatchRequest(
-          {{101, core::classHeaderLine(core::QueryClass::kInteractive) +
-                     "SELECT * FROM Object_101;\n"},
-           {202, std::string("bin\0ary", 7)},
-           {303, ""}},
-          8),
-      core::encodeBatchRequest(
-          {{5, util::traceHeaderLine(42) +
-                   core::classHeaderLine(core::QueryClass::kScan) +
-                   "SELECT COUNT(*) FROM Object_5"}},
-          1),
-      core::encodeBatchRequest({{7, "SELECT 1"}}, 0)};
-  // A declared chunk count far beyond what the bytes hold must be refused
-  // without sizing an allocation from it.
-  const std::string hugeCount = "-- QSERV-BATCH 2147483647 0\n";
-  {
-    AllocationWatch watch;
-    EXPECT_FALSE(core::decodeBatchRequest(hugeCount).isOk());
-    EXPECT_LE(watch.largest(), allocationBound(hugeCount.size()));
-  }
-  corpus.push_back(hugeCount);
-
+  const std::vector<std::int32_t> exported = {5, 7, 101, 202, 303};
+  const std::vector<core::BatchRequest> requests = envelopeRequests();
   util::Rng rng(0xF0226);
   const int n = iterations();
   constexpr int kPerWorker = 1000;
@@ -428,10 +505,17 @@ TEST(DecoderFuzz, WorkerBatchWriteReturnsStatus) {
     core::Worker worker("fuzz", std::make_shared<sql::Database>("fuzz"),
                         catalog, exported, config);
     for (int i = begin; i < std::min(n, begin + kPerWorker); ++i) {
-      std::string input = mutate(rng, corpus);
+      std::string input = mutateEnvelope(rng, requests);
       std::string batchId = util::Md5::hex(input);
-      util::Status status =
-          worker.writeFile(xrd::makeBatchPath(batchId), std::move(input));
+      const std::size_t inputBytes = input.size();
+      util::Status status = util::Status::internal("unset");
+      {
+        AllocationWatch watch;
+        status =
+            worker.writeFile(xrd::makeBatchPath(batchId), std::move(input));
+        ASSERT_LE(watch.largest(), allocationBound(inputBytes))
+            << "iteration " << i;
+      }
       if (status.isOk()) {
         ASSERT_TRUE(
             worker.writeFile(xrd::makeBatchCancelPath(batchId), "").isOk());
@@ -460,21 +544,32 @@ TEST(DecoderFuzz, ObservablesRejectDamageWithoutCrashing) {
   for (int i = 0, n = iterations(); i < n; ++i) {
     std::string input = mutate(rng, corpus);
     auto decoded = core::decodeObservables(input);
-    if (!decoded) continue;
+    if (!decoded.isOk()) {
+      ASSERT_EQ(decoded.status().code(), util::ErrorCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_EQ(input.size(), core::kObservablesBytes);
     ASSERT_TRUE(std::isfinite(decoded->bytesScanned) &&
                 decoded->bytesScanned >= 0.0);
     ASSERT_TRUE(std::isfinite(decoded->resultBytes) &&
                 decoded->resultBytes >= 0.0);
   }
-  // Byte counts that would poison the cost model are refused outright.
-  for (const char* line :
-       {"-- QSERV-OBS bytes=nan rows=1 pairs=0 match=0 built=0 idx=0 "
-        "rbytes=1 rrows=1\n",
-        "-- QSERV-OBS bytes=1 rows=1 pairs=0 match=0 built=0 idx=0 "
-        "rbytes=-5 rrows=1\n",
-        "-- QSERV-OBS bytes=inf rows=1 pairs=0 match=0 built=0 idx=0 "
-        "rbytes=1 rrows=1\n"}) {
-    EXPECT_FALSE(core::decodeObservables(line).has_value()) << line;
+  // Byte counts that would poison the cost model are refused outright, in
+  // a bare block and inside a sealed frame body.
+  const std::string good = core::encodeObservables(obs);
+  for (std::size_t at : {std::size_t{0}, std::size_t{48}}) {
+    for (double poison : {std::nan(""), -5.0, HUGE_VAL}) {
+      std::string bad = good;
+      putLe(bad, at, std::bit_cast<std::uint64_t>(poison), 8);
+      EXPECT_FALSE(core::decodeObservables(bad).isOk()) << at << " " << poison;
+      std::string body = sql::encodeTableBinary(sampleTable(rng, 2), "r") + bad;
+      core::appendDumpChecksum(body);
+      auto frame = core::decodeResultFrame(core::encodeResultFrame(3, body));
+      ASSERT_TRUE(frame.isOk());
+      auto result = core::VerifiedResult::decode(frame->body);
+      ASSERT_FALSE(result.isOk());
+      EXPECT_EQ(result.status().code(), util::ErrorCode::kInvalidArgument);
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,33 +24,72 @@ namespace {
 
 // --------------------------------------------------------------- wire codec
 
+BatchRequest sampleRequest() {
+  BatchRequest request;
+  request.traceId = 0x0123456789abcdefULL;
+  request.streamWindow = 8;
+  request.templateHash = std::string(32, 'a');
+  request.query.sql = "SELECT COUNT(*) AS c FROM Object AS o1, Object AS o2";
+  request.query.bindings = {{0, TableBindingKind::kSubChunk},
+                            {1, TableBindingKind::kFullOverlap}};
+  request.query.aggregate = true;
+  request.query.queryClass = QueryClass::kScan;
+  request.chunks = {{101, {1, 2, 3}}, {202, {}}, {303, {7}}};
+  return request;
+}
+
 TEST(BatchCodec, RequestRoundTrip) {
-  std::vector<BatchChunkRequest> chunks;
-  chunks.push_back({101, "SELECT * FROM Object_101;\n-- trailer"});
-  // A payload that embeds NUL bytes, newlines, and text that looks like the
-  // framing itself; byte counts, not delimiters, must drive the decoder.
-  chunks.push_back({202, std::string("binary\0payload\n--#CHUNK fake", 28)});
-  chunks.push_back({303, ""});
-  std::string wire = encodeBatchRequest(chunks, 8);
+  BatchRequest request = sampleRequest();
+  // Template text that embeds NUL bytes, newlines and text that looks like
+  // framing: byte counts, not delimiters, must drive the decoder.
+  request.query.sql += std::string("\0 --#CHUNK QBR1\n", 16);
+  std::string wire = encodeBatchRequest(request);
 
   auto decoded = decodeBatchRequest(wire);
   ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+  EXPECT_EQ(decoded->traceId, request.traceId);
   EXPECT_EQ(decoded->streamWindow, 8);
-  ASSERT_EQ(decoded->chunks.size(), chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(decoded->chunks[i].chunkId, chunks[i].chunkId);
-    EXPECT_EQ(decoded->chunks[i].payload, chunks[i].payload);
+  EXPECT_EQ(decoded->templateHash, request.templateHash);
+  EXPECT_EQ(decoded->query.sql, request.query.sql);
+  EXPECT_EQ(decoded->query.bindings, request.query.bindings);
+  EXPECT_TRUE(decoded->query.aggregate);
+  EXPECT_EQ(decoded->query.queryClass, QueryClass::kScan);
+  ASSERT_EQ(decoded->chunks.size(), request.chunks.size());
+  for (std::size_t i = 0; i < request.chunks.size(); ++i) {
+    EXPECT_EQ(decoded->chunks[i].chunkId, request.chunks[i].chunkId);
+    EXPECT_EQ(decoded->chunks[i].subChunkIds, request.chunks[i].subChunkIds);
+  }
+}
+
+TEST(BatchCodec, EnvelopeCarriesQueryClass) {
+  for (QueryClass cls : {QueryClass::kInteractive, QueryClass::kScan}) {
+    BatchRequest request = sampleRequest();
+    request.query.queryClass = cls;
+    auto decoded = decodeBatchRequest(encodeBatchRequest(request));
+    ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+    EXPECT_EQ(decoded->query.queryClass, cls);
+  }
+}
+
+TEST(BatchCodec, UnknownClassByteIsRejected) {
+  std::string wire = encodeBatchRequest(sampleRequest());
+  const std::size_t classAt = 4 + 8;  // magic, trace id
+  for (char cls : {'\x02', '\x7f', '\xff'}) {
+    std::string bad = wire;
+    bad[classAt] = cls;
+    auto r = decodeBatchRequest(bad);
+    ASSERT_FALSE(r.isOk());
+    EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument);
   }
 }
 
 TEST(BatchCodec, RequestRejectsDamage) {
-  std::string wire =
-      encodeBatchRequest({{7, "payload-a"}, {9, "payload-b"}}, 4);
+  std::string wire = encodeBatchRequest(sampleRequest());
   // Truncation, trailing garbage, and a non-batch header are all framing
   // violations, not "best effort" parses.
   for (const std::string& bad :
        {wire.substr(0, wire.size() - 1), wire + "x",
-        std::string("-- QSERV-DUMP 2 4\n"), std::string()}) {
+        std::string("-- QSERV-BATCH 2 4\n"), std::string()}) {
     auto r = decodeBatchRequest(bad);
     ASSERT_FALSE(r.isOk());
     EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument)
@@ -112,10 +153,20 @@ class BatchDispatchTest : public ::testing::Test {
     catalog_ = nullptr;
   }
 
-  static std::unique_ptr<MiniCluster> makeCluster() {
+  static std::unique_ptr<MiniCluster> makeCluster(
+      std::optional<xrd::FaultPlan> faults = std::nullopt) {
     ClusterOptions opts;
     opts.numWorkers = 3;
     opts.frontend.catalog = *catalog_;
+    if (faults) {
+      // Damaged frames are re-fetched from the other replica as batches of
+      // one.
+      opts.replication = 2;
+      opts.faults = *faults;
+      opts.frontend.dispatchMaxAttempts = 8;
+      opts.frontend.dispatchBackoff.base = std::chrono::microseconds(200);
+      opts.frontend.dispatchBackoff.cap = std::chrono::microseconds(2'000);
+    }
     auto cluster = MiniCluster::create(opts, *catalogData_);
     EXPECT_TRUE(cluster.isOk()) << cluster.status().toString();
     return cluster.isOk() ? std::move(*cluster) : nullptr;
@@ -203,9 +254,14 @@ TEST_F(BatchDispatchTest, ProfileRecordsBatchTransferDistribution) {
 TEST_F(BatchDispatchTest, RandomizedParityWithSingleNodeOracle) {
   // Batched dispatch (one batch per worker, pipelined merge) runs a seeded
   // query mix; it must return what one database holding the unpartitioned
-  // catalog returns.
+  // catalog returns. So must a replicated cluster whose damaged frames are
+  // retried as batches of one.
   auto batched = makeCluster();
   ASSERT_TRUE(batched);
+  auto damaging = xrd::FaultPlan::parse("seed=7; read:p=0.2,corrupt");
+  ASSERT_TRUE(damaging.isOk()) << damaging.status().toString();
+  auto retried = makeCluster(*damaging);
+  ASSERT_TRUE(retried);
   auto oracleDb = oracle::build(*catalogData_);
 
   // Each case: the distributed SQL, the oracle's equivalent (areaspec
@@ -257,6 +313,20 @@ TEST_F(BatchDispatchTest, RandomizedParityWithSingleNodeOracle) {
                       ra, ra + 3, pairs)});
   }
 
+  // Templates bind FROM table refs only: a select alias or a string literal
+  // that spells a chunk table's name must come back untouched.
+  const std::string chunkTable =
+      "Object_" + std::to_string(catalogData_->chunks.front().chunkId);
+  std::string aliased =
+      "SELECT COUNT(*) AS " + chunkTable + " FROM Object WHERE decl_PS > 0";
+  cases.push_back({aliased, aliased});
+  std::string literal = "SELECT objectId, '" + chunkTable +
+                        "' AS tag FROM Object WHERE decl_PS BETWEEN 0 AND 1";
+  cases.push_back({literal, literal});
+
+  util::Counter& chunkRetries =
+      util::MetricsRegistry::instance().counter("dispatch.batch_chunk_retries");
+  const std::uint64_t retriesBefore = chunkRetries.value();
   for (const Case& c : cases) {
     auto want = oracleDb->execute(c.oracleSql);
     ASSERT_TRUE(want.isOk()) << want.status().toString() << " for "
@@ -264,7 +334,12 @@ TEST_F(BatchDispatchTest, RandomizedParityWithSingleNodeOracle) {
     auto viaBatched = query(*batched, c.sql);
     oracle::expectSameResult(viaBatched.result, *want, c.ordered,
                              "batched: " + c.sql);
+    auto viaRetries = query(*retried, c.sql);
+    oracle::expectSameResult(viaRetries.result, *want, c.ordered,
+                             "retried: " + c.sql);
   }
+  // The damaging cluster really did retry chunks as batches of one.
+  EXPECT_GT(chunkRetries.value(), retriesBefore);
 }
 
 }  // namespace

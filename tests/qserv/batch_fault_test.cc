@@ -308,7 +308,7 @@ TEST_F(BatchFaultTest, MergeFailureMidStreamCancelsSiblingsAndDrainsWorkers) {
   std::atomic<int> delivered{0};
   CounterDelta delta;
   auto report = dispatcher.runStreamed(
-      rewrite->chunkQueries, [&](ChunkResult&&) {
+      rewrite->chunkTemplate, rewrite->chunkQueries, [&](ChunkResult&&) {
         return ++delivered == 3 ? util::Status::invalidArgument("merge broke")
                                 : util::Status::ok();
       });
@@ -319,6 +319,44 @@ TEST_F(BatchFaultTest, MergeFailureMidStreamCancelsSiblingsAndDrainsWorkers) {
   EXPECT_LT(static_cast<std::size_t>(delivered.load()),
             rewrite->chunkQueries.size());
   EXPECT_GT(delta("dispatch.chunks_cancelled"), 0u);
+  for (std::size_t w = 0; w < (*cluster)->numWorkers(); ++w) {
+    auto& worker = (*cluster)->worker(w);
+    for (int i = 0; i < 5000 && (worker.queuedTasks() > 0 ||
+                                 worker.resultStreamsPending() > 0);
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(worker.queuedTasks(), 0u) << "worker " << w;
+    EXPECT_EQ(worker.resultStreamsPending(), 0u) << "worker " << w;
+  }
+}
+
+TEST_F(BatchFaultTest, UnparsableTemplateFailsQueryAndDrainsWorkers) {
+  // A template the workers cannot parse: every chunk answers with the parse
+  // error, the query fails with it instead of hanging, and no worker keeps
+  // a task or an unread frame.
+  ClusterOptions opts;
+  opts.frontend.catalog = *catalog_;
+  opts.numWorkers = 4;
+  auto cluster = MiniCluster::create(opts, *sky_);
+  ASSERT_TRUE(cluster.isOk()) << cluster.status().toString();
+  ChunkQueryTemplate broken;
+  broken.sql = "SELECT FROM Object WHERE";
+  broken.bindings = {{0, TableBindingKind::kChunk}};
+  std::vector<ChunkQuerySpec> specs;
+  for (std::int32_t chunk : (*cluster)->frontend().availableChunks()) {
+    specs.push_back(ChunkQuerySpec{chunk, {}});
+  }
+  ASSERT_GT(specs.size(), 8u);
+  Dispatcher dispatcher((*cluster)->redirector(), DispatcherConfig{});
+  DispatchOptions options;
+  options.deadline = util::Deadline::afterSeconds(20.0);  // hang backstop
+  auto report = dispatcher.runStreamed(
+      broken, specs, [](ChunkResult&&) { return util::Status::ok(); },
+      nullptr, nullptr, options);
+  ASSERT_FALSE(report.isOk());
+  EXPECT_EQ(report.status().code(), util::ErrorCode::kInvalidArgument)
+      << report.status().toString();
   for (std::size_t w = 0; w < (*cluster)->numWorkers(); ++w) {
     auto& worker = (*cluster)->worker(w);
     for (int i = 0; i < 5000 && (worker.queuedTasks() > 0 ||

@@ -34,12 +34,13 @@ std::string sealed(std::string payload) {
   return payload;
 }
 
-/// A worker-shaped chunk result carrying \p values, with \p extra (e.g. the
-/// observables line) between the rows and the trailer.
-std::string resultOf(std::vector<int> values, const std::string& extra = "") {
+/// A worker-shaped chunk result carrying \p values: the rows, then the
+/// observables block \p obs, then the trailer.
+std::string resultOf(std::vector<int> values,
+                     const simio::WorkObservables& obs = {}) {
   return sealed(
       sql::encodeTableBinary(*makeRows("r", std::move(values)), "r_x") +
-      extra);
+      encodeObservables(obs));
 }
 
 /// Merge \p payload the only way a payload reaches a merge table: verify
@@ -83,7 +84,7 @@ TEST(ResultMerger, ObservablesCommentIsHarmless) {
   ResultMerger merger("m");
   simio::WorkObservables obs;
   obs.rowsExamined = 9;
-  std::string dump = resultOf({1}, encodeObservables(obs));
+  std::string dump = resultOf({1}, obs);
   ASSERT_TRUE(mergePayload(merger, dump).isOk());
   EXPECT_EQ(merger.rowsMerged(), 1u);
 }
@@ -113,7 +114,9 @@ TEST(ResultMerger, MismatchedColumnCountFails) {
                                                      sql::Value(2)})
                   .isOk());
   EXPECT_FALSE(
-      mergePayload(merger, sealed(sql::encodeTableBinary(wide, "r_b"))).isOk());
+      mergePayload(merger, sealed(sql::encodeTableBinary(wide, "r_b") +
+                                  encodeObservables({})))
+          .isOk());
 }
 
 TEST(ResultMerger, GarbagePayloadFails) {
@@ -126,7 +129,8 @@ TEST(ResultMerger, SqlDumpTextIsNotAResult) {
   // never replayed.
   ResultMerger merger("m");
   EXPECT_FALSE(
-      mergePayload(merger, sealed(sql::dumpTable(*makeRows("a", {1}), "r_a")))
+      mergePayload(merger, sealed(sql::dumpTable(*makeRows("a", {1}), "r_a") +
+                                  encodeObservables({})))
           .isOk());
   EXPECT_EQ(merger.rowsMerged(), 0u);
 }
@@ -150,7 +154,9 @@ TEST(ResultMerger, IntResultWidensIntoDoubleMergeColumn) {
   sql::Table dbl("d", sql::Schema({{"v", sql::ColumnType::kDouble}}));
   ASSERT_TRUE(dbl.appendRow(std::vector<sql::Value>{sql::Value(0.5)}).isOk());
   ASSERT_TRUE(
-      mergePayload(merger, sealed(sql::encodeTableBinary(dbl, "r_a"))).isOk());
+      mergePayload(merger, sealed(sql::encodeTableBinary(dbl, "r_a") +
+                                  encodeObservables({})))
+          .isOk());
   ASSERT_TRUE(mergePayload(merger, resultOf({2})).isOk());
   auto final = merger.finalize(finalSelect("SELECT SUM(v) FROM m"));
   ASSERT_TRUE(final.isOk());
@@ -248,6 +254,9 @@ TEST(ResultMerger, IdentityPlanReturnsTheMergeTableAsTheFinalSelectWould) {
 
 // --------------------------------------------------------------- dispatcher
 
+/// The template the fake workers below answer without running it.
+const ChunkQueryTemplate kSelectOne{"SELECT 1", {}, false, QueryClass::kScan};
+
 /// Answer the batch request written to \p path: one result frame per chunk,
 /// produced by \p answer, published on the batch's stream.
 template <typename Answer>
@@ -257,9 +266,9 @@ util::Status answerBatch(xrd::FileStore& store, const std::string& path,
   if (!batchId) return util::Status::ok();  // /bcancel: nothing to stop
   auto request = decodeBatchRequest(payload);
   if (!request.isOk()) return request.status();
-  for (const BatchChunkRequest& chunk : request->chunks) {
+  for (const ChunkQuerySpec& chunk : request->chunks) {
     store.publish(xrd::makeBatchStreamPath(*batchId),
-                  answer(chunk.chunkId, chunk.payload));
+                  answer(chunk.chunkId, *request));
   }
   return util::Status::ok();
 }
@@ -274,15 +283,16 @@ class FlakyPlugin : public xrd::OfsPlugin {
     if (!xrd::parseBatchPath(path)) return util::Status::ok();
     ++writes_;
     return answerBatch(store_, path, payload,
-                       [&](std::int32_t chunk, const std::string& query) {
+                       [&](std::int32_t chunk, const BatchRequest& request) {
       if (failuresLeft_.fetch_sub(1) > 0) {
         return encodeErrorFrame(chunk,
                                 util::Status::unavailable("injected fault"));
       }
-      std::string hash = util::Md5::hex(query);
       return encodeResultFrame(
           chunk, sealed(sql::encodeTableBinary(
-                     *makeRows("r", {static_cast<int>(chunk)}), "r_" + hash)));
+                            *makeRows("r", {static_cast<int>(chunk)}),
+                            "r_" + request.templateHash) +
+                        encodeObservables({})));
     });
   }
 
@@ -309,20 +319,16 @@ TEST(Dispatcher, CollectsAllChunkResults) {
       std::make_shared<xrd::DataServer>("w0", plugin));
   Dispatcher dispatcher(redirector, 4);
   std::vector<ChunkQuerySpec> specs;
-  for (std::int32_t c : {1, 2, 3}) {
-    specs.push_back(ChunkQuerySpec{c, {}, "SELECT " + std::to_string(c)});
-  }
-  auto results = dispatcher.run(specs);
+  for (std::int32_t c : {1, 2, 3}) specs.push_back(ChunkQuerySpec{c, {}});
+  auto results = dispatcher.run(kSelectOne, specs);
   ASSERT_TRUE(results.isOk()) << results.status().toString();
   EXPECT_EQ(results->size(), 3u);
   for (const auto& r : *results) {
     EXPECT_EQ(r.workerId, "w0");
     ASSERT_NE(r.rows.table(), nullptr);
     EXPECT_EQ(r.rows.table()->numRows(), 1u);
-    // The dispatcher hashes the full payload: class header + query text.
-    EXPECT_EQ(r.hash,
-              util::Md5::hex(classHeaderLine(QueryClass::kScan) + "SELECT " +
-                             std::to_string(r.chunkId)));
+    // A result's identity is (template MD5, chunk id).
+    EXPECT_EQ(r.hash, util::Md5::hex(kSelectOne.sql));
   }
 }
 
@@ -332,7 +338,7 @@ TEST(Dispatcher, RetriesTransientFailures) {
                                               /*failures=*/2);
   redirector->registerServer(std::make_shared<xrd::DataServer>("w0", plugin));
   Dispatcher dispatcher(redirector, 1, /*maxAttempts=*/3);
-  auto results = dispatcher.run({ChunkQuerySpec{7, {}, "SELECT 7"}});
+  auto results = dispatcher.run(kSelectOne, {ChunkQuerySpec{7, {}}});
   ASSERT_TRUE(results.isOk()) << results.status().toString();
   EXPECT_EQ(plugin->writes(), 3);  // two injected faults, then success
 }
@@ -343,7 +349,7 @@ TEST(Dispatcher, GivesUpAfterMaxAttempts) {
                                               /*failures=*/100);
   redirector->registerServer(std::make_shared<xrd::DataServer>("w0", plugin));
   Dispatcher dispatcher(redirector, 1, /*maxAttempts=*/2);
-  auto results = dispatcher.run({ChunkQuerySpec{7, {}, "SELECT 7"}});
+  auto results = dispatcher.run(kSelectOne, {ChunkQuerySpec{7, {}}});
   EXPECT_FALSE(results.isOk());
   EXPECT_EQ(results.status().code(), util::ErrorCode::kUnavailable);
 }
@@ -351,7 +357,7 @@ TEST(Dispatcher, GivesUpAfterMaxAttempts) {
 TEST(Dispatcher, UnknownChunkFailsFast) {
   auto redirector = std::make_shared<xrd::Redirector>();
   Dispatcher dispatcher(redirector, 1);
-  auto results = dispatcher.run({ChunkQuerySpec{99, {}, "SELECT 99"}});
+  auto results = dispatcher.run(kSelectOne, {ChunkQuerySpec{99, {}}});
   EXPECT_FALSE(results.isOk());
 }
 
@@ -362,11 +368,11 @@ TEST(Dispatcher, ParsesInBandObservables) {
    public:
     util::Status writeFile(const std::string& path, std::string payload) override {
       return answerBatch(store_, path, payload,
-                         [](std::int32_t chunk, const std::string&) {
+                         [](std::int32_t chunk, const BatchRequest&) {
         simio::WorkObservables obs;
         obs.bytesScanned = 12345;
         obs.rowsExamined = 67;
-        return encodeResultFrame(chunk, resultOf({1}, encodeObservables(obs)));
+        return encodeResultFrame(chunk, resultOf({1}, obs));
       });
     }
     util::Result<std::string> readFile(const std::string& path) override {
@@ -380,7 +386,7 @@ TEST(Dispatcher, ParsesInBandObservables) {
   redirector->registerServer(
       std::make_shared<xrd::DataServer>("w0", std::make_shared<ObsPlugin>()));
   Dispatcher dispatcher(redirector, 1);
-  auto results = dispatcher.run({ChunkQuerySpec{5, {}, "SELECT 5"}});
+  auto results = dispatcher.run(kSelectOne, {ChunkQuerySpec{5, {}}});
   ASSERT_TRUE(results.isOk());
   EXPECT_DOUBLE_EQ((*results)[0].rows.observables().bytesScanned, 12345.0);
   EXPECT_EQ((*results)[0].rows.observables().rowsExamined, 67u);

@@ -23,6 +23,21 @@ class RewriterTest : public ::testing::Test {
     return std::move(r).value();
   }
 
+  /// What a worker runs for chunk query \p i: the template bound to its
+  /// chunk, or to each of its subchunks (one statement per subchunk).
+  static std::string bound(const RewriteResult& r, std::size_t i) {
+    auto plan = ChunkPlan::parse(r.chunkTemplate);
+    EXPECT_TRUE(plan.isOk()) << plan.status().toString();
+    if (!plan.isOk()) return {};
+    const ChunkQuerySpec& spec = r.chunkQueries[i];
+    if (!plan->perSubChunk()) return plan->boundSql(spec.chunkId) + ";\n";
+    std::string text;
+    for (std::int32_t sc : spec.subChunkIds) {
+      text += plan->boundSql(spec.chunkId, sc) + ";\n";
+    }
+    return text;
+  }
+
   CatalogConfig config_;
   sphgeom::Chunker chunker_;
   QueryRewriter rewriter_;
@@ -31,20 +46,24 @@ class RewriterTest : public ::testing::Test {
 TEST_F(RewriterTest, TableRenamePerChunk) {
   auto r = rewrite("SELECT objectId FROM Object WHERE ra_PS > 3", {100, 101});
   ASSERT_EQ(r.chunkQueries.size(), 2u);
-  EXPECT_NE(r.chunkQueries[0].text.find("Object_100"), std::string::npos);
-  EXPECT_NE(r.chunkQueries[1].text.find("Object_101"), std::string::npos);
+  EXPECT_NE(bound(r, 0).find("Object_100"), std::string::npos);
+  EXPECT_NE(bound(r, 1).find("Object_101"), std::string::npos);
   // Rewritten chunk queries parse.
-  for (const auto& cq : r.chunkQueries) {
-    EXPECT_TRUE(sql::parseScript(cq.text).isOk()) << cq.text;
+  for (std::size_t i = 0; i < r.chunkQueries.size(); ++i) {
+    EXPECT_TRUE(sql::parseScript(bound(r, i)).isOk()) << bound(r, i);
   }
+  // The template itself is written once and names the base table.
+  EXPECT_EQ(r.chunkTemplate.bindings.size(), 1u);
+  EXPECT_EQ(r.chunkTemplate.sql.find("Object_"), std::string::npos)
+      << r.chunkTemplate.sql;
 }
 
 TEST_F(RewriterTest, AliasPreservesColumnResolution) {
   auto r = rewrite("SELECT Object.objectId FROM Object", {7});
   // The chunk table must be aliased back to the original binding name.
-  EXPECT_NE(r.chunkQueries[0].text.find("Object_7 AS Object"),
+  EXPECT_NE(bound(r, 0).find("Object_7 AS Object"),
             std::string::npos)
-      << r.chunkQueries[0].text;
+      << bound(r, 0);
 }
 
 TEST_F(RewriterTest, PaperWorkedExample) {
@@ -54,7 +73,7 @@ TEST_F(RewriterTest, PaperWorkedExample) {
       "SELECT AVG(uFlux_SG) FROM Object "
       "WHERE qserv_areaspec_box(0.0, 0.0, 10.0, 10.0) AND uRadius_PS > 0.04",
       {42});
-  const std::string& cq = r.chunkQueries[0].text;
+  const std::string cq = bound(r, 0);
   EXPECT_NE(cq.find("SUM(uFlux_SG)"), std::string::npos) << cq;
   EXPECT_NE(cq.find("COUNT(uFlux_SG)"), std::string::npos) << cq;
   EXPECT_NE(cq.find("qserv_ptInSphericalBox(Object.ra_PS, Object.decl_PS"),
@@ -74,15 +93,15 @@ TEST_F(RewriterTest, PaperWorkedExample) {
 
 TEST_F(RewriterTest, CountSplitsIntoSumOfCounts) {
   auto r = rewrite("SELECT COUNT(*) FROM Object", {1});
-  EXPECT_NE(r.chunkQueries[0].text.find("COUNT(*) AS QS0_COUNT"),
+  EXPECT_NE(bound(r, 0).find("COUNT(*) AS QS0_COUNT"),
             std::string::npos)
-      << r.chunkQueries[0].text;
+      << bound(r, 0);
   EXPECT_NE(r.merge.finalSelectSql.find("SUM(QS0_COUNT)"), std::string::npos);
 }
 
 TEST_F(RewriterTest, MinMaxPassThrough) {
   auto r = rewrite("SELECT MIN(ra_PS), MAX(ra_PS) FROM Object", {1});
-  EXPECT_NE(r.chunkQueries[0].text.find("MIN(ra_PS) AS QS0_MIN"),
+  EXPECT_NE(bound(r, 0).find("MIN(ra_PS) AS QS0_MIN"),
             std::string::npos);
   EXPECT_NE(r.merge.finalSelectSql.find("MIN(QS0_MIN)"), std::string::npos);
   EXPECT_NE(r.merge.finalSelectSql.find("MAX(QS1_MAX)"), std::string::npos);
@@ -93,7 +112,7 @@ TEST_F(RewriterTest, GroupByPassthrough) {
   auto r = rewrite(
       "SELECT count(*) AS n, AVG(ra_PS), chunkId FROM Object GROUP BY chunkId",
       {5});
-  const std::string& cq = r.chunkQueries[0].text;
+  const std::string cq = bound(r, 0);
   EXPECT_NE(cq.find("GROUP BY chunkId"), std::string::npos) << cq;
   EXPECT_NE(cq.find("chunkId AS chunkId"), std::string::npos) << cq;
   const std::string& merge = r.merge.finalSelectSql;
@@ -107,7 +126,7 @@ TEST_F(RewriterTest, HavingStaysOutOfChunkQueries) {
       "SELECT chunkId, COUNT(*) AS n FROM Object GROUP BY chunkId "
       "HAVING COUNT(*) > 100 AND AVG(ra_PS) < 180",
       {5});
-  const std::string& cq = r.chunkQueries[0].text;
+  const std::string cq = bound(r, 0);
   // Chunk groups are partial: no HAVING worker-side, but the partials its
   // aggregates need are shipped.
   EXPECT_EQ(cq.find("HAVING"), std::string::npos) << cq;
@@ -138,7 +157,7 @@ TEST_F(RewriterTest, OrderByLimitMoveToMerge) {
   auto r = rewrite(
       "SELECT objectId FROM Object ORDER BY objectId DESC LIMIT 10", {3});
   // Chunk side: top-k optimization keeps ORDER BY + LIMIT.
-  EXPECT_NE(r.chunkQueries[0].text.find("LIMIT 10"), std::string::npos);
+  EXPECT_NE(bound(r, 0).find("LIMIT 10"), std::string::npos);
   EXPECT_NE(r.merge.finalSelectSql.find("ORDER BY objectId DESC"),
             std::string::npos);
   EXPECT_NE(r.merge.finalSelectSql.find("LIMIT 10"), std::string::npos);
@@ -151,9 +170,9 @@ TEST_F(RewriterTest, AggregateWithOrderByAliasAndLimit) {
       "SELECT count(*) AS n, chunkId FROM Object GROUP BY chunkId "
       "ORDER BY n DESC LIMIT 5",
       {3});
-  EXPECT_EQ(r.chunkQueries[0].text.find("LIMIT"), std::string::npos)
-      << r.chunkQueries[0].text;
-  EXPECT_EQ(r.chunkQueries[0].text.find("ORDER"), std::string::npos);
+  EXPECT_EQ(bound(r, 0).find("LIMIT"), std::string::npos)
+      << bound(r, 0);
+  EXPECT_EQ(bound(r, 0).find("ORDER"), std::string::npos);
   EXPECT_NE(r.merge.finalSelectSql.find("ORDER BY n DESC"), std::string::npos);
   EXPECT_NE(r.merge.finalSelectSql.find("LIMIT 5"), std::string::npos);
   EXPECT_TRUE(sql::parseStatement(r.merge.finalSelectSql).isOk());
@@ -169,19 +188,22 @@ TEST_F(RewriterTest, NearNeighborSubchunkStatements) {
   const auto& spec = r.chunkQueries[0];
   // All subchunks of the chunk are listed (no area restriction).
   EXPECT_EQ(spec.subChunkIds.size(), chunker_.subChunksOf(chunk).size());
-  // Header present and first.
-  EXPECT_EQ(spec.text.rfind("-- SUBCHUNKS: ", 0), 0u) << spec.text;
+  // o1 binds to the subchunk table, o2 to its full-overlap companion.
+  EXPECT_EQ(r.chunkTemplate.bindings,
+            (std::vector<TableBinding>{{0, TableBindingKind::kSubChunk},
+                                       {1, TableBindingKind::kFullOverlap}}));
   // One statement per subchunk, joining subchunk x full-overlap tables.
+  const std::string text = bound(r, 0);
   std::int32_t sc = spec.subChunkIds[0];
   std::string scName =
       "Object_" + std::to_string(chunk) + "_" + std::to_string(sc);
-  EXPECT_NE(spec.text.find("FROM " + scName + " AS o1"), std::string::npos)
-      << spec.text;
-  EXPECT_NE(spec.text.find("ObjectFullOverlap_" + std::to_string(chunk) + "_" +
-                           std::to_string(sc) + " AS o2"),
+  EXPECT_NE(text.find("FROM " + scName + " AS o1"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ObjectFullOverlap_" + std::to_string(chunk) + "_" +
+                      std::to_string(sc) + " AS o2"),
             std::string::npos)
-      << spec.text;
-  EXPECT_TRUE(sql::parseScript(spec.text).isOk()) << spec.text;
+      << text;
+  EXPECT_TRUE(sql::parseScript(text).isOk()) << text;
 }
 
 TEST_F(RewriterTest, NearNeighborAreaRestrictionPrunesSubchunks) {
@@ -201,10 +223,10 @@ TEST_F(RewriterTest, NearNeighborAreaRestrictionPrunesSubchunks) {
             chunker_.subChunksOf(chunk).size());
   EXPECT_GE(r->chunkQueries[0].subChunkIds.size(), 1u);
   // The area restriction applies to o1 inside each statement.
-  EXPECT_NE(r->chunkQueries[0].text.find(
+  EXPECT_NE(bound(*r, 0).find(
                 "qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS"),
             std::string::npos)
-      << r->chunkQueries[0].text;
+      << bound(*r, 0);
 }
 
 TEST_F(RewriterTest, TwoTableJoinRenamesBoth) {
@@ -212,7 +234,7 @@ TEST_F(RewriterTest, TwoTableJoinRenamesBoth) {
       "SELECT o.objectId, s.sourceId FROM Object o, Source s "
       "WHERE o.objectId = s.objectId",
       {9});
-  const std::string& cq = r.chunkQueries[0].text;
+  const std::string cq = bound(r, 0);
   EXPECT_NE(cq.find("Object_9 AS o"), std::string::npos) << cq;
   EXPECT_NE(cq.find("Source_9 AS s"), std::string::npos) << cq;
 }

@@ -40,40 +40,6 @@ ScanSchedulerConfig sharedScan(bool startPaused = true) {
   return c;
 }
 
-// ------------------------------------------------------------ class header
-
-TEST(QueryClassHeader, RoundTripsThroughPayload) {
-  std::string payload = classHeaderLine(QueryClass::kInteractive) +
-                        "SELECT * FROM Object_7;";
-  auto cls = parseClassHeader(payload);
-  ASSERT_TRUE(cls.has_value());
-  EXPECT_EQ(*cls, QueryClass::kInteractive);
-
-  payload = classHeaderLine(QueryClass::kScan) + "SELECT 1;";
-  cls = parseClassHeader(payload);
-  ASSERT_TRUE(cls.has_value());
-  EXPECT_EQ(*cls, QueryClass::kScan);
-}
-
-TEST(QueryClassHeader, ParsesAfterOtherHeaders) {
-  // The class line may sit anywhere in the run of leading -- comments.
-  std::string payload = "-- QSERV-TRACE: 42\n-- SUBCHUNKS: 1, 2\n" +
-                        classHeaderLine(QueryClass::kInteractive) +
-                        "SELECT 1;";
-  auto cls = parseClassHeader(payload);
-  ASSERT_TRUE(cls.has_value());
-  EXPECT_EQ(*cls, QueryClass::kInteractive);
-}
-
-TEST(QueryClassHeader, AbsentOrMalformedIsNullopt) {
-  EXPECT_FALSE(parseClassHeader("SELECT 1;").has_value());
-  EXPECT_FALSE(parseClassHeader("-- SUBCHUNKS: 3\nSELECT 1;").has_value());
-  EXPECT_FALSE(parseClassHeader("-- QSERV-CLASS: warp\nSELECT 1;").has_value());
-  // The header only counts inside the leading comment block.
-  EXPECT_FALSE(
-      parseClassHeader("SELECT 1;\n-- QSERV-CLASS: scan\n").has_value());
-}
-
 // ------------------------------------------------------------- fifo mode
 
 TEST(ScanScheduler, FifoClaimsOneTaskAtATimeInArrivalOrder) {

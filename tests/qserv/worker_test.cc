@@ -9,7 +9,7 @@
 #include "datagen/schemas.h"
 #include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
-#include "qserv/observables_codec.h"
+#include "qserv/merger.h"
 #include "sql/rowcodec.h"
 #include "util/md5.h"
 #include "util/strings.h"
@@ -51,14 +51,40 @@ class WorkerTest : public ::testing::Test {
     return std::make_unique<Worker>("w0", db_, config_, chunks_, wc);
   }
 
-  /// Write \p text for \p chunk as a batch of one; returns the batch id.
+  /// A batch of one running template \p sql on \p chunk: bound as
+  /// \p bindings say, over \p subChunks.
+  static BatchRequest requestFor(std::int32_t chunk, const std::string& sql,
+                                 std::vector<std::int32_t> subChunks = {},
+                                 std::vector<TableBinding> bindings = {}) {
+    BatchRequest request;
+    request.templateHash = util::Md5::hex(sql);
+    request.query.sql = sql;
+    request.query.bindings = std::move(bindings);
+    request.chunks = {{chunk, std::move(subChunks)}};
+    return request;
+  }
+
+  /// Write \p request; returns the batch id.
+  static util::Result<std::string> submit(Worker& w,
+                                          const BatchRequest& request) {
+    std::string wire = encodeBatchRequest(request);
+    std::string batchId = util::Md5::hex(wire);
+    QSERV_RETURN_IF_ERROR(
+        w.writeFile(xrd::makeBatchPath(batchId), std::move(wire)));
+    return batchId;
+  }
+
+  /// Write \p text, bound to nothing, for \p chunk as a batch of one.
   static util::Result<std::string> submit(Worker& w, std::int32_t chunk,
                                           const std::string& text) {
-    std::string request = encodeBatchRequest({{chunk, text}}, 0);
-    std::string batchId = util::Md5::hex(request);
-    QSERV_RETURN_IF_ERROR(
-        w.writeFile(xrd::makeBatchPath(batchId), std::move(request)));
-    return batchId;
+    return submit(w, requestFor(chunk, text));
+  }
+
+  /// The observables a published result body carries.
+  static simio::WorkObservables observablesOf(const std::string& body) {
+    auto decoded = VerifiedResult::decode(body);
+    EXPECT_TRUE(decoded.isOk()) << decoded.status().toString();
+    return decoded.isOk() ? decoded->observables() : simio::WorkObservables{};
   }
 
   /// Read the next frame of batch \p batchId: its result body, or the
@@ -73,10 +99,14 @@ class WorkerTest : public ::testing::Test {
   }
 
   /// Round-trip one chunk query through the ofs interface.
+  static util::Result<std::string> runQuery(Worker& w,
+                                            const BatchRequest& request) {
+    QSERV_ASSIGN_OR_RETURN(std::string batchId, submit(w, request));
+    return await(w, batchId);
+  }
   static util::Result<std::string> runQuery(Worker& w, std::int32_t chunk,
                                             const std::string& text) {
-    QSERV_ASSIGN_OR_RETURN(std::string batchId, submit(w, chunk, text));
-    return await(w, batchId);
+    return runQuery(w, requestFor(chunk, text));
   }
 
   CatalogConfig config_;
@@ -88,13 +118,19 @@ class WorkerTest : public ::testing::Test {
 TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
   auto w = makeWorker();
   std::int32_t chunk = populatedChunk_;
-  std::string q = "SELECT COUNT(*) AS QS0_COUNT FROM Object_" +
-                  std::to_string(chunk) + ";\n";
-  auto dump = runQuery(*w, chunk, q);
+  // The template names the base table; the worker binds it to the chunk.
+  auto dump = runQuery(
+      *w, requestFor(chunk, "SELECT COUNT(*) AS QS0_COUNT FROM Object", {},
+                     {{0, TableBindingKind::kChunk}}));
   ASSERT_TRUE(dump.isOk()) << dump.status().toString();
   EXPECT_TRUE(sql::isBinaryTablePayload(*dump));
   EXPECT_NE(dump->find("QS0_COUNT"), std::string::npos);
-  EXPECT_NE(dump->find("-- QSERV-OBS"), std::string::npos);
+  auto decoded = VerifiedResult::decode(*dump);
+  ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+  auto rows =
+      db_->execute("SELECT COUNT(*) FROM Object_" + std::to_string(chunk));
+  ASSERT_TRUE(rows.isOk());
+  EXPECT_EQ(decoded->table()->cell(0, 0).asInt(), (*rows)->cell(0, 0).asInt());
   EXPECT_EQ(w->tasksExecuted(), 1u);
 }
 
@@ -159,10 +195,12 @@ TEST_F(WorkerTest, SubchunkBuildAndCleanup) {
   std::string scTable = datagen::subChunkTableName("Object", chunk, sc);
   std::string ovTable =
       datagen::subChunkTableName("ObjectFullOverlap", chunk, sc);
-  std::string q = "-- SUBCHUNKS: " + std::to_string(sc) + "\n" +
-                  "SELECT COUNT(*) AS c FROM " + scTable + " AS o1, " +
-                  ovTable + " AS o2;\n";
-  auto dump = runQuery(*w, chunk, q);
+  auto dump = runQuery(
+      *w, requestFor(chunk,
+                     "SELECT COUNT(*) AS c FROM Object AS o1, Object AS o2",
+                     {sc},
+                     {{0, TableBindingKind::kSubChunk},
+                      {1, TableBindingKind::kFullOverlap}}));
   ASSERT_TRUE(dump.isOk()) << dump.status().toString();
   // Tables are dropped after the task (no caching by default, like the
   // paper's implementation).
@@ -178,9 +216,11 @@ TEST_F(WorkerTest, SubchunkCachingKeepsTables) {
   sphgeom::Chunker chunker = config_.makeChunker();
   std::int32_t sc = chunker.subChunksOf(chunk)[0];
   std::string scTable = datagen::subChunkTableName("Object", chunk, sc);
-  std::string q = "-- SUBCHUNKS: " + std::to_string(sc) + "\n" +
-                  "SELECT COUNT(*) AS c FROM " + scTable + ";\n";
-  ASSERT_TRUE(runQuery(*w, chunk, q).isOk());
+  // A template bound to nothing still gets the listed subchunks built.
+  ASSERT_TRUE(
+      runQuery(*w, requestFor(chunk, "SELECT COUNT(*) AS c FROM " + scTable,
+                              {sc}))
+          .isOk());
   EXPECT_TRUE(db_->hasTable(scTable));
 }
 
@@ -192,14 +232,14 @@ TEST_F(WorkerTest, SubchunkRowsPartitionTheChunk) {
   std::int32_t chunk = populatedChunk_;
   sphgeom::Chunker chunker = config_.makeChunker();
   auto subChunks = chunker.subChunksOf(chunk);
-  std::vector<std::string> ids;
-  for (auto sc : subChunks) ids.push_back(std::to_string(sc));
-  std::string q = "-- SUBCHUNKS: " + util::join(ids, ", ") + "\n";
-  for (auto sc : subChunks) {
-    q += "SELECT COUNT(*) AS c FROM " +
-         datagen::subChunkTableName("Object", chunk, sc) + ";\n";
-  }
-  ASSERT_TRUE(runQuery(*w, chunk, q).isOk());
+  // One execution per subchunk, unioned.
+  auto counts = runQuery(
+      *w, requestFor(chunk, "SELECT COUNT(*) AS c FROM Object", subChunks,
+                     {{0, TableBindingKind::kSubChunk}}));
+  ASSERT_TRUE(counts.isOk()) << counts.status().toString();
+  auto perSubChunk = VerifiedResult::decode(*counts);
+  ASSERT_TRUE(perSubChunk.isOk()) << perSubChunk.status().toString();
+  EXPECT_EQ(perSubChunk->table()->numRows(), subChunks.size());
   // Sum the published counts directly from the database.
   auto total =
       db_->execute("SELECT COUNT(*) FROM Object_" + std::to_string(chunk));
@@ -224,15 +264,14 @@ TEST_F(WorkerTest, ObservablesScaleWithRowScale) {
                   std::to_string(chunk) + " WHERE ra_PS > 0;";
   auto dump = runQuery(*w, chunk, q);
   ASSERT_TRUE(dump.isOk());
-  auto obs = decodeObservables(*dump);
-  ASSERT_TRUE(obs.has_value());
+  auto obs = observablesOf(*dump);
   auto rows =
       db_->execute("SELECT COUNT(*) FROM Object_" + std::to_string(chunk));
   ASSERT_TRUE(rows.isOk());
   auto n = static_cast<std::uint64_t>((*rows)->cell(0, 0).asInt());
-  EXPECT_EQ(obs->rowsExamined, n * 100);
+  EXPECT_EQ(obs.rowsExamined, n * 100);
   // bytesScanned charges Object's paper row width.
-  EXPECT_NEAR(obs->bytesScanned,
+  EXPECT_NEAR(obs.bytesScanned,
               static_cast<double>(n) * 100.0 * datagen::kObjectRowBytes,
               1.0);
 }
@@ -283,9 +322,7 @@ TEST_F(WorkerTest, SharedScanGroupChargesIoOnce) {
   for (const auto& batchId : batches) {
     auto r = await(*w, batchId);
     ASSERT_TRUE(r.isOk()) << r.status().toString();
-    auto obs = decodeObservables(*r);
-    ASSERT_TRUE(obs.has_value());
-    if (obs->bytesScanned > 0) ++charged;
+    if (observablesOf(*r).bytesScanned > 0) ++charged;
   }
   // The whole group shares one scan: exactly one task pays the I/O.
   EXPECT_EQ(charged, 1);
@@ -317,9 +354,7 @@ TEST_F(WorkerTest, FifoChargesEveryScan) {
   for (const auto& batchId : batches) {
     auto r = await(*w, batchId);
     ASSERT_TRUE(r.isOk());
-    auto obs = decodeObservables(*r);
-    ASSERT_TRUE(obs.has_value());
-    if (obs->bytesScanned > 0) ++charged;
+    if (observablesOf(*r).bytesScanned > 0) ++charged;
   }
   EXPECT_EQ(charged, 3);
 }
@@ -331,21 +366,21 @@ TEST_F(WorkerTest, InteractiveClassBypassesScanGroup) {
   wc.startPaused = true;
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
-  // Two header-less scans plus one interactive-classed query, all on the
+  // Two scan-class queries plus one interactive-classed query, all on the
   // same chunk. The interactive task rides the priority lane: it must not
   // join the scan group, so it pays its own read while the group shares one.
-  std::vector<std::string> queries = {
-      "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) +
-          " WHERE decl_PS > -100;",
-      "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) +
-          " WHERE decl_PS > -200;",
-      classHeaderLine(QueryClass::kInteractive) +
-          "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) +
-          " WHERE decl_PS > -300;",
-  };
+  std::vector<BatchRequest> queries;
+  for (int cut : {-100, -200, -300}) {
+    queries.push_back(requestFor(chunk,
+                                 "SELECT COUNT(*) AS c FROM Object_" +
+                                     std::to_string(chunk) +
+                                     " WHERE decl_PS > " +
+                                     std::to_string(cut) + ";"));
+  }
+  queries.back().query.queryClass = QueryClass::kInteractive;
   std::vector<std::string> batches;
   for (const auto& q : queries) {
-    auto batchId = submit(*w, chunk, q);
+    auto batchId = submit(*w, q);
     ASSERT_TRUE(batchId.isOk());
     batches.push_back(*batchId);
   }
@@ -354,9 +389,7 @@ TEST_F(WorkerTest, InteractiveClassBypassesScanGroup) {
   for (const auto& batchId : batches) {
     auto r = await(*w, batchId);
     ASSERT_TRUE(r.isOk()) << r.status().toString();
-    auto obs = decodeObservables(*r);
-    ASSERT_TRUE(obs.has_value());
-    if (obs->bytesScanned > 0) ++charged;
+    if (observablesOf(*r).bytesScanned > 0) ++charged;
   }
   EXPECT_EQ(charged, 2);  // one for the scan group, one for the interactive
 }
@@ -374,7 +407,9 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   std::int32_t chunk = populatedChunk_;
   std::string batchQuery = "SELECT COUNT(*) AS c FROM Object_" +
                            std::to_string(chunk) + " WHERE decl_PS > -500;";
-  std::string wire = encodeBatchRequest({{chunk, batchQuery}}, 4);
+  BatchRequest leader = requestFor(chunk, batchQuery);
+  leader.streamWindow = 4;
+  std::string wire = encodeBatchRequest(leader);
   std::string batchId = util::Md5::hex(wire);
   ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
   // A second scan of the same chunk queues behind it, into the same group.
@@ -387,9 +422,7 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   w->resume();
   auto r = await(*w, *survivor);
   ASSERT_TRUE(r.isOk()) << r.status().toString();
-  auto obs = decodeObservables(*r);
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_GT(obs->bytesScanned, 0.0);
+  EXPECT_GT(observablesOf(*r).bytesScanned, 0.0);
 }
 
 TEST_F(WorkerTest, QueuedTasksIncludesClaimedUnfinishedWork) {
@@ -400,13 +433,13 @@ TEST_F(WorkerTest, QueuedTasksIncludesClaimedUnfinishedWork) {
   auto w = makeWorker(wc);
   ASSERT_GE(chunks_.size(), 2u);
   std::int32_t a = chunks_[0], b = chunks_[1];
-  auto query = [](std::int32_t c) {
-    return "SELECT COUNT(*) AS c FROM Object_" + std::to_string(c) + ";";
-  };
   // Stream window 1: the second chunk's publish blocks until the first
   // frame is read, pinning one claimed-but-unfinished task in the slot.
-  std::string wire =
-      encodeBatchRequest({{a, query(a)}, {b, query(b)}}, /*window=*/1);
+  BatchRequest request = requestFor(a, "SELECT COUNT(*) AS c FROM Object",
+                                    {}, {{0, TableBindingKind::kChunk}});
+  request.chunks.push_back({b, {}});
+  request.streamWindow = 1;
+  std::string wire = encodeBatchRequest(request);
   std::string batchId = util::Md5::hex(wire);
   ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
   // Both tasks have executed once tasksExecuted()==2, but the second is
@@ -429,35 +462,58 @@ TEST_F(WorkerTest, QueuedTasksIncludesClaimedUnfinishedWork) {
 }
 
 TEST_F(WorkerTest, MalformedSubchunksHeaderFailsOnlyThatChunk) {
-  // A subchunk id that is not an int32 fails only its chunk: nothing may
-  // throw on an executor thread, which would take the process down.
+  // Subchunk ids that are not non-negative int32s refuse the whole batch at
+  // decode: nothing may throw on an executor thread, which would take the
+  // process down.
   auto w = makeWorker();
   std::int32_t chunk = populatedChunk_;
-  std::string count =
-      "SELECT COUNT(*) AS c FROM Object_" + std::to_string(chunk) + ";";
-  for (const char* ids : {"abc", "99999999999", "-2147483649", "7x", "1,,-"}) {
-    auto r = runQuery(*w, chunk, std::string("-- SUBCHUNKS: ") + ids + "\n" +
-                                     count);
-    ASSERT_FALSE(r.isOk()) << ids;
-    EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument) << ids;
+  sphgeom::Chunker chunker = config_.makeChunker();
+  std::int32_t sc = chunker.subChunksOf(chunk)[0];
+  const std::string count = "SELECT COUNT(*) AS c FROM Object";
+  const std::vector<TableBinding> perSubChunk = {
+      {0, TableBindingKind::kSubChunk}};
+  std::string wire = encodeBatchRequest(requestFor(chunk, count, {sc},
+                                                   perSubChunk));
+  for (std::uint32_t id : {0x80000000u, 0xffffffffu}) {
+    std::string bad = wire;
+    for (int i = 0; i < 4; ++i) {
+      bad[bad.size() - 4 + i] = static_cast<char>(id >> (8 * i));
+    }
+    EXPECT_EQ(w->writeFile(xrd::makeBatchPath(util::Md5::hex(bad)), bad)
+                  .code(),
+              util::ErrorCode::kInvalidArgument)
+        << id;
   }
 
-  // The same header inside a batch fails that chunk's frame only.
-  std::string bad = "-- SUBCHUNKS: abc\n" + count;
-  std::string wire = encodeBatchRequest({{chunk, bad}}, 4);
-  std::string batchId = util::Md5::hex(wire);
-  ASSERT_TRUE(w->writeFile(xrd::makeBatchPath(batchId), wire).isOk());
-  auto frame = w->readFile(xrd::makeBatchStreamPath(batchId));
-  ASSERT_TRUE(frame.isOk()) << frame.status().toString();
-  auto decoded = decodeResultFrame(*frame);
-  ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
-  EXPECT_EQ(decoded->chunkId, chunk);
-  EXPECT_EQ(decoded->status.code(), util::ErrorCode::kInvalidArgument);
+  // A chunk whose subchunk list a per-subchunk template cannot run on
+  // fails that chunk's frame only; its batch sibling succeeds.
+  BatchRequest mixed = requestFor(chunk, count, {}, perSubChunk);
+  mixed.chunks.push_back({chunk, {sc}});
+  mixed.streamWindow = 4;
+  auto batchId = submit(*w, mixed);
+  ASSERT_TRUE(batchId.isOk()) << batchId.status().toString();
+  int failed = 0, succeeded = 0;
+  for (int i = 0; i < 2; ++i) {
+    auto frame = w->readFile(xrd::makeBatchStreamPath(*batchId));
+    ASSERT_TRUE(frame.isOk()) << frame.status().toString();
+    auto decoded = decodeResultFrame(*frame);
+    ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+    EXPECT_EQ(decoded->chunkId, chunk);
+    if (decoded->status.isOk()) {
+      ++succeeded;
+    } else {
+      EXPECT_EQ(decoded->status.code(), util::ErrorCode::kInvalidArgument);
+      ++failed;
+    }
+  }
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(succeeded, 1);
 
   // The worker still answers the next query.
-  auto next = runQuery(*w, chunk, count);
+  auto next = runQuery(*w, requestFor(chunk, count, {},
+                                      {{0, TableBindingKind::kChunk}}));
   ASSERT_TRUE(next.isOk()) << next.status().toString();
-  EXPECT_NE(next->find("-- QSERV-OBS"), std::string::npos);
+  EXPECT_TRUE(VerifiedResult::decode(*next).isOk());
 }
 
 TEST_F(WorkerTest, ShutdownRejectsNewWork) {
