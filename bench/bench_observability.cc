@@ -2,12 +2,14 @@
 /// \brief Overhead gate for query-level profiling (EXPLAIN ANALYZE,
 /// QueryStats, slow-query log — see DESIGN.md "Observability").
 ///
-/// Profiling must be cheap enough to leave on in production: the paper's
-/// operational stance is that every query is traced ("logging is pervasive",
-/// §5.4-adjacent practice), so the profile derivation and QueryStats append
-/// ride on every query. This bench runs the same full-scan query with
-/// profiling disabled and enabled, interleaved to cancel drift, and ABORTS
-/// (exit 1) if the median wall-time overhead exceeds 5%.
+/// Profiling must be cheap enough to leave on in production. A profiled
+/// query is traced end to end: typed spans on every layer, the workers'
+/// timings carried back in-band, the profile derivation and the QueryStats
+/// append. An unprofiled query records no spans at all, so the off arm is
+/// the untraced stack and the gap between the arms is the whole cost of
+/// asking. This bench runs the same full-scan query with profiling
+/// disabled and enabled, interleaved to cancel drift, and ABORTS (exit 1)
+/// if the median wall-time overhead exceeds 5%.
 ///
 /// It also smoke-checks the tentpole surface end to end: EXPLAIN returns a
 /// plan table without executing, EXPLAIN ANALYZE returns a per-stage

@@ -8,6 +8,10 @@
 /// \metrics, \processlist, \explain <sql>, \profile <id>, \slowlog [sec],
 /// \trace <file>, \quit. EXPLAIN / EXPLAIN ANALYZE work as plain SQL too.
 ///
+/// `\trace <file>` writes the Chrome trace of the last traced query. Only
+/// profiled queries are traced: profiling is on by default here, and
+/// EXPLAIN ANALYZE always traces.
+///
 /// Set QSERV_SLOW_QUERY_SECONDS to emit a structured log line for every
 /// query slower than the threshold (the same summary `\slowlog` queries out
 /// of the QueryStats table).
@@ -237,7 +241,8 @@ int main(int argc, char** argv) {
     }
     if (util::startsWith(trimmed, "\\trace")) {
       if (!lastTrace) {
-        std::printf("no traced query yet — run a query first\n");
+        std::printf("no traced query yet — run a query with profiling on "
+                    "(the default) or EXPLAIN ANALYZE first\n");
         continue;
       }
       std::string path(util::trim(trimmed.substr(6)));
@@ -260,7 +265,7 @@ int main(int argc, char** argv) {
       std::printf("ERROR: %s\n", result.status().toString().c_str());
       continue;
     }
-    lastTrace = result->trace;
+    if (result->trace) lastTrace = result->trace;  // untraced: keep the last
     printTable(*result->result, 20);
     std::printf("(%zu rows; %zu chunk queries; %.1f ms; ~%.2f s on the "
                 "paper's 150-node cluster; query id %llu, %zu trace spans)\n",

@@ -1,6 +1,7 @@
 #include "qserv/batch_codec.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "util/strings.h"
 
@@ -81,6 +82,13 @@ bool skipChar(const std::string& s, std::size_t& pos, char c) {
   if (pos >= s.size() || s[pos] != c) return false;
   ++pos;
   return true;
+}
+
+/// Append the decimal digits of \p v.
+void appendDecimal(std::string& out, std::int64_t v) {
+  char digits[24];
+  auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+  out.append(digits, end);
 }
 
 }  // namespace
@@ -197,10 +205,14 @@ Result<BatchRequest> decodeBatchRequest(std::string_view payload) {
 }
 
 std::string encodeResultFrame(std::int32_t chunkId, const std::string& body) {
+  // Built by hand, not formatted: this runs once per chunk.
   std::string out;
   out.reserve(body.size() + 32);
-  out += util::format("%s%d ok %zu\n", std::string(kFrameHeader).c_str(),
-                      chunkId, body.size());
+  out += kFrameHeader;
+  appendDecimal(out, chunkId);
+  out += " ok ";
+  appendDecimal(out, static_cast<std::int64_t>(body.size()));
+  out += '\n';
   out += body;
   return out;
 }

@@ -10,7 +10,8 @@
 /// are little-endian.
 ///
 ///   "QBR1"                          magic
-///   u64  trace id                   0 = untraced
+///   u64  trace id                   0 = untraced; otherwise every ok
+///                                   frame carries the worker block
 ///   u8   query class                0 interactive, 1 scan
 ///   u8   flags                      bit 0: aggregate; other bits zero
 ///   u32  stream window              max unread frames, 0 = unbounded
@@ -24,12 +25,14 @@
 /// from it, and the envelope must end exactly after its last chunk. A
 /// chunk's result identity is (template MD5, chunk id): the same whichever
 /// batch carries it, so a failed batch member is retried as a batch of one
-/// without re-deriving anything.
+/// without re-deriving anything. Two runs of one untraced query encode
+/// byte-identical requests; the dispatcher keeps their batch ids apart.
 ///
 /// Result frames (each one FileStore entry at /bstream/<batchId>):
 ///   --#FRAME <chunkId> ok <bodyBytes>\n<body>     body = the row-codec
-///       table, the fixed-width binary observables (observables_codec.h)
-///       and the MD5 integrity trailer over both, or
+///       table, the fixed-width binary observables (observables_codec.h),
+///       for a traced batch the fixed-width worker block of the chunk's
+///       timings, and the MD5 integrity trailer over all of them, or
 ///   --#FRAME <chunkId> err <code> <bodyBytes>\n<body>   body = the worker's
 ///       failure Status message, <code> its numeric ErrorCode.
 ///
@@ -51,7 +54,9 @@ namespace qserv::core {
 /// One batch: a query's chunk-query template and the chunks of it that one
 /// worker runs.
 struct BatchRequest {
-  std::uint64_t traceId = 0;  ///< the query's trace; 0 = untraced
+  /// The query's trace id; 0 = untraced. The worker only tests it for
+  /// zero: a traced batch's chunks report their timings in-band.
+  std::uint64_t traceId = 0;
   /// Backpressure bound the worker applies to unread result frames
   /// (0 = unbounded).
   int streamWindow = 0;

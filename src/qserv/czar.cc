@@ -306,18 +306,21 @@ Result<QservFrontend::Execution> QservFrontend::runUserQuery(
   auto& metrics = CzarMetrics::instance();
   metrics.queries.add();
   util::Stopwatch wall;
-  // The trace id doubles as the process-unique query id; workers resolve it
-  // through the registry while the query is in flight.
-  util::TracePtr trace = util::TraceRegistry::instance().create(sql);
-  auto live = beginQuery(trace->id(), sql);
+  const std::uint64_t id = nextQueryId_.fetch_add(1);
+  // Trace only a query someone asked about, decided once: an untraced query
+  // records no span on any layer, and its batches tell workers so.
+  const bool profiled =
+      forceProfile || profilingEnabled_.load(std::memory_order_relaxed);
+  util::TracePtr trace =
+      profiled ? std::make_shared<util::Trace>(id, sql) : nullptr;
+  auto live = beginQuery(id, sql);
 
-  Result<Execution> result = runQuery(sql, *live, trace);
-  util::TraceRegistry::instance().release(trace->id());
+  Result<Execution> result = runQuery(sql, id, *live, trace.get());
   endQuery(live, result.status());
   double wallSeconds = wall.elapsedSeconds();
   metrics.querySeconds.observe(wallSeconds);
 
-  if (profilingEnabled_.load(std::memory_order_relaxed) || forceProfile) {
+  if (profiled) {
     auto profile = std::make_shared<QueryProfile>(buildQueryProfile(*trace));
     profile->wallSeconds = wallSeconds;
     if (result.isOk()) {
@@ -339,7 +342,7 @@ Result<QservFrontend::Execution> QservFrontend::runUserQuery(
     metrics.queriesFailed.add();
     return result;
   }
-  result->queryId = trace->id();
+  result->queryId = id;
   result->trace = std::move(trace);
   result->wallSeconds = wallSeconds;
   return result;
@@ -415,25 +418,26 @@ std::shared_ptr<const QueryProfile> QservFrontend::profileFor(
 }
 
 Result<QservFrontend::Execution> QservFrontend::runQuery(
-    const std::string& sql, LiveQuery& live, const util::TracePtr& trace) {
+    const std::string& sql, std::uint64_t id, LiveQuery& live,
+    util::Trace* trace) {
   Execution exec;
 
   live.setState("analyzing");
   sql::SelectStmt stmt;
   {
-    util::ScopedSpan span(trace, "czar", "parse");
+    util::ScopedSpan span(trace, util::SpanKind::kParse);
     QSERV_ASSIGN_OR_RETURN(stmt, sql::parseSelect(sql));
   }
   AnalyzedQuery analyzed;
   {
-    util::ScopedSpan span(trace, "czar", "analyze");
+    util::ScopedSpan span(trace, util::SpanKind::kAnalyze);
     QSERV_ASSIGN_OR_RETURN(analyzed, analyzeQuery(stmt, config_.catalog));
   }
 
   // Queries that touch no partitioned table run on the frontend directly.
   if (!analyzed.touchesPartitioned()) {
     live.setState("executing on frontend");
-    util::ScopedSpan span(trace, "czar", "frontend-execute");
+    util::ScopedSpan span(trace, util::SpanKind::kFrontendExecute);
     flushQueryStats();  // metadata read: publish pending QueryStats rows
     sql::ExecStats stats;
     QSERV_ASSIGN_OR_RETURN(
@@ -445,27 +449,30 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   live.setState("rewriting");
   std::vector<std::int32_t> chunks;
   {
-    util::ScopedSpan span(trace, "czar", "chunk-prune");
+    util::ScopedSpan span(trace, util::SpanKind::kChunkPrune);
     chunks = resolveChunks(analyzed);
-    span.attr("chunks", static_cast<std::int64_t>(chunks.size()));
+    span->count = static_cast<std::int64_t>(chunks.size());
+  }
+  if (trace) {
+    // Room for the czar's stages, two spans per batch and every chunk's
+    // spans (frame read, chunk, queue wait, subchunk build, execution,
+    // merge), so recording them never reallocates.
+    trace->reserve(32 + 6 * chunks.size());
   }
   std::string mergeTable =
-      util::format("qm_%llu", static_cast<unsigned long long>(
-                                  nextQueryId_.fetch_add(1)));
+      util::format("qm_%llu", static_cast<unsigned long long>(id));
   QueryRewriter rewriter(config_.catalog, chunker_);
   RewriteResult rewrite;
   {
-    util::ScopedSpan span(trace, "czar", "rewrite");
+    util::ScopedSpan span(trace, util::SpanKind::kRewrite);
     QSERV_ASSIGN_OR_RETURN(rewrite,
                            rewriter.rewrite(analyzed, chunks, mergeTable));
-    span.attr("chunkQueries",
-              static_cast<std::int64_t>(rewrite.chunkQueries.size()));
+    span->count = static_cast<std::int64_t>(rewrite.chunkQueries.size());
     // Scheduler class, shipped to every worker in the batch envelope
     // (scan_scheduler.h): point/secondary-index lookups ride the
     // interactive priority lane, multi-chunk scans the shared-scan lane.
     exec.queryClass = deriveQueryClass(analyzed, chunks.size());
     rewrite.chunkTemplate.queryClass = exec.queryClass;
-    span.attr("class", queryClassName(exec.queryClass));
   }
 
   live.chunksTotal.store(rewrite.chunkQueries.size(),
@@ -479,13 +486,13 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   // its next frame, so the czar never holds every result in memory at once
   // and a slow merge throttles the stream windows behind it. One czar span
   // covers the whole overlapped interval so the profile's stage times stay
-  // sequential.
-  ResultMerger merger(mergeTable, trace);
+  // sequential; the collectors record each merge inside it.
+  ResultMerger merger(mergeTable);
   std::mutex sinkMutex;  // guards exec.accounting and mergeStatus
   Status mergeStatus = Status::ok();
   Result<DispatchReport> report = Status::internal("dispatch never ran");
   {
-    util::ScopedSpan span(trace, "czar", "dispatch");
+    util::ScopedSpan span(trace, util::SpanKind::kDispatch);
     DispatchOptions options;
     if (config_.queryDeadlineSeconds > 0.0) {
       options.deadline = util::Deadline::afterSeconds(
@@ -512,7 +519,7 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
 
   live.setState("finalizing");
   {
-    util::ScopedSpan span(trace, "czar", "final-aggregation");
+    util::ScopedSpan span(trace, util::SpanKind::kFinalAggregation);
     QSERV_ASSIGN_OR_RETURN(exec.result, merger.finalize(rewrite.merge));
   }
   exec.rowsMerged = merger.rowsMerged();

@@ -48,7 +48,8 @@ struct FrontendConfig {
   double queryDeadlineSeconds = 0.0;
   /// Build a QueryProfile for every query and persist its summary into the
   /// metadata DB's QueryStats table. EXPLAIN ANALYZE profiles regardless.
-  /// Initial value of the runtime toggle (setProfilingEnabled).
+  /// Initial value of the runtime toggle (setProfilingEnabled). A query
+  /// is traced only when it is profiled.
   bool enableProfiling = true;
   /// Queries slower than this (seconds) emit their profile summary as a
   /// structured QLOG line under component "slowquery"; <= 0 disables.
@@ -96,9 +97,13 @@ class QservFrontend {
     /// This query simulated alone on an idle cluster.
     simio::SimQueryResult soloTiming;
     double wallSeconds = 0.0;  ///< real elapsed time of this execution
-    std::uint64_t queryId = 0;  ///< process-unique id (also the trace id)
+    /// This frontend's id of the query (processList(), profileFor(),
+    /// QueryStats); a traced query's trace carries the same id.
+    std::uint64_t queryId = 0;
     /// Spans from every component this query touched; export with
-    /// trace->toChromeJson(). Always set after query() returns OK.
+    /// trace->toChromeJson(). Set only for a traced query: one that ran
+    /// with profiling enabled or as EXPLAIN ANALYZE. Null otherwise — an
+    /// unprofiled query records no spans anywhere.
     util::TracePtr trace;
     /// Per-stage resource accounting derived from the trace. Set when
     /// profiling is enabled (FrontendConfig::enableProfiling) or the
@@ -132,8 +137,9 @@ class QservFrontend {
   /// FrontendConfig::profileHistory; summaries persist in QueryStats).
   std::shared_ptr<const QueryProfile> profileFor(std::uint64_t id) const;
 
-  /// Runtime toggle for per-query profiling (QueryStats rows, retained
-  /// profiles, slow-query log). EXPLAIN ANALYZE still profiles when off.
+  /// Runtime toggle for per-query tracing and profiling (Execution::trace,
+  /// QueryStats rows, retained profiles, slow-query log). EXPLAIN ANALYZE
+  /// still traces and profiles when off. Read once as each query starts.
   /// Atomic: may be flipped while other threads are inside query().
   void setProfilingEnabled(bool on) {
     profilingEnabled_.store(on, std::memory_order_relaxed);
@@ -198,8 +204,9 @@ class QservFrontend {
   /// (batch count and chunks-per-batch shape).
   std::string describeDispatch(const std::vector<ChunkQuerySpec>& specs);
 
-  /// Execute a SELECT end to end with trace/processList bookkeeping and,
-  /// when enabled (or \p forceProfile), profile building + persistence.
+  /// Execute a SELECT end to end with processList bookkeeping and, when
+  /// profiling is enabled (or \p forceProfile), tracing, profile building
+  /// and persistence.
   util::Result<Execution> runUserQuery(const std::string& sql,
                                        bool forceProfile);
   /// Plan-only EXPLAIN: analyze, prune, rewrite — never dispatch.
@@ -215,9 +222,10 @@ class QservFrontend {
   /// read of the metadata DB so readers always see current rows.
   void flushQueryStats();
 
-  /// The body of query(); \p live and \p trace are registered by query().
-  util::Result<Execution> runQuery(const std::string& sql, LiveQuery& live,
-                                   const util::TracePtr& trace);
+  /// The body of query() for query \p id; \p live is registered by
+  /// runUserQuery(), and \p trace is null for an untraced query.
+  util::Result<Execution> runQuery(const std::string& sql, std::uint64_t id,
+                                   LiveQuery& live, util::Trace* trace);
   std::shared_ptr<LiveQuery> beginQuery(std::uint64_t id,
                                         const std::string& sql);
   void endQuery(const std::shared_ptr<LiveQuery>& live,
@@ -233,7 +241,8 @@ class QservFrontend {
   SecondaryIndex index_;
   sphgeom::Chunker chunker_;
   Dispatcher dispatcher_;
-  std::atomic<std::uint64_t> nextQueryId_{0};
+  /// Query ids (also the merge table's name, qm_<id>); 0 is never used.
+  std::atomic<std::uint64_t> nextQueryId_{1};
   /// Runtime profiling toggle, seeded from config_.enableProfiling.
   std::atomic<bool> profilingEnabled_;
 

@@ -4,9 +4,11 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "qserv/batch_codec.h"
+#include "qserv/observables_codec.h"
 #include "util/logging.h"
 #include "util/md5.h"
 #include "util/metrics.h"
@@ -67,21 +69,48 @@ bool isRetryable(const Status& s) {
          s.code() == util::ErrorCode::kDataLoss;
 }
 
-/// Record the one "chunk <id>" dispatcher span trace consumers key on, with
-/// the attempts the chunk took.
-void addChunkSpan(const util::TracePtr& trace, std::int32_t chunkId,
-                  std::int64_t startUs, int attempts,
-                  std::vector<std::pair<std::string, std::string>> attrs) {
-  if (!trace) return;
-  util::TraceSpan span;
-  span.component = "dispatcher";
-  span.name = util::format("chunk %d", chunkId);
+/// Process-unique nonce of one dispatch run. A batch id hashes it with the
+/// request, so two runs of the same query (whose untraced requests are
+/// byte-identical) never share a worker-side stream.
+std::uint64_t nextRunNonce() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Fill \p span as the one kChunk span of \p chunkId: from \p startUs until
+/// now, after \p attempts attempts.
+void fillChunkSpan(util::TraceSpan& span, std::int32_t chunkId,
+                   std::int64_t startUs, int attempts) {
+  span.chunk = chunkId;
+  span.attempt = attempts;
   span.startUs = startUs;
   span.endUs = util::Trace::nowUs();
   span.threadId = util::threadId();
-  span.attrs = std::move(attrs);
-  span.attrs.emplace_back("attempts", std::to_string(attempts));
-  trace->addSpan(std::move(span));
+}
+
+/// Add the worker's spans of one traced chunk, rebuilt from the timings its
+/// result frame carried.
+void addWorkerSpans(util::SpanBatch& spans, const WorkerTimings& t,
+                    std::int32_t chunkId, const std::string& workerId) {
+  auto add = [&](util::SpanKind kind, std::int64_t startUs,
+                 std::int64_t endUs) -> util::TraceSpan& {
+    util::TraceSpan& span = spans.add(kind);
+    span.chunk = chunkId;
+    span.worker = workerId;
+    span.startUs = startUs;
+    span.endUs = endUs;
+    span.threadId = t.threadId;
+    return span;
+  };
+  add(util::SpanKind::kQueueWait, t.arrivedUs, t.claimedUs);
+  if (t.subchunks > 0) {
+    add(util::SpanKind::kSubchunks, t.execStartUs, t.buildEndUs).count =
+        static_cast<std::int64_t>(t.subchunks);
+  }
+  util::TraceSpan& exec =
+      add(util::SpanKind::kExec, t.execStartUs, t.execEndUs);
+  exec.rows = static_cast<std::int64_t>(t.resultRows);
+  exec.counters = t.counters;
 }
 }  // namespace
 
@@ -105,7 +134,8 @@ struct Dispatcher::Run {
   const ChunkQueryTemplate& query;
   std::string templateHash;  ///< MD5 of query.sql, taken once per run
   const ResultSink& sink;
-  const util::TracePtr& trace;
+  util::Trace* trace;
+  std::uint64_t nonce;  ///< from nextRunNonce(); part of every batch id
   std::atomic<std::size_t>* completed;
   const DispatchOptions& options;
 };
@@ -163,7 +193,7 @@ Status Dispatcher::aggregateFailures(std::vector<ChunkOutcome> failures,
 
 Result<std::vector<ChunkResult>> Dispatcher::run(
     const ChunkQueryTemplate& query, const std::vector<ChunkQuerySpec>& specs,
-    const util::TracePtr& trace, std::atomic<std::size_t>* completed,
+    util::Trace* trace, std::atomic<std::size_t>* completed,
     const DispatchOptions& options) {
   // Collect every result, then restore the caller-visible ordering contract
   // (results in spec order).
@@ -227,7 +257,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     const std::vector<const ChunkQuerySpec*>& chunks, int attempt,
     const Run& run) {
   auto& metrics = DispatchMetrics::instance();
-  const util::TracePtr& trace = run.trace;
+  util::Trace* trace = run.trace;
   const DispatchOptions& options = run.options;
   std::atomic<std::size_t>* completed = run.completed;
   BatchOutcome outcome;
@@ -236,6 +266,8 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
 
   BatchRequest request;
   request.traceId = trace ? trace->id() : 0;
+  // A traced chunk's result body ends in the worker's timings.
+  const bool traced = request.traceId != 0;
   request.streamWindow = config_.streamWindow;
   request.templateHash = run.templateHash;
   request.query = run.query;
@@ -247,13 +279,23 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
     request.chunks.push_back(*spec);
   }
   std::string requestBytes = encodeBatchRequest(request);
-  std::string batchId = util::Md5::hex(requestBytes);
+  // The batch id: MD5 of the request, the run's nonce and the attempt.
+  util::Md5 idHash;
+  idHash.update(requestBytes);
+  const std::uint64_t salt[] = {run.nonce, static_cast<std::uint64_t>(attempt)};
+  idHash.update(salt, sizeof(salt));
+  const auto digest = idHash.digest();
+  const std::string batchId = util::toHex(digest.data(), digest.size());
 
-  util::ScopedSpan span(trace, "dispatcher",
-                        util::format("batch %s", workerId.c_str()));
-  span.attr("chunks", static_cast<std::int64_t>(chunks.size()))
-      .attr("requestBytes", static_cast<std::int64_t>(requestBytes.size()));
-  std::int64_t batchStartUs = util::Trace::nowUs();
+  util::ScopedSpan span(trace, util::SpanKind::kBatch);
+  if (span) span->worker = workerId;
+  span->attempt = attempt;
+  span->count = static_cast<std::int64_t>(chunks.size());
+  const std::int64_t batchStartUs = util::Trace::nowUs();
+  // A traced collector gathers each frame's spans and adds them under one
+  // lock before it reads the next frame.
+  std::optional<util::SpanBatch> frameSpans;
+  if (trace) frameSpans.emplace(*trace);
 
   // A chunk this batch could not deliver becomes a retry item carrying
   // \p why and excluding this worker.
@@ -272,8 +314,12 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   // A chunk no other replica would answer better fails the query.
   auto failChunk = [&](std::int32_t chunkId, const Status& why) {
     metrics.chunksFailed.add();
-    addChunkSpan(trace, chunkId, batchStartUs, attempt,
-                 {{"worker", workerId}, {"error", why.toString()}});
+    if (frameSpans) {
+      util::TraceSpan& chunkSpan = frameSpans->add(util::SpanKind::kChunk);
+      fillChunkSpan(chunkSpan, chunkId, batchStartUs, attempt);
+      chunkSpan.worker = workerId;
+      chunkSpan.error = why.toString();
+    }
     outcome.failures.push_back(ChunkOutcome{chunkId, attempt, why});
     options.cancel.cancel(why);
     if (completed != nullptr) {
@@ -282,17 +328,16 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   };
 
   {
-    util::ScopedSpan xrdSpan(
-        trace, "xrd",
-        util::format("write /batch/%s", batchId.substr(0, 8).c_str()));
-    xrdSpan.attr("worker", workerId);
+    util::ScopedSpan writeSpan(trace, util::SpanKind::kBatchWrite);
+    if (writeSpan) writeSpan->worker = workerId;
+    writeSpan->bytes = static_cast<std::int64_t>(requestBytes.size());
     Status written = client.writeBatch(workerId, batchId, requestBytes);
     if (!written.isOk()) {
       QLOG(kWarn, "dispatch") << "batch " << batchId.substr(0, 8) << " to "
                               << workerId << " rejected: "
                               << written.toString();
-      xrdSpan.attr("error", written.toString());
-      span.attr("error", written.toString());
+      writeSpan.fail(written);
+      span.fail(written);
       // A worker that no longer exports a chunk (stale placement) is as
       // retryable as one that is down: the retry re-locates the chunk.
       retryPending(written.code() == util::ErrorCode::kUnavailable ||
@@ -309,6 +354,7 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
   std::int64_t streamBytes = 0;
   const std::size_t expected = chunks.size();
   while (!pending.empty()) {
+    if (frameSpans) frameSpans->flush();  // the previous frame's spans
     if (options.cancel.cancelled()) {
       client.cancelBatch(workerId, batchId);
       metrics.chunksCancelled.add(pending.size());
@@ -337,14 +383,16 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
           batchId.substr(0, 8).c_str())));
       break;
     }
-    Result<std::string> frameBytes = Status::internal("unreached");
-    {
-      util::ScopedSpan xrdSpan(
-          trace, "xrd",
-          util::format("read /bstream/%s", batchId.substr(0, 8).c_str()));
-      xrdSpan.attr("worker", workerId);
-      frameBytes = client.readBatchFrame(workerId, batchId, options.deadline);
+    util::TraceSpan* readSpan = nullptr;
+    if (frameSpans) {
+      readSpan = &frameSpans->add(util::SpanKind::kFrameRead);
+      readSpan->worker = workerId;
+      readSpan->threadId = util::threadId();
+      readSpan->startUs = util::Trace::nowUs();
     }
+    Result<std::string> frameBytes =
+        client.readBatchFrame(workerId, batchId, options.deadline);
+    if (readSpan) readSpan->endUs = util::Trace::nowUs();
     if (!frameBytes.isOk()) {
       // Worker death / stream timeout / deadline: abandon the stream and
       // retry the survivors (the retry re-checks the deadline before
@@ -352,20 +400,26 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
       QLOG(kWarn, "dispatch")
           << "batch " << batchId.substr(0, 8) << " stream from " << workerId
           << " broke: " << frameBytes.status().toString();
-      span.attr("error", frameBytes.status().toString());
+      if (readSpan) readSpan->error = frameBytes.status().toString();
+      span.fail(frameBytes.status());
       client.cancelBatch(workerId, batchId);
       retryPending(frameBytes.status());
       break;
     }
     ++framesSeen;
     streamBytes += static_cast<std::int64_t>(frameBytes->size());
+    if (readSpan) {
+      readSpan->bytes = static_cast<std::int64_t>(frameBytes->size());
+    }
     auto frame = decodeResultFrame(*frameBytes);
     if (!frame.isOk()) {
       // Unattributable frame: some chunk is now short one frame; it gets
       // retried when the stream runs dry.
       metrics.damagedFrames.add();
+      if (readSpan) readSpan->error = frame.status().toString();
       continue;
     }
+    if (readSpan) readSpan->chunk = frame->chunkId;
     auto it = pending.find(frame->chunkId);
     if (it == pending.end()) continue;  // duplicate or stale frame
     const ChunkQuerySpec* spec = it->second;
@@ -384,7 +438,8 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
 
     // Verify and decode on this thread, outside any lock: the sink only
     // appends typed columns.
-    Result<VerifiedResult> verified = VerifiedResult::decode(frame->body);
+    Result<VerifiedResult> verified =
+        VerifiedResult::decode(frame->body, traced);
     if (!verified.isOk() &&
         verified.status().code() == util::ErrorCode::kDataLoss) {
       metrics.checksumMismatches.add();
@@ -402,24 +457,44 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
       continue;
     }
 
-    // One "chunk <id>" span per dispatched chunk, covering batch write
-    // through frame arrival.
-    addChunkSpan(trace, chunkId, batchStartUs, attempt,
-                 {{"worker", workerId},
-                  {"dumpBytes", std::to_string(verified->payloadBytes())}});
+    const std::int64_t nowUs = util::Trace::nowUs();
     metrics.chunksOk.add();
-    metrics.chunkSeconds.observe(
-        static_cast<double>(util::Trace::nowUs() - batchStartUs) * 1e-6);
+    metrics.chunkSeconds.observe(static_cast<double>(nowUs - batchStartUs) *
+                                 1e-6);
     ++outcome.ok;
+    if (frameSpans) {
+      // One kChunk span per dispatched chunk, covering batch write through
+      // frame arrival, and the worker's own spans from its frame.
+      util::TraceSpan& chunkSpan = frameSpans->add(util::SpanKind::kChunk);
+      fillChunkSpan(chunkSpan, chunkId, batchStartUs, attempt);
+      chunkSpan.worker = workerId;
+      // The result's bytes as an untraced query would read them: less the
+      // worker block tracing added.
+      chunkSpan.bytes = static_cast<std::int64_t>(
+          verified->payloadBytes() - (traced ? kWorkerBlockBytes : 0));
+      if (const auto& timings = verified->workerTimings()) {
+        addWorkerSpans(*frameSpans, *timings, chunkId, workerId);
+      }
+    }
+    const std::int64_t rows =
+        static_cast<std::int64_t>(verified->table()->numRows());
     Status sunk = run.sink(ChunkResult{chunkId, workerId, run.templateHash,
                                        std::move(verified).value()});
+    if (frameSpans) {
+      util::TraceSpan& merge = frameSpans->add(util::SpanKind::kMerge);
+      merge.chunk = chunkId;
+      merge.rows = rows;
+      merge.startUs = nowUs;
+      merge.endUs = util::Trace::nowUs();
+      merge.threadId = util::threadId();
+      if (!sunk.isOk()) merge.error = sunk.toString();
+    }
     if (!sunk.isOk()) options.cancel.cancel(std::move(sunk));
     if (completed != nullptr) {
       completed->fetch_add(1, std::memory_order_relaxed);
     }
   }
-  span.attr("delivered", static_cast<std::int64_t>(outcome.ok))
-      .attr("streamBytes", streamBytes);
+  span->bytes = streamBytes;
   metrics.batchSeconds.observe(watch.elapsedSeconds());
   return outcome;
 }
@@ -427,10 +502,10 @@ Dispatcher::BatchOutcome Dispatcher::collectBatch(
 Status Dispatcher::retryChunk(const RetryItem& item, const Run& run,
                               int& attemptsOut) {
   auto& metrics = DispatchMetrics::instance();
-  const util::TracePtr& trace = run.trace;
+  util::Trace* trace = run.trace;
   const DispatchOptions& options = run.options;
   const ChunkQuerySpec& spec = *item.spec;
-  std::int64_t startUs = util::Trace::nowUs();
+  const std::int64_t startUs = trace ? util::Trace::nowUs() : 0;
   // Deterministic, per-chunk-decorrelated backoff stream.
   std::uint64_t backoffSeed =
       config_.retrySeed + 0x9e3779b97f4a7c15ULL *
@@ -472,11 +547,11 @@ Status Dispatcher::retryChunk(const RetryItem& item, const Run& run,
       }
       if (deadlineExpired()) break;
     }
-    // Named "attempt N ..." (not "chunk ...") so trace consumers keep seeing
-    // exactly one "chunk <id>" dispatcher span per dispatched chunk.
-    util::ScopedSpan attemptSpan(
-        trace, "dispatcher",
-        util::format("attempt %d chunk %d", attempt + 1, spec.chunkId));
+    // A kAttempt span, not a kChunk one: trace consumers see exactly one
+    // kChunk span per dispatched chunk.
+    util::ScopedSpan attemptSpan(trace, util::SpanKind::kAttempt);
+    attemptSpan->chunk = spec.chunkId;
+    attemptSpan->attempt = attempt + 1;
     auto server = redirector_->locate(spec.chunkId, exclude);
     if (!server.isOk() &&
         server.status().code() == util::ErrorCode::kUnavailable &&
@@ -489,12 +564,12 @@ Status Dispatcher::retryChunk(const RetryItem& item, const Run& run,
     }
     if (!server.isOk()) {
       last = server.status();
-      attemptSpan.attr("error", last.toString());
+      attemptSpan.fail(last);
       if (isRetryable(last)) continue;
       break;  // non-transient: chunk unknown, ...
     }
     const std::string workerId = (*server)->id();
-    attemptSpan.attr("worker", workerId);
+    if (attemptSpan) attemptSpan->worker = workerId;
     BatchOutcome outcome = collectBatch(workerId, {&spec}, attempt + 1, run);
     if (outcome.retries.empty()) {
       // Delivered, failed for good, or cancelled: collectBatch accounted
@@ -506,7 +581,7 @@ Status Dispatcher::retryChunk(const RetryItem& item, const Run& run,
                              options.cancel.reason().message());
     }
     last = std::move(outcome.retries.front().prior);
-    attemptSpan.attr("error", last.toString());
+    attemptSpan.fail(last);
     exclude.push_back(workerId);
     if (!isRetryable(last)) break;
   }
@@ -516,8 +591,13 @@ Status Dispatcher::retryChunk(const RetryItem& item, const Run& run,
   } else {
     metrics.chunksFailed.add();
   }
-  addChunkSpan(trace, spec.chunkId, startUs, attemptsOut,
-               {{"error", last.toString()}});
+  if (trace) {
+    util::TraceSpan chunkSpan;
+    chunkSpan.kind = util::SpanKind::kChunk;
+    fillChunkSpan(chunkSpan, spec.chunkId, startUs, attemptsOut);
+    chunkSpan.error = last.toString();
+    trace->add(std::move(chunkSpan));
+  }
   if (run.completed != nullptr) {
     run.completed->fetch_add(1, std::memory_order_relaxed);
   }
@@ -526,10 +606,10 @@ Status Dispatcher::retryChunk(const RetryItem& item, const Run& run,
 
 Result<DispatchReport> Dispatcher::runStreamed(
     const ChunkQueryTemplate& query, const std::vector<ChunkQuerySpec>& specs,
-    const ResultSink& sink, const util::TracePtr& trace,
+    const ResultSink& sink, util::Trace* trace,
     std::atomic<std::size_t>* completed, const DispatchOptions& options) {
-  const Run run{query, util::Md5::hex(query.sql), sink, trace, completed,
-                options};
+  const Run run{query, util::Md5::hex(query.sql), sink, trace, nextRunNonce(),
+                completed, options};
   // Plan: one batch per (query, worker) at the redirector's current
   // placement; chunks without a live placement go straight to the retry
   // path, which re-locates them and owns the precise error semantics.

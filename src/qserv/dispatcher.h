@@ -13,7 +13,9 @@
 /// (which prices the paper's per-chunk master cost itself). A query's chunk
 /// query travels as one ChunkQueryTemplate per batch, never as per-chunk
 /// text; its MD5 is taken once per run and, with the chunk id, identifies
-/// every result.
+/// every result. A batch id is the MD5 of the request, the run's
+/// process-unique nonce and the attempt, so concurrent runs of one query
+/// never share a result stream.
 ///
 /// Failure handling (the czar "manages transient errors", §5.2). A chunk a
 /// batch could not deliver (rejected batch write, broken stream, damaged
@@ -113,14 +115,16 @@ class Dispatcher {
   /// failed chunk with its attempt count, and sibling chunk queries still
   /// queued when the first failure lands are cancelled, not executed.
   ///
-  /// When \p trace is set, its id travels in each batch request (so workers
-  /// attach their spans to the same trace) and per-chunk dispatcher/xrd
-  /// spans are recorded. When \p completed is set it is incremented as each
-  /// chunk query finishes (live progress for SHOW PROCESSLIST).
+  /// When \p trace is set (and its id is nonzero), each batch request
+  /// carries its id, so workers answer every chunk with their timings
+  /// in-band, and the collectors record dispatcher, xrd, worker and merge
+  /// spans into it. Without one nothing is timed or recorded. When
+  /// \p completed is set it is incremented as each chunk query finishes
+  /// (live progress for SHOW PROCESSLIST).
   util::Result<std::vector<ChunkResult>> run(
       const ChunkQueryTemplate& query,
       const std::vector<ChunkQuerySpec>& specs,
-      const util::TracePtr& trace = nullptr,
+      util::Trace* trace = nullptr,
       std::atomic<std::size_t>* completed = nullptr,
       const DispatchOptions& options = {});
 
@@ -133,7 +137,7 @@ class Dispatcher {
   util::Result<DispatchReport> runStreamed(
       const ChunkQueryTemplate& query,
       const std::vector<ChunkQuerySpec>& specs, const ResultSink& sink,
-      const util::TracePtr& trace = nullptr,
+      util::Trace* trace = nullptr,
       std::atomic<std::size_t>* completed = nullptr,
       const DispatchOptions& options = {});
 

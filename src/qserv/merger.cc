@@ -36,25 +36,27 @@ struct MergerMetrics {
 };
 }  // namespace
 
-util::Result<VerifiedResult> VerifiedResult::decode(std::string_view payload) {
+util::Result<VerifiedResult> VerifiedResult::decode(std::string_view payload,
+                                                    bool traced) {
   QSERV_ASSIGN_OR_RETURN(std::string_view body, verifiedDumpBody(payload));
-  QSERV_ASSIGN_OR_RETURN(ResultBodyParts parts, splitObservables(body));
+  QSERV_ASSIGN_OR_RETURN(ResultBodyParts parts, splitResultBody(body, traced));
   VerifiedResult out;
   QSERV_ASSIGN_OR_RETURN(out.observables_,
                          decodeObservables(parts.observables));
+  if (traced) {
+    QSERV_ASSIGN_OR_RETURN(out.workerTimings_, decodeWorkerBlock(parts.worker));
+  }
   QSERV_ASSIGN_OR_RETURN(out.table_, sql::decodeTableBinary(parts.table));
   out.payloadBytes_ = payload.size();
   return out;
 }
 
-ResultMerger::ResultMerger(std::string mergeTable, util::TracePtr trace)
-    : mergeTable_(std::move(mergeTable)), trace_(std::move(trace)) {}
+ResultMerger::ResultMerger(std::string mergeTable)
+    : mergeTable_(std::move(mergeTable)) {}
 
 util::Status ResultMerger::merge(VerifiedResult result) {
   auto& metrics = MergerMetrics::instance();
   util::Stopwatch watch;
-  util::ScopedSpan span(trace_, "merger", "replay dump");
-  span.attr("dumpBytes", static_cast<std::int64_t>(result.payloadBytes()));
   const sql::TablePtr& table = result.table();
   const std::size_t rows = table->numRows();
   util::Status status = util::Status::ok();
@@ -72,8 +74,6 @@ util::Status ResultMerger::merge(VerifiedResult result) {
   if (status.isOk()) metrics.rowsMerged.add(rows);
   metrics.dumpsReplayed.add();
   metrics.dumpReplaySeconds.observe(watch.elapsedSeconds());
-  span.attr("rows", static_cast<std::int64_t>(status.isOk() ? rows : 0));
-  if (!status.isOk()) span.attr("error", status.toString());
   return status;
 }
 
@@ -83,7 +83,6 @@ std::uint64_t ResultMerger::rowsMerged() const {
 }
 
 util::Result<sql::TablePtr> ResultMerger::finalize(const MergePlan& plan) {
-  util::ScopedSpan span(trace_, "merger", "finalize");
   std::lock_guard lock(mutex_);
   if (!merge_) {
     // No chunk produced anything (e.g. zero chunks dispatched): an empty

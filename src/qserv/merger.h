@@ -16,13 +16,14 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "qserv/observables_codec.h"
 #include "qserv/query_rewriter.h"
 #include "simio/cost_model.h"
 #include "sql/table.h"
-#include "util/trace.h"
 
 namespace qserv::core {
 
@@ -33,13 +34,19 @@ namespace qserv::core {
 class VerifiedResult {
  public:
   /// Verify \p payload's trailer (kDataLoss when it is missing or does not
-  /// match), split the table bytes off the observables block that ends the
-  /// body, and decode both. A payload that verifies but whose table or
-  /// observables do not decode exactly is kInvalidArgument.
-  static util::Result<VerifiedResult> decode(std::string_view payload);
+  /// match), split the table bytes off the observables block after it (and,
+  /// when \p traced, the worker block that ends a traced chunk's body), and
+  /// decode them all. A payload that verifies but whose table or blocks do
+  /// not decode exactly is kInvalidArgument.
+  static util::Result<VerifiedResult> decode(std::string_view payload,
+                                             bool traced = false);
 
   const sql::TablePtr& table() const { return table_; }
   const simio::WorkObservables& observables() const { return observables_; }
+  /// The worker's timings of a traced chunk; empty when untraced.
+  const std::optional<WorkerTimings>& workerTimings() const {
+    return workerTimings_;
+  }
   /// Size of the payload it was decoded from, trailer included.
   std::size_t payloadBytes() const { return payloadBytes_; }
 
@@ -48,16 +55,16 @@ class VerifiedResult {
 
   sql::TablePtr table_;
   simio::WorkObservables observables_;
+  std::optional<WorkerTimings> workerTimings_;
   std::size_t payloadBytes_ = 0;
 };
 
 class ResultMerger {
  public:
-  /// Merges into a table named \p mergeTable. When \p trace is set,
-  /// per-result "replay dump" and finalize spans are recorded under the
-  /// "merger" component.
-  explicit ResultMerger(std::string mergeTable,
-                        util::TracePtr trace = nullptr);
+  /// Merges into a table named \p mergeTable. (A traced query's merge
+  /// spans are recorded by the dispatcher's collector, which calls merge()
+  /// through its result sink.)
+  explicit ResultMerger(std::string mergeTable);
 
   ResultMerger(const ResultMerger&) = delete;
   ResultMerger& operator=(const ResultMerger&) = delete;
@@ -80,7 +87,6 @@ class ResultMerger {
 
  private:
   std::string mergeTable_;
-  util::TracePtr trace_;
   mutable std::mutex mutex_;  ///< guards merge_ and rowsMerged_
   sql::TablePtr merge_;       ///< the first result's table, adopted
   std::uint64_t rowsMerged_ = 0;

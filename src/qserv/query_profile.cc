@@ -1,27 +1,14 @@
 #include "qserv/query_profile.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
+#include <utility>
 
 #include "util/strings.h"
 
 namespace qserv::core {
 
 namespace {
-
-/// Attribute value by key, or empty.
-const std::string* findAttr(const util::TraceSpan& span,
-                            std::string_view key) {
-  for (const auto& [k, v] : span.attrs) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-std::int64_t intAttr(const util::TraceSpan& span, std::string_view key) {
-  const std::string* v = findAttr(span, key);
-  return v ? std::strtoll(v->c_str(), nullptr, 10) : 0;
-}
 
 std::string distDetail(const ProfileDist& d) {
   if (d.count == 0) return "";
@@ -33,6 +20,21 @@ std::string jsonDist(const ProfileDist& d) {
   return util::format(
       "{\"count\":%lld,\"min\":%.6g,\"p50\":%.6g,\"max\":%.6g,\"sum\":%.6g}",
       static_cast<long long>(d.count), d.min, d.p50, d.max, d.sum);
+}
+
+/// Wall time covered by at least one of \p intervals (start, end µs):
+/// concurrent merges on several collectors count once.
+double coveredSeconds(std::vector<std::pair<std::int64_t, std::int64_t>>
+                          intervals) {
+  std::sort(intervals.begin(), intervals.end());
+  std::int64_t covered = 0;
+  std::int64_t reach = std::numeric_limits<std::int64_t>::min();
+  for (const auto& [start, end] : intervals) {
+    std::int64_t from = std::max(start, reach);
+    if (end > from) covered += end - from;
+    reach = std::max(reach, end);
+  }
+  return static_cast<double>(covered) * 1e-6;
 }
 
 }  // namespace
@@ -56,64 +58,79 @@ double QueryProfile::stageSeconds() const {
 }
 
 QueryProfile buildQueryProfile(const util::Trace& trace) {
+  using util::SpanKind;
   QueryProfile p;
   p.queryId = trace.id();
   p.sql = trace.label();
 
-  std::vector<util::TraceSpan> spans = trace.spans();
-  std::vector<const util::TraceSpan*> czarSpans;
+  std::vector<util::TraceSpan> czarSpans;
   std::vector<double> waitSamples, execSamples, transferSamples;
-  std::vector<double> batchSamples;
-  for (const auto& span : spans) {
-    if (findAttr(span, "error") != nullptr) ++p.faults;
-    if (span.component == "czar") {
-      czarSpans.push_back(&span);
-    } else if (span.component == "worker") {
-      if (util::startsWith(span.name, "queue-wait ")) {
+  std::vector<double> batchSamples, mergeSamples;
+  std::vector<std::pair<std::int64_t, std::int64_t>> mergeIntervals;
+  trace.forEach([&](const util::TraceSpan& span) {
+    if (!span.error.empty()) ++p.faults;
+    switch (span.kind) {
+      case SpanKind::kParse:
+      case SpanKind::kAnalyze:
+      case SpanKind::kFrontendExecute:
+      case SpanKind::kChunkPrune:
+      case SpanKind::kRewrite:
+      case SpanKind::kDispatch:
+      case SpanKind::kFinalAggregation:
+        czarSpans.push_back(span);
+        break;
+      case SpanKind::kQueueWait:
         waitSamples.push_back(span.durationSeconds());
-      } else if (util::startsWith(span.name, "exec ")) {
+        break;
+      case SpanKind::kExec:
         execSamples.push_back(span.durationSeconds());
-        p.resultRows += intAttr(span, "resultRows");
-      }
-    } else if (span.component == "xrd") {
-      // Each stream-frame read is one result transfer from a worker.
-      if (util::startsWith(span.name, "read /bstream/")) {
+        p.resultRows += span.rows;
+        break;
+      case SpanKind::kFrameRead:
+        // Each stream-frame read is one result transfer from a worker.
         transferSamples.push_back(span.durationSeconds());
-      }
-    } else if (span.component == "dispatcher") {
-      if (util::startsWith(span.name, "chunk ")) {
+        break;
+      case SpanKind::kChunk:
         ++p.chunks;
-        p.attempts += intAttr(span, "attempts");
-        p.bytesTransferred += intAttr(span, "dumpBytes");
-      } else if (util::startsWith(span.name, "batch ")) {
+        p.attempts += span.attempt;
+        p.bytesTransferred += span.bytes;
+        break;
+      case SpanKind::kBatch:
         ++p.batches;
         batchSamples.push_back(span.durationSeconds());
-      }
-    } else if (span.component == "merger") {
-      if (span.name == "replay dump") p.rowsMerged += intAttr(span, "rows");
+        break;
+      case SpanKind::kMerge:
+        p.rowsMerged += span.error.empty() ? span.rows : 0;
+        mergeSamples.push_back(span.durationSeconds());
+        mergeIntervals.emplace_back(span.startUs, span.endUs);
+        break;
+      default:
+        break;
     }
-  }
+  });
   p.retries = std::max<std::int64_t>(0, p.attempts - p.chunks);
   p.queueWait = ProfileDist::of(std::move(waitSamples));
   p.execute = ProfileDist::of(std::move(execSamples));
   p.transfer = ProfileDist::of(std::move(transferSamples));
   p.batchTransfer = ProfileDist::of(std::move(batchSamples));
+  p.merge = ProfileDist::of(std::move(mergeSamples));
+  p.mergeBusySeconds = coveredSeconds(std::move(mergeIntervals));
 
   // Czar stages in execution (start-time) order.
   std::sort(czarSpans.begin(), czarSpans.end(),
-            [](const util::TraceSpan* a, const util::TraceSpan* b) {
-              return a->startUs < b->startUs;
+            [](const util::TraceSpan& a, const util::TraceSpan& b) {
+              return a.startUs < b.startUs;
             });
-  for (const util::TraceSpan* span : czarSpans) {
+  for (const util::TraceSpan& span : czarSpans) {
     ProfileStage stage;
-    stage.name = span->name;
-    stage.seconds = span->durationSeconds();
-    if (span->name == "chunk-prune") {
-      stage.items = intAttr(*span, "chunks");
+    stage.name = util::spanName(span.kind);
+    stage.seconds = span.durationSeconds();
+    if (span.kind == SpanKind::kChunkPrune) {
+      stage.items = span.count;
       stage.detail = util::format("%lld chunks after pruning",
                                   static_cast<long long>(stage.items));
-    } else if (span->name == "rewrite") {
-      stage.items = intAttr(*span, "chunkQueries");
+    } else if (span.kind == SpanKind::kRewrite) {
+      stage.items = span.count;
       stage.detail = util::format("%lld chunk queries",
                                   static_cast<long long>(stage.items));
     }
@@ -152,6 +169,10 @@ sql::TablePtr QueryProfile::toTable() const {
       add("  chunk execute", execute.sum, execute.count, distDetail(execute));
       add("  chunk transfer", transfer.sum, transfer.count,
           distDetail(transfer));
+      // Of the dispatch interval, the part the czar spent merging results
+      // (the rest it waited on workers and the fabric).
+      add("  merge (busy)", mergeBusySeconds, merge.count,
+          distDetail(merge));
     }
   }
   add("total (stages)", stageSeconds(), 0, "");
@@ -185,7 +206,8 @@ std::string QueryProfile::toJson() const {
       "\"batches\":%lld,\"attempts\":%lld,\"retries\":%lld,\"faults\":%lld,"
       "\"rowsMerged\":%lld,\"resultRows\":%lld,\"bytesTransferred\":%lld,"
       "\"queueWait\":%s,\"execute\":%s,\"transfer\":%s,"
-      "\"batchTransfer\":%s,\"stages\":%s}",
+      "\"batchTransfer\":%s,\"merge\":%s,\"mergeBusySeconds\":%.6g,"
+      "\"stages\":%s}",
       static_cast<unsigned long long>(queryId),
       util::jsonEscape(sql).c_str(), util::jsonEscape(status).c_str(),
       util::jsonEscape(queryClass).c_str(),
@@ -195,7 +217,8 @@ std::string QueryProfile::toJson() const {
       static_cast<long long>(rowsMerged), static_cast<long long>(resultRows),
       static_cast<long long>(bytesTransferred), jsonDist(queueWait).c_str(),
       jsonDist(execute).c_str(), jsonDist(transfer).c_str(),
-      jsonDist(batchTransfer).c_str(), stagesJson.c_str());
+      jsonDist(batchTransfer).c_str(), jsonDist(merge).c_str(),
+      mergeBusySeconds, stagesJson.c_str());
 }
 
 }  // namespace qserv::core

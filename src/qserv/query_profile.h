@@ -3,10 +3,12 @@
 /// QueryStats, slow-query log).
 ///
 /// A QueryProfile is the queryable distillation of one query's Trace: the
-/// czar-side stages (parse, analyze, chunk-prune, rewrite, dispatch, merge,
+/// czar-side stages (parse, analyze, chunk-prune, rewrite, dispatch,
 /// final-aggregation) become an ordered stage list, and the per-chunk
-/// dispatcher/worker/xrd spans collapse into queue-wait / execute / transfer
-/// distributions (min/p50/max over chunks). It is *derived from* the trace —
+/// dispatcher/worker/xrd/merger spans collapse into queue-wait / execute /
+/// transfer / merge distributions (min/p50/max over chunks). Spans are
+/// told apart by kind (util::SpanKind), never by name. It is *derived
+/// from* the trace —
 /// spans stay the ground truth; the profile is the summary that outlives the
 /// query in the frontend's QueryStats table and feeds `\profile`,
 /// `\slowlog`, and the structured slow-query log line.
@@ -56,12 +58,17 @@ struct QueryProfile {
   /// Per-worker batch transfer: wall seconds of each batch's write+stream
   /// interval (retries count as batches of one).
   ProfileDist batchTransfer;
+  ProfileDist merge;  ///< per-chunk merge into the merge table (czar)
+  /// Wall seconds of the dispatch stage during which at least one chunk
+  /// result was being merged: the czar's merge-busy time, as opposed to
+  /// waiting on workers. Never more than the dispatch stage.
+  double mergeBusySeconds = 0.0;
 
   std::int64_t batches = 0;   ///< batch requests written
   std::int64_t chunks = 0;    ///< chunk queries dispatched
   std::int64_t attempts = 0;  ///< total dispatch attempts across chunks
   std::int64_t retries = 0;   ///< attempts - chunks (0 when clean)
-  std::int64_t faults = 0;    ///< spans that recorded an "error" attribute
+  std::int64_t faults = 0;    ///< spans that recorded an error
   std::int64_t rowsMerged = 0;
   std::int64_t resultRows = 0;
   std::int64_t bytesTransferred = 0;  ///< dump bytes read from workers
@@ -71,8 +78,8 @@ struct QueryProfile {
   double stageSeconds() const;
 
   /// Hierarchical breakdown as a result table: columns (stage, seconds,
-  /// count, detail); per-chunk distributions render as indented sub-rows of
-  /// the dispatch stage.
+  /// count, detail); per-chunk distributions and the merge-busy time render
+  /// as indented sub-rows of the dispatch stage.
   sql::TablePtr toTable() const;
 
   /// One-line JSON summary (the slow-query-log payload and QueryStats

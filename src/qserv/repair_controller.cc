@@ -284,15 +284,15 @@ std::vector<std::int32_t> RepairController::underReplicatedChunks() const {
 
 Status RepairController::replicateChunk(
     std::int32_t chunkId, const std::vector<std::string>& sourceIds,
-    const std::string& destId, util::TracePtr trace) {
+    const std::string& destId, util::Trace* trace) {
   auto& metrics = RepairMetrics::instance();
   if (sourceIds.empty()) {
     return Status::unavailable(
         util::format("no live source replica for chunk %d", chunkId));
   }
-  util::ScopedSpan span(trace, "repair",
-                       util::format("copy %d -> %s", chunkId,
-                                    destId.c_str()));
+  util::ScopedSpan span(trace, util::SpanKind::kCopy);
+  span->chunk = chunkId;
+  if (span) span->worker = destId;
   util::Stopwatch watch;
   metrics.transfersInflight.add(1);
   util::Backoff backoff(config_.copyBackoff,
@@ -341,9 +341,8 @@ Status RepairController::replicateChunk(
     double seconds = watch.elapsedSeconds();
     metrics.copySeconds.observe(seconds);
     metrics.transfersInflight.add(-1);
-    span.attr("bytes", static_cast<std::int64_t>(bytes))
-        .attr("source", sourceId)
-        .attr("attempts", static_cast<std::int64_t>(attempt + 1));
+    span->bytes = static_cast<std::int64_t>(bytes);
+    span->attempt = attempt + 1;
     // Duty-cycle pacing: idle this transfer slot in proportion to the time
     // the copy took, bounding repair's share of the machine.
     if (config_.copyDutyCycle > 0.0 && config_.copyDutyCycle < 1.0) {
@@ -354,7 +353,7 @@ Status RepairController::replicateChunk(
   }
   metrics.copyFailures.add();
   metrics.transfersInflight.add(-1);
-  span.attr("failed", last.toString());
+  span.fail(last);
   return last;
 }
 
@@ -409,16 +408,14 @@ Result<int> RepairController::repairOnce() {
   }
   if (jobs.empty()) return 0;
 
-  util::TracePtr trace =
-      util::TraceRegistry::instance().create("repair-run");
+  auto trace = std::make_shared<util::Trace>(++runs_, "repair-run");
   metrics.repairRuns.add();
   QLOG(kInfo, "repair") << "re-replicating " << jobs.size()
                         << " chunk replicas (budget "
                         << config_.transferBudget << ")";
   int copied = 0;
   {
-    util::ScopedSpan runSpan(trace, "repair",
-                             util::format("repair-run %zu", jobs.size()));
+    util::ScopedSpan runSpan(trace.get(), util::SpanKind::kRepairRun);
     // The transfer budget IS the pool size: at most `transferBudget` copies
     // in flight, the rest queue — repair cannot starve query slots.
     util::ThreadPool pool(
@@ -426,8 +423,9 @@ Result<int> RepairController::repairOnce() {
     std::vector<std::future<Status>> results;
     results.reserve(jobs.size());
     for (const CopyJob& job : jobs) {
-      results.push_back(pool.submit([this, job, trace] {
-        return replicateChunk(job.chunkId, job.sources, job.dest, trace);
+      results.push_back(pool.submit([this, job, &trace] {
+        return replicateChunk(job.chunkId, job.sources, job.dest,
+                              trace.get());
       }));
     }
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -440,13 +438,12 @@ Result<int> RepairController::repairOnce() {
             << " failed: " << status.toString();
       }
     }
-    runSpan.attr("copied", static_cast<std::int64_t>(copied));
+    runSpan->count = copied;
   }
   {
     std::lock_guard lock(stateMutex_);
-    lastTrace_ = trace;
+    lastTrace_ = std::move(trace);
   }
-  util::TraceRegistry::instance().release(trace->id());
   return copied;
 }
 
@@ -488,17 +485,16 @@ Result<int> RepairController::rebalanceOnce(int maxMoves) {
        static_cast<int>((load[hot] - load[cold]) / 2)});
   if (moves <= 0) return 0;
 
-  util::TracePtr trace =
-      util::TraceRegistry::instance().create("rebalance-run");
+  auto trace = std::make_shared<util::Trace>(
+      ++runs_, util::format("rebalance %s -> %s", hot.c_str(), cold.c_str()));
   int done = 0;
   {
-    util::ScopedSpan runSpan(trace, "repair",
-                             util::format("rebalance %s -> %s", hot.c_str(),
-                                          cold.c_str()));
+    util::ScopedSpan runSpan(trace.get(), util::SpanKind::kRebalanceRun);
+    runSpan->worker = cold;
     for (int i = 0; i < moves; ++i) {
       std::int32_t chunk = movable[static_cast<std::size_t>(i)];
       // Copy-then-drop: the replica count never dips below where it was.
-      Status copied = replicateChunk(chunk, {hot}, cold, trace);
+      Status copied = replicateChunk(chunk, {hot}, cold, trace.get());
       if (!copied.isOk()) {
         QLOG(kWarn, "repair") << "rebalance copy of chunk " << chunk
                               << " failed: " << copied.toString();
@@ -520,13 +516,12 @@ Result<int> RepairController::rebalanceOnce(int maxMoves) {
       metrics.rebalanceMoves.add();
       ++done;
     }
-    runSpan.attr("moves", static_cast<std::int64_t>(done));
+    runSpan->count = done;
   }
   {
     std::lock_guard lock(stateMutex_);
-    lastTrace_ = trace;
+    lastTrace_ = std::move(trace);
   }
-  util::TraceRegistry::instance().release(trace->id());
   return done;
 }
 

@@ -118,7 +118,7 @@ class RepairController {
   util::Status replicateChunk(std::int32_t chunkId,
                               const std::vector<std::string>& sourceIds,
                               const std::string& destId,
-                              util::TracePtr trace = nullptr);
+                              util::Trace* trace = nullptr);
 
   /// Ingest an already partitioned catalog while serving: install every
   /// chunk on replicationTarget live workers, publish placement to the
@@ -187,6 +187,7 @@ class RepairController {
   /// Serializes repair/rebalance/ingest runs (the monitor thread and test
   /// callers may race).
   std::mutex repairMutex_;
+  std::uint64_t runs_ = 0;  ///< repair/rebalance traces made; repairMutex_
 
   std::atomic<bool> running_{false};
   std::mutex monitorMutex_;

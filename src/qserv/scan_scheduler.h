@@ -60,8 +60,9 @@ const char* queryClassName(QueryClass cls);
 struct ScanTask {
   std::int32_t chunkId = 0;
   std::vector<std::int32_t> subChunkIds;  ///< tables to build before running
-  std::uint64_t traceId = 0;    ///< from the batch request; 0 = none
-  std::uint64_t queryId = 0;    ///< rate-tier key (the trace id today)
+  /// Rate-tier key: one query's tasks on this worker share it (the worker
+  /// derives it from the batch id); 0 is never rated slow.
+  std::uint64_t queryId = 0;
   std::int64_t enqueuedUs = 0;  ///< trace-clock time of arrival
   QueryClass cls = QueryClass::kScan;
   /// Paper-scale bytes this task's chunk tables occupy (scan class only);

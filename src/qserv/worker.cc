@@ -90,6 +90,19 @@ struct WorkerMetrics {
     return *m;
   }
 };
+
+/// The scheduler's rate-tier key for a batch's tasks: the first 64 bits of
+/// its id. Batch ids are unique per dispatch run and worker, so the key
+/// tells one query's tasks on this worker from every other query's.
+std::uint64_t batchRateKey(const std::string& batchId) {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < 16 && i < batchId.size(); ++i) {
+    char c = batchId[i];
+    int digit = c >= '0' && c <= '9' ? c - '0' : c - 'a' + 10;
+    key = key << 4 | static_cast<std::uint64_t>(digit & 0xf);
+  }
+  return key;
+}
 }  // namespace
 
 Worker::Worker(std::string id, std::shared_ptr<sql::Database> database,
@@ -222,8 +235,10 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
   // FROM list. A parse failure answers every chunk with an error frame.
   stream->plan = ChunkPlan::parse(request->query);
   stream->aggregate = request->query.aggregate;
+  stream->traced = request->traceId != 0;
   stream->resultName = "r_" + request->templateHash;
   const QueryClass cls = request->query.queryClass;
+  const std::uint64_t rateKey = batchRateKey(batchId);
   std::int64_t nowUs = util::Trace::nowUs();
   std::vector<ScanTask> tasks;
   tasks.reserve(request->chunks.size());
@@ -231,8 +246,7 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
     ScanTask task;
     task.chunkId = chunk.chunkId;
     task.subChunkIds = std::move(chunk.subChunkIds);
-    task.traceId = request->traceId;
-    task.queryId = task.traceId;
+    task.queryId = rateKey;
     task.enqueuedUs = nowUs;
     task.cls = cls;
     if (config_.scheduler == SchedulerMode::kSharedScan &&
@@ -438,11 +452,9 @@ Status Worker::dropChunk(std::int32_t chunkId) {
 std::size_t Worker::queuedTasks() const { return sched_.depth(); }
 
 void Worker::executorLoop() {
-  auto& metrics = WorkerMetrics::instance();
   while (true) {
     ScanScheduler::Claim claim = sched_.claim();
     if (claim.tasks.empty()) return;  // shutdown and drained
-    metrics.busySlots.add(1);
     double maxWaitSec = 0.0;
     // In a shared-scan group only the first task that actually reads chunk
     // bytes pays the read; the others ride along on the same in-memory pass
@@ -470,7 +482,6 @@ void Worker::executorLoop() {
     // to the service time it then received.
     double serviceSec = serviceWatch.elapsedSeconds();
     if (serviceSec > 0.0) convoyRatioHist_.observe(maxWaitSec / serviceSec);
-    metrics.busySlots.add(-1);
   }
 }
 
@@ -484,26 +495,22 @@ void Worker::runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
       .observe(waitSec);
   queueWaitHist_.observe(waitSec);
   maxWaitSec = std::max(maxWaitSec, waitSec);
-  if (util::TracePtr trace =
-          util::TraceRegistry::instance().find(task.traceId)) {
-    util::TraceSpan wait;
-    wait.component = "worker";
-    wait.name = util::format("queue-wait %d", task.chunkId);
-    wait.startUs = task.enqueuedUs;
-    wait.endUs = claimedUs;
-    wait.threadId = util::threadId();
-    wait.attrs.emplace_back("worker", id_);
-    wait.attrs.emplace_back("class", queryClassName(task.cls));
-    trace->addSpan(std::move(wait));
-  }
+  metrics.busySlots.add(1);
   util::Stopwatch taskWatch;
-  TaskOutcome outcome = executeTask(task, /*chargeScanIo=*/!ioCharged);
+  TaskOutcome outcome =
+      executeTask(task, claimedUs, /*chargeScanIo=*/!ioCharged);
   // The charge sticks only when the task actually read chunk bytes: a
   // zone-map-pruned task touches no table data, so the pass's physical read
   // is still unpaid and falls to the next task that really scans.
   if (outcome.paidScanIo) ioCharged = true;
-  sched_.finishTask(task, taskWatch.elapsedSeconds(), outcome.executed);
+  // The task's work is done: lower the gauges before its frame becomes
+  // visible, so a czar that has read its last frame never sees this slot
+  // busy or this task queued.
   metrics.queueDepth.add(-1);
+  metrics.busySlots.add(-1);
+  if (!outcome.frame.empty()) publishBatchFrame(task, std::move(outcome.frame));
+  finishBatchChunk(task.batch);
+  sched_.finishTask(task, taskWatch.elapsedSeconds(), outcome.executed);
   queueDepthGauge_.set(static_cast<std::int64_t>(sched_.depth()));
 }
 
@@ -652,25 +659,28 @@ Result<sql::TablePtr> Worker::executePlan(const ChunkPlan& plan,
 }
 
 Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
+                                        std::int64_t claimedUs,
                                         bool chargeScanIo) {
   auto& metrics = WorkerMetrics::instance();
   if (task.batch->abandoned.load(std::memory_order_acquire)) {
     // The master abandoned the batch; don't waste the slot executing.
     metrics.batchChunksSkipped.add();
-    finishBatchChunk(task.batch);
     return {};
   }
-  util::TracePtr trace = util::TraceRegistry::instance().find(task.traceId);
-  util::ScopedSpan execSpan(trace, "worker",
-                            util::format("exec %d", task.chunkId));
-  execSpan.attr("worker", id_);
+  // A traced batch's chunks report their timings in-band (worker block).
+  const bool traced = task.batch->traced;
+  WorkerTimings timings;
+  if (traced) {
+    timings.threadId = util::threadId();
+    timings.arrivedUs = task.enqueuedUs;
+    timings.claimedUs = claimedUs;
+    timings.execStartUs = util::Trace::nowUs();
+  }
   util::Stopwatch execWatch;
   // A failing chunk answers with an error frame; the worker keeps serving.
   auto fail = [&](const Status& status) {
     metrics.taskFailures.add();
-    publishBatchFrame(task, encodeErrorFrame(task.chunkId, status));
-    finishBatchChunk(task.batch);
-    return TaskOutcome{};
+    return TaskOutcome{false, false, encodeErrorFrame(task.chunkId, status)};
   };
   if (!task.batch->plan.isOk()) return fail(task.batch->plan.status());
   const ChunkPlan& plan = *task.batch->plan;
@@ -681,19 +691,13 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
         task.chunkId)));
   }
 
-  util::Result<sql::ExecStats> buildStats = sql::ExecStats{};
-  {
-    util::ScopedSpan buildSpan(
-        subChunks.empty() ? util::TracePtr() : trace, "worker",
-        util::format("subchunks %d", task.chunkId));
-    util::Stopwatch buildWatch;
-    buildStats = acquireSubchunks(task.chunkId, subChunks);
-    if (!subChunks.empty()) {
-      metrics.subchunkBuildSeconds.observe(buildWatch.elapsedSeconds());
-      buildSpan.attr("subchunks",
-                     static_cast<std::int64_t>(subChunks.size()));
-    }
+  util::Stopwatch buildWatch;
+  util::Result<sql::ExecStats> buildStats =
+      acquireSubchunks(task.chunkId, subChunks);
+  if (!subChunks.empty()) {
+    metrics.subchunkBuildSeconds.observe(buildWatch.elapsedSeconds());
   }
+  if (traced) timings.buildEndUs = util::Trace::nowUs();
   if (!buildStats.isOk()) return fail(buildStats.status());
 
   sql::ExecStats stats;
@@ -748,66 +752,53 @@ Worker::TaskOutcome Worker::executeTask(const ScanTask& task,
                     static_cast<double>(dumped.rows) * resultScale;
 
   dump += encodeObservables(obs);
-  // Integrity envelope: MD5 of everything above, verified by the dispatcher
-  // on read so corruption in transit is retried, not merged.
-  appendDumpChecksum(dump);
-  tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
-  metrics.tasksExecuted.add();
-  metrics.executeSeconds.observe(execWatch.elapsedSeconds());
   // Vectorized-scan / columnar-aggregate / zone-map observability (counters
   // are unscaled local work; see README "Metrics" for the registry names).
   if (stats.vectorizedScans > 0) {
     metrics.vectorizedScans.add(stats.vectorizedScans);
     metrics.vectorRowsIn.add(stats.vectorRowsIn);
     metrics.vectorRowsOut.add(stats.vectorRowsOut);
-    execSpan.attr("vectorizedScans",
-                  static_cast<std::int64_t>(stats.vectorizedScans))
-        .attr("vectorRowsIn", static_cast<std::int64_t>(stats.vectorRowsIn))
-        .attr("vectorRowsOut",
-              static_cast<std::int64_t>(stats.vectorRowsOut));
   }
   if (stats.columnarAggregates > 0) {
     metrics.columnarAggregates.add(stats.columnarAggregates);
     metrics.columnarAggRows.add(stats.columnarAggRows);
-    execSpan.attr("columnarAggregates",
-                  static_cast<std::int64_t>(stats.columnarAggregates))
-        .attr("columnarAggRows",
-              static_cast<std::int64_t>(stats.columnarAggRows));
   }
   if (stats.zoneMapPrunes > 0) {
     metrics.zoneMapPrunes.add(stats.zoneMapPrunes);
     metrics.zoneMapRowsSkipped.add(stats.zoneMapRowsSkipped);
-    execSpan.attr("zoneMapPrunes",
-                  static_cast<std::int64_t>(stats.zoneMapPrunes))
-        .attr("zoneMapRowsSkipped",
-              static_cast<std::int64_t>(stats.zoneMapRowsSkipped));
   }
   if (stats.spatialJoins > 0) {
     metrics.spatialJoins.add(stats.spatialJoins);
     metrics.zoneJoinPairsPruned.add(stats.zoneJoinPairsPruned);
     metrics.zoneJoinCandidates.add(stats.zoneJoinCandidates);
-    execSpan.attr("spatialJoins",
-                  static_cast<std::int64_t>(stats.spatialJoins))
-        .attr("zoneJoinZonesBuilt",
-              static_cast<std::int64_t>(stats.zoneJoinZonesBuilt))
-        .attr("zoneJoinZonesProbed",
-              static_cast<std::int64_t>(stats.zoneJoinZonesProbed))
-        .attr("zoneJoinCandidates",
-              static_cast<std::int64_t>(stats.zoneJoinCandidates))
-        .attr("zoneJoinPairsPruned",
-              static_cast<std::int64_t>(stats.zoneJoinPairsPruned));
   }
-  execSpan.attr("resultRows",
-                static_cast<std::int64_t>((*result)->numRows()))
-      .attr("dumpBytes", static_cast<std::int64_t>(dump.size()));
-  // Record the span BEFORE publishing: publish() unblocks the dispatcher's
-  // frame read, and the czar may snapshot the trace into a QueryProfile
-  // right after — an exec span recorded by the RAII destructor (after
-  // publish) could miss that snapshot.
-  execSpan.end();
-  publishBatchFrame(task, encodeResultFrame(task.chunkId, dump));
-  finishBatchChunk(task.batch);
-  return TaskOutcome{true, obs.bytesScanned > 0};
+  if (traced) {
+    timings.resultRows = (*result)->numRows();
+    timings.subchunks = subChunks.size();
+    util::ExecCounters& c = timings.counters;
+    c.vectorizedScans = stats.vectorizedScans;
+    c.vectorRowsIn = stats.vectorRowsIn;
+    c.vectorRowsOut = stats.vectorRowsOut;
+    c.columnarAggregates = stats.columnarAggregates;
+    c.columnarAggRows = stats.columnarAggRows;
+    c.zoneMapPrunes = stats.zoneMapPrunes;
+    c.zoneMapRowsSkipped = stats.zoneMapRowsSkipped;
+    c.spatialJoins = stats.spatialJoins;
+    c.zoneJoinZonesBuilt = stats.zoneJoinZonesBuilt;
+    c.zoneJoinZonesProbed = stats.zoneJoinZonesProbed;
+    c.zoneJoinCandidates = stats.zoneJoinCandidates;
+    c.zoneJoinPairsPruned = stats.zoneJoinPairsPruned;
+    timings.execEndUs = util::Trace::nowUs();
+    appendWorkerBlock(dump, timings);
+  }
+  // Integrity envelope: MD5 of everything above, verified by the dispatcher
+  // on read so corruption in transit is retried, not merged.
+  appendDumpChecksum(dump);
+  tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
+  metrics.tasksExecuted.add();
+  metrics.executeSeconds.observe(execWatch.elapsedSeconds());
+  return TaskOutcome{true, obs.bytesScanned > 0,
+                     encodeResultFrame(task.chunkId, dump)};
 }
 
 }  // namespace qserv::core

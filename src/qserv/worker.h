@@ -6,12 +6,13 @@
 /// SQL database against its chunk tables, and each chunk's result streams
 /// back as one frame on /bstream/<id>: the binary row codec
 /// (sql/rowcodec.h), followed by the fixed-width observables block and the
-/// MD5 trailer. A batch carries its query's chunk-query template once; the
-/// worker parses it once per batch and binds each chunk task's tables into
-/// its FROM list (chunk_template.h). A fixed number of executor slots (the
-/// paper's clusters ran 4) drain a ScanScheduler: in kFifo mode that is the
-/// paper's plain queue ("do not implement any concept of query cost", §6.4);
-/// in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
+/// MD5 trailer; a chunk of a traced batch adds the worker block of its
+/// timings before the trailer. A batch carries its query's chunk-query
+/// template once; the worker parses it once per batch and binds each chunk
+/// task's tables into its FROM list (chunk_template.h). A fixed number of
+/// executor slots (the paper's clusters ran 4) drain a ScanScheduler: in
+/// kFifo mode that is the paper's plain queue ("do not implement any
+/// concept of query cost", §6.4); in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
 /// of scans, same-chunk scans share one physical pass (including arrivals
 /// that join a pass already in flight), and scan claims reserve chunk-table
 /// bytes against a memory budget. See scan_scheduler.h.
@@ -48,7 +49,7 @@ namespace qserv::core {
 /// of unread frames, until the master abandons the batch or the last
 /// chunk finishes.
 struct BatchStream {
-  std::string id;          ///< batchId (md5 of the request payload)
+  std::string id;          ///< batchId (unique per dispatch run and worker)
   std::string streamPath;  ///< /bstream/<batchId>
   int window = 0;          ///< max unread frames (0 = unbounded)
   std::atomic<bool> abandoned{false};
@@ -58,6 +59,9 @@ struct BatchStream {
   /// parse error.
   util::Result<ChunkPlan> plan{util::Status::internal("no plan")};
   bool aggregate = false;  ///< results are scale-independent partials
+  /// The request carried a trace id: every result body ends in the
+  /// worker block of the chunk's timings (observables_codec.h).
+  bool traced = false;
   std::string resultName;  ///< "r_<template md5>", every result's table name
 };
 
@@ -132,21 +136,28 @@ class Worker : public xrd::OfsPlugin {
 
  private:
   void executorLoop();
-  /// Run one claimed task: queue-wait accounting, execution, scheduler
-  /// finish bookkeeping. Sets \p ioCharged once a task actually pays the
-  /// chunk read (scanned bytes > 0), so a group leader skipped as abandoned
-  /// or zone-pruned never eats the charge (the bytesScanned-undercount bug).
+  /// Run one claimed task: queue-wait accounting, execution, gauges, frame
+  /// publication, then scheduler finish bookkeeping. The queue-depth and
+  /// busy-slot gauges drop before the frame is published. Sets
+  /// \p ioCharged once a task actually pays the chunk read (scanned bytes
+  /// > 0), so a group leader skipped as abandoned or zone-pruned never eats
+  /// the charge (the bytesScanned-undercount bug).
   void runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
                       bool& ioCharged, double& maxWaitSec);
   /// What executeTask did with one task.
   struct TaskOutcome {
-    bool executed = false;  ///< ran and published a successful result
+    bool executed = false;  ///< ran and produced a successful result
     bool paidScanIo = false;  ///< its observables charge chunk bytes read
+    /// The result or error frame to publish; empty for an abandoned-batch
+    /// skip.
+    std::string frame;
   };
-  /// Execute a chunk query end to end. `executed` is false for
-  /// abandoned-batch skips and failures; `paidScanIo` is set only when
-  /// \p chargeScanIo was and the task actually read chunk bytes.
-  TaskOutcome executeTask(const ScanTask& task, bool chargeScanIo);
+  /// Execute a chunk query claimed at \p claimedUs and encode its frame,
+  /// without publishing it. `executed` is false for abandoned-batch skips
+  /// and failures; `paidScanIo` is set only when \p chargeScanIo was and
+  /// the task actually read chunk bytes.
+  TaskOutcome executeTask(const ScanTask& task, std::int64_t claimedUs,
+                          bool chargeScanIo);
 
   /// Paper-scale bytes chunk \p chunkId's locally held tables occupy — the
   /// scan scheduler's memory-budget charge for one chunk pass.

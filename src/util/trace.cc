@@ -2,12 +2,61 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace qserv::util {
+
+const char* spanComponent(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kParse:
+    case SpanKind::kAnalyze:
+    case SpanKind::kFrontendExecute:
+    case SpanKind::kChunkPrune:
+    case SpanKind::kRewrite:
+    case SpanKind::kDispatch:
+    case SpanKind::kFinalAggregation: return "czar";
+    case SpanKind::kBatch:
+    case SpanKind::kChunk:
+    case SpanKind::kAttempt: return "dispatcher";
+    case SpanKind::kBatchWrite:
+    case SpanKind::kFrameRead: return "xrd";
+    case SpanKind::kQueueWait:
+    case SpanKind::kExec:
+    case SpanKind::kSubchunks: return "worker";
+    case SpanKind::kMerge: return "merger";
+    case SpanKind::kRepairRun:
+    case SpanKind::kRebalanceRun:
+    case SpanKind::kCopy: return "repair";
+  }
+  return "unknown";
+}
+
+const char* spanName(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kParse: return "parse";
+    case SpanKind::kAnalyze: return "analyze";
+    case SpanKind::kFrontendExecute: return "frontend-execute";
+    case SpanKind::kChunkPrune: return "chunk-prune";
+    case SpanKind::kRewrite: return "rewrite";
+    case SpanKind::kDispatch: return "dispatch";
+    case SpanKind::kFinalAggregation: return "final-aggregation";
+    case SpanKind::kBatch: return "batch";
+    case SpanKind::kChunk: return "chunk";
+    case SpanKind::kAttempt: return "attempt";
+    case SpanKind::kBatchWrite: return "write /batch";
+    case SpanKind::kFrameRead: return "read /bstream";
+    case SpanKind::kQueueWait: return "queue-wait";
+    case SpanKind::kExec: return "exec";
+    case SpanKind::kSubchunks: return "subchunks";
+    case SpanKind::kMerge: return "merge";
+    case SpanKind::kRepairRun: return "repair-run";
+    case SpanKind::kRebalanceRun: return "rebalance-run";
+    case SpanKind::kCopy: return "copy";
+  }
+  return "unknown";
+}
 
 std::int64_t Trace::nowUs() {
   using namespace std::chrono;
@@ -15,9 +64,19 @@ std::int64_t Trace::nowUs() {
   return duration_cast<microseconds>(steady_clock::now() - epoch).count();
 }
 
-void Trace::addSpan(TraceSpan span) {
+void Trace::reserve(std::size_t spans) {
+  std::lock_guard lock(mutex_);
+  spans_.reserve(spans);
+}
+
+void Trace::add(TraceSpan span) {
   std::lock_guard lock(mutex_);
   spans_.push_back(std::move(span));
+}
+
+void Trace::add(std::span<TraceSpan> spans) {
+  std::lock_guard lock(mutex_);
+  for (TraceSpan& span : spans) spans_.push_back(std::move(span));
 }
 
 std::size_t Trace::spanCount() const {
@@ -32,38 +91,63 @@ std::vector<TraceSpan> Trace::spans() const {
 
 std::vector<std::string> Trace::components() const {
   std::vector<std::string> out;
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& s : spans_) out.push_back(s.component);
-  }
+  forEach([&](const TraceSpan& s) { out.push_back(spanComponent(s.kind)); });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
+namespace {
+
+/// The span's Chrome event name: its kind's name and, when it has one, its
+/// chunk.
+std::string eventName(const TraceSpan& s) {
+  std::string name = spanName(s.kind);
+  if (s.chunk >= 0) name += " " + std::to_string(s.chunk);
+  return name;
+}
+
+void addArg(std::string& out, const char* key, std::int64_t value) {
+  out += format(",\"%s\":\"%lld\"", key, static_cast<long long>(value));
+}
+
+void addArg(std::string& out, const char* key, const std::string& value) {
+  out += format(",\"%s\":\"%s\"", key, jsonEscape(value).c_str());
+}
+
+}  // namespace
+
 std::string Trace::toChromeJson() const {
   std::vector<TraceSpan> spans = this->spans();
   // Stable timeline: earliest span first.
-  std::sort(spans.begin(), spans.end(),
-            [](const TraceSpan& a, const TraceSpan& b) {
-              return a.startUs < b.startUs;
-            });
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const TraceSpan& a, const TraceSpan& b) {
+                     return a.startUs < b.startUs;
+                   });
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const auto& s : spans) {
     if (!first) out += ",";
     first = false;
+    const char* component = spanComponent(s.kind);
     out += format(
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%lld,"
         "\"dur\":%lld,\"pid\":1,\"tid\":%llu",
-        jsonEscape(s.name).c_str(), jsonEscape(s.component).c_str(),
+        jsonEscape(eventName(s)).c_str(), component,
         static_cast<long long>(s.startUs),
         static_cast<long long>(std::max<std::int64_t>(s.endUs - s.startUs, 0)),
         static_cast<unsigned long long>(s.threadId));
-    out += ",\"args\":{\"component\":\"" + jsonEscape(s.component) + "\"";
-    for (const auto& [k, v] : s.attrs) {
-      out += ",\"" + jsonEscape(k) + "\":\"" + jsonEscape(v) + "\"";
+    out += format(",\"args\":{\"component\":\"%s\"", component);
+    if (!s.worker.empty()) addArg(out, "worker", s.worker);
+    if (s.attempt != 0) addArg(out, "attempt", s.attempt);
+    if (s.bytes != 0) addArg(out, "bytes", s.bytes);
+    if (s.rows != 0) addArg(out, "rows", s.rows);
+    if (s.count != 0) addArg(out, "count", s.count);
+    for (const auto& [key, field] : kExecCounterFields) {
+      std::uint64_t v = s.counters.*field;
+      if (v != 0) addArg(out, key, static_cast<std::int64_t>(v));
     }
+    if (!s.error.empty()) addArg(out, "error", s.error);
     out += "}}";
   }
   out += format(
@@ -73,94 +157,36 @@ std::string Trace::toChromeJson() const {
   return out;
 }
 
-ScopedSpan::ScopedSpan(TracePtr trace, std::string component, std::string name)
-    : trace_(std::move(trace)) {
+ScopedSpan::ScopedSpan(Trace* trace, SpanKind kind) : trace_(trace) {
   if (!trace_) return;
-  span_.component = std::move(component);
-  span_.name = std::move(name);
+  span_.kind = kind;
   span_.threadId = threadId();
   span_.startUs = Trace::nowUs();
 }
 
-ScopedSpan& ScopedSpan::attr(std::string key, std::string value) {
-  if (trace_) span_.attrs.emplace_back(std::move(key), std::move(value));
-  return *this;
-}
-
-ScopedSpan& ScopedSpan::attr(std::string key, std::int64_t value) {
-  return attr(std::move(key), std::to_string(value));
+void ScopedSpan::fail(const Status& status) {
+  if (trace_) span_.error = status.toString();
 }
 
 void ScopedSpan::end() {
   if (!trace_ || done_) return;
   done_ = true;
   span_.endUs = Trace::nowUs();
-  trace_->addSpan(std::move(span_));
+  trace_->add(std::move(span_));
 }
 
-TraceRegistry& TraceRegistry::instance() {
-  static TraceRegistry* registry = new TraceRegistry();
-  return *registry;
+TraceSpan& SpanBatch::add(SpanKind kind) {
+  if (size_ == kCapacity) flush();
+  TraceSpan& span = spans_[size_++];
+  span = TraceSpan{};
+  span.kind = kind;
+  return span;
 }
 
-TracePtr TraceRegistry::create(std::string label) {
-  std::lock_guard lock(mutex_);
-  std::uint64_t id = nextId_++;
-  auto trace = std::make_shared<Trace>(id, std::move(label));
-  traces_.emplace(id, trace);
-  return trace;
-}
-
-TracePtr TraceRegistry::find(std::uint64_t id) const {
-  std::lock_guard lock(mutex_);
-  auto it = traces_.find(id);
-  return it == traces_.end() ? nullptr : it->second;
-}
-
-void TraceRegistry::release(std::uint64_t id) {
-  std::lock_guard lock(mutex_);
-  traces_.erase(id);
-}
-
-std::size_t TraceRegistry::size() const {
-  std::lock_guard lock(mutex_);
-  return traces_.size();
-}
-
-std::string traceHeaderLine(std::uint64_t traceId) {
-  return format("-- QSERV-TRACE: %llu\n",
-                static_cast<unsigned long long>(traceId));
-}
-
-std::optional<std::uint64_t> parseTraceHeader(const std::string& payload) {
-  constexpr std::string_view kPrefix = "-- QSERV-TRACE: ";
-  // Scan only the leading comment lines (the header block).
-  std::size_t pos = 0;
-  while (pos + 2 <= payload.size() && payload[pos] == '-' &&
-         payload[pos + 1] == '-') {
-    std::size_t eol = payload.find('\n', pos);
-    std::size_t len = eol == std::string::npos ? payload.size() - pos
-                                               : eol - pos;
-    std::string_view line(payload.data() + pos, len);
-    if (startsWith(line, kPrefix)) {
-      auto digits = trim(line.substr(kPrefix.size()));
-      if (!digits.empty()) {
-        std::uint64_t id = 0;
-        for (char c : digits) {
-          if (c < '0' || c > '9') return std::nullopt;
-          auto digit = static_cast<std::uint64_t>(c - '0');
-          // Reject ids that overflow uint64 instead of silently wrapping.
-          constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-          if (id > kMax / 10 || id * 10 > kMax - digit) return std::nullopt;
-          id = id * 10 + digit;
-        }
-        return id;
-      }
-    }
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return std::nullopt;
+void SpanBatch::flush() {
+  if (size_ == 0) return;
+  trace_.add(std::span<TraceSpan>(spans_.data(), size_));
+  size_ = 0;
 }
 
 }  // namespace qserv::util

@@ -183,6 +183,29 @@ std::string chunkResult(const sql::Table& t) {
   return out;
 }
 
+/// The worker block a traced chunk of \p t carries.
+core::WorkerTimings sampleTimings(const sql::Table& t) {
+  core::WorkerTimings w;
+  w.threadId = 7;
+  w.arrivedUs = 1000;
+  w.claimedUs = 1500;
+  w.execStartUs = 1600;
+  w.buildEndUs = 1700;
+  w.execEndUs = 2500;
+  w.resultRows = t.numRows();
+  w.subchunks = 3;
+  w.counters.vectorizedScans = 1;
+  w.counters.zoneJoinPairsPruned = 1ull << 40;
+  return w;
+}
+
+/// A traced chunk's body: table, observables, then the worker block.
+std::string tracedChunkBody(const sql::Table& t) {
+  std::string out = chunkBody(t);
+  core::appendWorkerBlock(out, sampleTimings(t));
+  return out;
+}
+
 std::vector<std::string> resultCorpus() {
   util::Rng rng(11);
   std::vector<std::string> corpus;
@@ -317,10 +340,19 @@ TEST(DecoderFuzz, ResultFrameReturnsStatus) {
   for (const std::string& body : resultCorpus()) {
     corpus.push_back(core::encodeResultFrame(7, body));
   }
+  // Traced chunks: the worker block between the observables and the
+  // trailer.
+  util::Rng tables(13);
+  for (std::size_t rows : {0, 2, 9}) {
+    std::string body = tracedChunkBody(sampleTable(tables, rows));
+    core::appendDumpChecksum(body);
+    corpus.push_back(core::encodeResultFrame(8, body));
+  }
   corpus.push_back(core::encodeErrorFrame(
       9, util::Status::unavailable("worker going down")));
   corpus.push_back(core::encodeErrorFrame(1, util::Status::dataLoss("")));
   util::Rng rng(0xF0222);
+  int tracedOk = 0;
   for (int i = 0, n = iterations(); i < n; ++i) {
     std::string input = mutate(rng, corpus);
     auto frame = core::decodeResultFrame(input);
@@ -333,8 +365,90 @@ TEST(DecoderFuzz, ResultFrameReturnsStatus) {
     if (!frame->status.isOk()) {
       ASSERT_LE(static_cast<int>(frame->status.code()),
                 static_cast<int>(util::ErrorCode::kDataLoss));
+      continue;
     }
+    // A traced collector decodes the body with its worker block; damage
+    // comes back as a Status. Half the bodies are resealed so the damage
+    // gets past the trailer to the block decoder.
+    std::string body = frame->body;
+    const std::size_t trailer = core::dumpChecksumTrailer("").size();
+    if (rng.below(2) == 0 && body.size() >= trailer) {
+      body.resize(body.size() - trailer);  // drop the old trailer line
+      core::appendDumpChecksum(body);
+    }
+    auto result = core::VerifiedResult::decode(body, /*traced=*/true);
+    if (!result.isOk()) {
+      ASSERT_TRUE(result.status().code() ==
+                      util::ErrorCode::kInvalidArgument ||
+                  result.status().code() == util::ErrorCode::kDataLoss)
+          << "iteration " << i << ": " << result.status().toString();
+      continue;
+    }
+    ++tracedOk;
+    ASSERT_TRUE(result->workerTimings().has_value());
+    const core::WorkerTimings& w = *result->workerTimings();
+    ASSERT_LE(w.arrivedUs, w.claimedUs);
+    ASSERT_LE(w.claimedUs, w.execStartUs);
+    ASSERT_LE(w.execStartUs, w.buildEndUs);
+    ASSERT_LE(w.buildEndUs, w.execEndUs);
   }
+  EXPECT_GT(tracedOk, 0);
+}
+
+TEST(DecoderFuzz, DamagedWorkerBlockUnderValidTrailerIsRefused) {
+  // Each lie on its own, resealed with a valid MD5 trailer so only the
+  // worker-block decoder stands between it and a trace.
+  util::Rng tables(17);
+  const sql::Table t = sampleTable(tables, 5);
+  const std::string good = tracedChunkBody(t);
+  const std::size_t blockAt = good.size() - core::kWorkerBlockBytes;
+  auto sealed = [](std::string body) {
+    core::appendDumpChecksum(body);
+    return body;
+  };
+  ASSERT_TRUE(core::VerifiedResult::decode(sealed(good), true).isOk());
+  // Untraced decoding of a traced body is refused, not misread: the
+  // worker block is not an observables block.
+  EXPECT_FALSE(core::VerifiedResult::decode(sealed(good), false).isOk());
+
+  std::vector<std::string> lies;
+  // Truncated block: every cut through it.
+  for (std::size_t cut : {std::size_t{1}, std::size_t{8}, std::size_t{100},
+                          core::kWorkerBlockBytes}) {
+    lies.push_back(good.substr(0, good.size() - cut));
+  }
+  // A lying length field.
+  for (std::uint64_t len : {std::uint64_t{0}, std::uint64_t{167},
+                            std::uint64_t{169}, std::uint64_t{0xffffffffu}}) {
+    std::string bad = good;
+    putLe(bad, blockAt + 4, len, 4);
+    lies.push_back(bad);
+  }
+  // A damaged magic.
+  {
+    std::string bad = good;
+    bad[blockAt] = 'X';
+    lies.push_back(bad);
+  }
+  // Times negative or out of order, one field at a time: the first set
+  // negative, each later one set before the time it follows.
+  for (std::size_t field = 0; field < 5; ++field) {
+    std::string bad = good;
+    putLe(bad, blockAt + 16 + 8 * field, field == 0 ? ~std::uint64_t{0} : 1,
+          8);
+    lies.push_back(bad);
+  }
+  for (std::size_t i = 0; i < lies.size(); ++i) {
+    auto result = core::VerifiedResult::decode(sealed(lies[i]), true);
+    ASSERT_FALSE(result.isOk()) << "lie " << i;
+    EXPECT_EQ(result.status().code(), util::ErrorCode::kInvalidArgument)
+        << "lie " << i << ": " << result.status().toString();
+  }
+  // The bare block decoder says the same.
+  std::string block = good.substr(blockAt);
+  ASSERT_TRUE(core::decodeWorkerBlock(block).isOk());
+  EXPECT_FALSE(core::decodeWorkerBlock(block.substr(1)).isOk());
+  EXPECT_FALSE(core::decodeWorkerBlock(block + "x").isOk());
 }
 
 /// Batch envelopes to mutate: a per-subchunk join over three chunks, a

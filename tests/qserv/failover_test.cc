@@ -11,6 +11,7 @@
 #include "qserv/cluster.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
+#include "util/trace.h"
 
 namespace qserv::core {
 namespace {
@@ -104,15 +105,18 @@ TEST_F(FailoverTest, ReplicaKilledMidQueryFailsOver) {
             before.histograms.count("dispatch.backoff_seconds")
                 ? before.histograms.at("dispatch.backoff_seconds").count
                 : 0);
-  // Span attributes: some chunk took more than one attempt, and the failed
-  // attempt span recorded its error.
+  // Typed span fields: some chunk took more than one attempt, and a failed
+  // dispatcher span (batch or retry attempt) recorded its error.
   ASSERT_TRUE(r->trace);
   bool sawMultiAttempt = false, sawAttemptError = false;
   for (const auto& s : r->trace->spans()) {
-    if (s.component != "dispatcher") continue;
-    for (const auto& [k, v] : s.attrs) {
-      if (k == "attempts" && v != "1") sawMultiAttempt = true;
-      if (k == "error") sawAttemptError = true;
+    if (s.kind == util::SpanKind::kChunk && s.attempt > 1) {
+      sawMultiAttempt = true;
+    }
+    if ((s.kind == util::SpanKind::kBatch ||
+         s.kind == util::SpanKind::kAttempt) &&
+        !s.error.empty()) {
+      sawAttemptError = true;
     }
   }
   EXPECT_TRUE(sawMultiAttempt);

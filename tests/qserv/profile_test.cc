@@ -12,6 +12,7 @@
 #include "qserv/query_profile.h"
 #include "qserv/secondary_index.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace qserv::core {
 namespace {
@@ -135,6 +136,38 @@ TEST_F(ProfileTest, ExplainAnalyzeStageSumNearWall) {
     EXPECT_GT(p.queueWait.count, 0);
     EXPECT_GT(p.execute.count, 0);
   }
+}
+
+TEST_F(ProfileTest, ExplainAnalyzeSplitsMergeBusyFromDispatch) {
+  auto r = frontend().query("EXPLAIN ANALYZE SELECT COUNT(*) FROM Object");
+  ASSERT_TRUE(r.isOk()) << r.status().toString();
+  ASSERT_TRUE(r->profile);
+  const QueryProfile& p = *r->profile;
+  ASSERT_GT(p.chunks, 1);
+  double dispatch = -1.0;
+  for (const ProfileStage& stage : p.stages) {
+    if (stage.name == util::spanName(util::SpanKind::kDispatch)) {
+      dispatch = stage.seconds;
+    }
+  }
+  ASSERT_GT(dispatch, 0.0);
+  // Every delivered chunk was merged on the czar, inside the dispatch stage:
+  // the merge-busy time is part of it, never more.
+  EXPECT_EQ(p.merge.count, p.chunks);
+  EXPECT_GT(p.mergeBusySeconds, 0.0);
+  EXPECT_LE(p.mergeBusySeconds, dispatch);
+  // It renders as an indented child row after the dispatch stage.
+  const sql::Table& table = *r->result;
+  std::size_t dispatchRow = table.numRows(), mergeRow = table.numRows();
+  for (std::size_t row = 0; row < table.numRows(); ++row) {
+    const std::string& stage = table.stringColumn(0)[row];
+    if (stage == util::spanName(util::SpanKind::kDispatch)) dispatchRow = row;
+    if (stage == "  merge (busy)") mergeRow = row;
+  }
+  ASSERT_LT(mergeRow, table.numRows());
+  EXPECT_GT(mergeRow, dispatchRow);
+  EXPECT_EQ(table.doubleColumn(1)[mergeRow], p.mergeBusySeconds);
+  EXPECT_EQ(table.intColumn(2)[mergeRow], p.merge.count);
 }
 
 TEST_F(ProfileTest, QueryStatsRetainsSummariesQueryableViaSql) {
@@ -315,6 +348,64 @@ TEST_F(ProfileConfigTest, ConcurrentProfilingAndQueryStatsReads) {
   ASSERT_TRUE(rows.isOk());
   EXPECT_LE(rows->result->intColumn(0)[0], 8);
   EXPECT_GT(rows->result->intColumn(0)[0], 0);
+}
+
+// Tracing is opt-in per query: an unprofiled query records no spans and
+// still answers right; a profiled one (EXPLAIN ANALYZE, or after the toggle
+// is flipped on) gets one worker queue-wait and one execution span per
+// dispatched chunk, carried back in-band.
+TEST_F(ProfileConfigTest, OnlyProfiledQueriesAreTraced) {
+  using util::SpanKind;
+  ClusterOptions opts;
+  opts.numWorkers = 2;
+  opts.frontend.catalog = CatalogConfig::lsst(18, 6, 0.05);
+  opts.frontend.enableProfiling = false;
+  auto cluster = MiniCluster::create(opts, *sky_);
+  ASSERT_TRUE(cluster.isOk());
+  auto& f = (*cluster)->frontend();
+  std::int64_t objects = 0;
+  for (const datagen::ChunkData& chunk : sky_->chunks) {
+    objects += static_cast<std::int64_t>(chunk.objects->numRows());
+  }
+  auto spansOf = [](const QservFrontend::Execution& exec, SpanKind kind) {
+    std::size_t n = 0;
+    for (const auto& s : exec.trace->spans()) {
+      if (s.kind == kind) ++n;
+    }
+    return n;
+  };
+
+  auto plain = f.query("SELECT COUNT(*) FROM Object");
+  ASSERT_TRUE(plain.isOk()) << plain.status().toString();
+  EXPECT_FALSE(plain->trace);
+  EXPECT_FALSE(plain->profile);
+  EXPECT_GT(plain->chunksDispatched, 1u);
+  EXPECT_EQ(plain->result->cell(0, 0).asInt(), objects);
+  EXPECT_GT(plain->queryId, 0u);
+
+  auto analyzed = f.query("EXPLAIN ANALYZE SELECT COUNT(*) FROM Object");
+  ASSERT_TRUE(analyzed.isOk()) << analyzed.status().toString();
+  ASSERT_TRUE(analyzed->trace);
+  EXPECT_NE(analyzed->queryId, plain->queryId);
+  EXPECT_EQ(analyzed->trace->id(), analyzed->queryId);
+  EXPECT_EQ(spansOf(*analyzed, SpanKind::kQueueWait),
+            analyzed->chunksDispatched);
+  EXPECT_EQ(spansOf(*analyzed, SpanKind::kExec), analyzed->chunksDispatched);
+
+  f.setProfilingEnabled(true);
+  auto traced = f.query("SELECT COUNT(*) FROM Object");
+  ASSERT_TRUE(traced.isOk()) << traced.status().toString();
+  ASSERT_TRUE(traced->trace);
+  EXPECT_TRUE(traced->profile);
+  EXPECT_EQ(traced->result->cell(0, 0).asInt(), objects);
+  EXPECT_EQ(traced->chunksDispatched, plain->chunksDispatched);
+  EXPECT_EQ(spansOf(*traced, SpanKind::kQueueWait), traced->chunksDispatched);
+  EXPECT_EQ(spansOf(*traced, SpanKind::kExec), traced->chunksDispatched);
+
+  // The in-flight list names queries by the same ids.
+  bool listed = false;
+  for (const auto& q : f.processList()) listed |= q.id == traced->queryId;
+  EXPECT_TRUE(listed);
 }
 
 TEST_F(ProfileConfigTest, ProfilingDisabledSkipsBookkeeping) {

@@ -18,6 +18,7 @@
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
+#include "util/trace.h"
 #include "xrd/paths.h"
 
 namespace qserv::core {
@@ -239,7 +240,7 @@ TEST_F(RepairTest, KillWorkerRepairRestoresRedundancy) {
   ASSERT_TRUE(trace);
   std::size_t copySpans = 0;
   for (const auto& s : trace->spans()) {
-    if (s.component == "repair" && s.name.rfind("copy ", 0) == 0) ++copySpans;
+    if (s.kind == util::SpanKind::kCopy) ++copySpans;
   }
   EXPECT_EQ(copySpans, deficit.size());
 

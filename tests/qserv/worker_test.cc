@@ -9,6 +9,7 @@
 #include "datagen/schemas.h"
 #include "qserv/batch_codec.h"
 #include "qserv/cluster.h"
+#include "qserv/dump_integrity.h"
 #include "qserv/merger.h"
 #include "sql/rowcodec.h"
 #include "util/md5.h"
@@ -114,6 +115,40 @@ class WorkerTest : public ::testing::Test {
   std::vector<std::int32_t> chunks_;
   std::int32_t populatedChunk_ = -1;
 };
+
+TEST_F(WorkerTest, OnlyTracedBatchesCarryTheWorkerBlock) {
+  auto w = makeWorker();
+  BatchRequest request =
+      requestFor(populatedChunk_, "SELECT objectId FROM Object", {},
+                 {{0, TableBindingKind::kChunk}});
+  auto untraced = runQuery(*w, request);
+  ASSERT_TRUE(untraced.isOk()) << untraced.status().toString();
+  request.traceId = 5;
+  auto traced = runQuery(*w, request);
+  ASSERT_TRUE(traced.isOk()) << traced.status().toString();
+
+  // The untraced body is the table and the observables block, sealed; the
+  // traced one is the same bytes with the worker block appended before
+  // the trailer.
+  auto plain = verifiedDumpBody(*untraced);
+  auto withBlock = verifiedDumpBody(*traced);
+  ASSERT_TRUE(plain.isOk() && withBlock.isOk());
+  ASSERT_EQ(withBlock->size(), plain->size() + kWorkerBlockBytes);
+  EXPECT_EQ(withBlock->substr(0, plain->size()), *plain);
+  EXPECT_TRUE(VerifiedResult::decode(*untraced).isOk());
+  EXPECT_FALSE(VerifiedResult::decode(*untraced, /*traced=*/true).isOk());
+
+  auto decoded = VerifiedResult::decode(*traced, /*traced=*/true);
+  ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+  ASSERT_TRUE(decoded->workerTimings().has_value());
+  const WorkerTimings& t = *decoded->workerTimings();
+  EXPECT_NE(t.threadId, 0u);
+  EXPECT_LE(t.arrivedUs, t.claimedUs);
+  EXPECT_LE(t.claimedUs, t.execStartUs);
+  EXPECT_LE(t.execStartUs, t.execEndUs);
+  EXPECT_EQ(t.resultRows, decoded->table()->numRows());
+  EXPECT_EQ(t.subchunks, 0u);
+}
 
 TEST_F(WorkerTest, ExecutesChunkQueryAndPublishesDump) {
   auto w = makeWorker();

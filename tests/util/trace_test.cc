@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,42 +13,58 @@ namespace {
 TEST(Trace, ScopedSpanRecordsOnEnd) {
   auto trace = std::make_shared<Trace>(7, "SELECT 1");
   {
-    ScopedSpan span(trace, "czar", "parse");
-    span.attr("chunks", std::int64_t{42}).attr("mode", "full");
+    ScopedSpan span(trace.get(), SpanKind::kChunkPrune);
+    span->count = 42;
+    span->worker = "w1";
     EXPECT_EQ(trace->spanCount(), 0u);  // not recorded until end
   }
   ASSERT_EQ(trace->spanCount(), 1u);
   auto spans = trace->spans();
-  EXPECT_EQ(spans[0].component, "czar");
-  EXPECT_EQ(spans[0].name, "parse");
+  EXPECT_EQ(spans[0].kind, SpanKind::kChunkPrune);
   EXPECT_GE(spans[0].endUs, spans[0].startUs);
-  ASSERT_EQ(spans[0].attrs.size(), 2u);
-  EXPECT_EQ(spans[0].attrs[0].first, "chunks");
-  EXPECT_EQ(spans[0].attrs[0].second, "42");
-  EXPECT_EQ(spans[0].attrs[1].second, "full");
+  EXPECT_EQ(spans[0].count, 42);
+  EXPECT_EQ(spans[0].worker, "w1");
+  EXPECT_EQ(spans[0].chunk, -1);
+  EXPECT_TRUE(spans[0].error.empty());
 }
 
 TEST(Trace, ExplicitEndIsIdempotent) {
   auto trace = std::make_shared<Trace>(1, "q");
-  ScopedSpan span(trace, "worker", "exec");
+  ScopedSpan span(trace.get(), SpanKind::kExec);
   span.end();
   span.end();  // destructor will also call end()
   EXPECT_EQ(trace->spanCount(), 1u);
 }
 
 TEST(Trace, NullTraceIsNoOp) {
-  ScopedSpan span(nullptr, "czar", "parse");
-  span.attr("k", "v").attr("n", std::int64_t{1});
+  ScopedSpan span(nullptr, SpanKind::kParse);
+  EXPECT_FALSE(span);
+  span->count = 1;
+  span.fail(Status::internal("ignored"));
   span.end();  // must not crash
+}
+
+TEST(Trace, FailSetsErrorOnlyOnFailure) {
+  auto trace = std::make_shared<Trace>(4, "q");
+  {
+    ScopedSpan ok(trace.get(), SpanKind::kBatchWrite);
+    ScopedSpan bad(trace.get(), SpanKind::kFrameRead);
+    bad.fail(Status::unavailable("worker gone"));
+  }
+  auto spans = trace->spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].kind, SpanKind::kFrameRead);  // completion order
+  EXPECT_NE(spans[0].error.find("worker gone"), std::string::npos);
+  EXPECT_TRUE(spans[1].error.empty());
 }
 
 TEST(Trace, NestedSpansCoverChildWindows) {
   auto trace = std::make_shared<Trace>(2, "nested");
   {
-    ScopedSpan outer(trace, "czar", "dispatch");
+    ScopedSpan outer(trace.get(), SpanKind::kDispatch);
     {
-      ScopedSpan inner(trace, "dispatcher", "chunk 11");
-      ScopedSpan innermost(trace, "xrd", "write /batch/11");
+      ScopedSpan inner(trace.get(), SpanKind::kBatch);
+      ScopedSpan innermost(trace.get(), SpanKind::kBatchWrite);
     }
   }
   auto spans = trace->spans();  // completion order: innermost first
@@ -56,8 +72,8 @@ TEST(Trace, NestedSpansCoverChildWindows) {
   const TraceSpan& innermost = spans[0];
   const TraceSpan& inner = spans[1];
   const TraceSpan& outer = spans[2];
-  EXPECT_EQ(outer.component, "czar");
-  EXPECT_EQ(inner.component, "dispatcher");
+  EXPECT_EQ(outer.kind, SpanKind::kDispatch);
+  EXPECT_EQ(inner.kind, SpanKind::kBatch);
   // A child span's window nests inside its parent's.
   EXPECT_LE(outer.startUs, inner.startUs);
   EXPECT_GE(outer.endUs, inner.endUs);
@@ -65,9 +81,17 @@ TEST(Trace, NestedSpansCoverChildWindows) {
   EXPECT_GE(inner.endUs, innermost.endUs);
   auto components = trace->components();
   ASSERT_EQ(components.size(), 3u);  // sorted distinct
-  EXPECT_EQ(components[0], "czar");
-  EXPECT_EQ(components[1], "dispatcher");
-  EXPECT_EQ(components[2], "xrd");
+  EXPECT_EQ(components[0], spanComponent(SpanKind::kDispatch));
+  EXPECT_EQ(components[1], spanComponent(SpanKind::kBatch));
+  EXPECT_EQ(components[2], spanComponent(SpanKind::kBatchWrite));
+}
+
+TEST(Trace, EveryKindHasAComponentAndAName) {
+  for (int k = 0; k <= static_cast<int>(SpanKind::kCopy); ++k) {
+    auto kind = static_cast<SpanKind>(k);
+    EXPECT_STRNE(spanComponent(kind), "unknown") << k;
+    EXPECT_STRNE(spanName(kind), "unknown") << k;
+  }
 }
 
 TEST(Trace, ConcurrentSpanRecording) {
@@ -78,8 +102,8 @@ TEST(Trace, ConcurrentSpanRecording) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&trace] {
       for (int i = 0; i < kPerThread; ++i) {
-        ScopedSpan span(trace, "worker", "exec");
-        span.attr("i", static_cast<std::int64_t>(i));
+        ScopedSpan span(trace.get(), SpanKind::kExec);
+        span->rows = i;
       }
     });
   }
@@ -88,22 +112,64 @@ TEST(Trace, ConcurrentSpanRecording) {
             static_cast<std::size_t>(kThreads * kPerThread));
 }
 
+TEST(Trace, SpanBatchAppendsOnFlushAndWhenFull) {
+  auto trace = std::make_shared<Trace>(5, "batch");
+  {
+    SpanBatch batch(*trace);
+    batch.add(SpanKind::kFrameRead).chunk = 1;
+    batch.add(SpanKind::kChunk).chunk = 1;
+    EXPECT_EQ(trace->spanCount(), 0u);  // gathered, not yet appended
+    batch.flush();
+    EXPECT_EQ(trace->spanCount(), 2u);
+    for (std::size_t i = 0; i <= SpanBatch::kCapacity; ++i) {
+      batch.add(SpanKind::kMerge).rows = static_cast<std::int64_t>(i);
+    }
+    // The add past capacity appended the full batch first.
+    EXPECT_EQ(trace->spanCount(), 2u + SpanBatch::kCapacity);
+  }
+  // The destructor appends the rest.
+  auto spans = trace->spans();
+  ASSERT_EQ(spans.size(), 3u + SpanBatch::kCapacity);
+  EXPECT_EQ(spans[0].kind, SpanKind::kFrameRead);
+  // Reused slots start from a fresh span.
+  EXPECT_EQ(spans.back().kind, SpanKind::kMerge);
+  EXPECT_EQ(spans.back().chunk, -1);
+  EXPECT_EQ(spans.back().rows,
+            static_cast<std::int64_t>(SpanBatch::kCapacity));
+}
+
 TEST(Trace, ChromeJsonExport) {
   auto trace = std::make_shared<Trace>(9, "SELECT \"x\" FROM t");
   {
-    ScopedSpan a(trace, "czar", "parse");
+    ScopedSpan a(trace.get(), SpanKind::kParse);
   }
-  {
-    ScopedSpan b(trace, "worker", "exec 1234");
-    b.attr("worker", std::int64_t{3});
-  }
+  TraceSpan exec;
+  exec.kind = SpanKind::kExec;
+  exec.chunk = 1234;
+  exec.worker = "w3";
+  exec.rows = 17;
+  exec.counters.vectorizedScans = 2;
+  trace->add(exec);
   std::string json = trace->toChromeJson();
   // Chrome trace_event envelope.
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"parse\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"worker\""), std::string::npos);
-  EXPECT_NE(json.find("\"worker\":\"3\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"" + std::string(spanName(SpanKind::kParse)) +
+                      "\""),
+            std::string::npos);
+  // A chunk span's name carries its chunk id.
+  EXPECT_NE(json.find("\"name\":\"" + std::string(spanName(SpanKind::kExec)) +
+                      " 1234\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"" +
+                      std::string(spanComponent(SpanKind::kExec)) + "\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"worker\":\"w3\""), std::string::npos);
+  EXPECT_NE(json.find("\"rows\":\"17\""), std::string::npos);
+  EXPECT_NE(json.find("\"vectorizedScans\":\"2\""), std::string::npos);
+  // Zero counters and unset fields are left out.
+  EXPECT_EQ(json.find("zoneMapPrunes"), std::string::npos);
+  EXPECT_EQ(json.find("\"error\""), std::string::npos);
   EXPECT_NE(json.find("\"traceId\":9"), std::string::npos);
   // The query label is escaped, not emitted raw.
   EXPECT_NE(json.find("SELECT \\\"x\\\" FROM t"), std::string::npos);
@@ -114,92 +180,12 @@ TEST(Trace, ChromeJsonExport) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(Trace, RegistryCreateFindRelease) {
-  auto& reg = TraceRegistry::instance();
-  std::size_t before = reg.size();
-  TracePtr trace = reg.create("registry test");
-  EXPECT_EQ(reg.size(), before + 1);
-  EXPECT_GT(trace->id(), 0u);
-  EXPECT_EQ(reg.find(trace->id()), trace);
-
-  // Ids are process-unique, never reused.
-  TracePtr other = reg.create("another");
-  EXPECT_NE(other->id(), trace->id());
-
-  reg.release(trace->id());
-  reg.release(other->id());
-  EXPECT_EQ(reg.size(), before);
-  EXPECT_EQ(reg.find(trace->id()), nullptr);
-  // The released trace lives on for its owners.
-  EXPECT_EQ(trace->label(), "registry test");
-}
-
-TEST(Trace, HeaderRoundTrip) {
-  std::string header = traceHeaderLine(123456789);
-  EXPECT_EQ(header, "-- QSERV-TRACE: 123456789\n");
-  auto id = parseTraceHeader(header + "SELECT * FROM Object_1234;");
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 123456789u);
-}
-
-TEST(Trace, HeaderParsingScansAllLeadingComments) {
-  // The trace header may come before or after other comment headers
-  // (e.g. -- SUBCHUNKS:); both orders must parse.
-  std::string afterSubchunks =
-      "-- SUBCHUNKS: 1,2,3\n-- QSERV-TRACE: 42\nSELECT 1;";
-  auto id = parseTraceHeader(afterSubchunks);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 42u);
-
-  std::string beforeSubchunks =
-      "-- QSERV-TRACE: 42\n-- SUBCHUNKS: 1,2,3\nSELECT 1;";
-  id = parseTraceHeader(beforeSubchunks);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 42u);
-}
-
-TEST(Trace, HeaderParsingRejectsNonHeaders) {
-  EXPECT_FALSE(parseTraceHeader("SELECT 1;").has_value());
-  // Comments stop at the first non-comment line: a trace marker inside the
-  // SQL body (e.g. a string literal) is not a header.
-  EXPECT_FALSE(
-      parseTraceHeader("SELECT 1;\n-- QSERV-TRACE: 7\n").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: nope\nSELECT 1;").has_value());
-  EXPECT_FALSE(parseTraceHeader("").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: ").has_value());
-}
-
-TEST(Trace, HeaderParsingRejectsGarbageAndOverflow) {
-  // Mixed digits and letters anywhere in the id reject the whole header.
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: 12x4\nSELECT 1;").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: -7\nSELECT 1;").has_value());
-  EXPECT_FALSE(parseTraceHeader("-- QSERV-TRACE: 1 2\nSELECT 1;").has_value());
-
-  // uint64 max parses; one more (and anything longer) must not wrap around
-  // to a small id that would attach spans to an unrelated query.
-  auto max = parseTraceHeader("-- QSERV-TRACE: 18446744073709551615\nSELECT 1;");
-  ASSERT_TRUE(max.has_value());
-  EXPECT_EQ(*max, std::numeric_limits<std::uint64_t>::max());
-  EXPECT_FALSE(
-      parseTraceHeader("-- QSERV-TRACE: 18446744073709551616\nSELECT 1;")
-          .has_value());
-  EXPECT_FALSE(
-      parseTraceHeader("-- QSERV-TRACE: 99999999999999999999\nSELECT 1;")
-          .has_value());
-}
-
-TEST(Trace, HeaderParsingFirstDuplicateWins) {
-  auto id = parseTraceHeader(
-      "-- QSERV-TRACE: 11\n-- QSERV-TRACE: 22\nSELECT 1;");
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, 11u);
-}
-
 TEST(Trace, ChromeJsonEscapesControlCharacters) {
   auto trace = std::make_shared<Trace>(10, "label with \"quotes\"\\\n\ttab");
   {
-    ScopedSpan s(trace, "czar", "name\nwith\x01控");
-    s.attr("key\"x", "val\\ue\n");
+    ScopedSpan s(trace.get(), SpanKind::kCopy);
+    s->worker = "w\"x\n";
+    s.fail(Status::internal("val\\ue\n\x01控"));
   }
   std::string json = trace->toChromeJson();
   // No raw control characters may survive into the JSON output.
