@@ -3,13 +3,16 @@
 ///
 /// The paper's Fig 14 shows two concurrent full scans taking ~2x their solo
 /// time "since each is a full table scan that is competing for resources
-/// and shared scanning has not been implemented". This bench runs the same
-/// two-scan workload twice through the REAL worker scheduler — once FIFO,
-/// once with shared scanning enabled — and compares the modeled cluster
-/// times. With sharing, co-queued tasks on the same chunk ride one disk
-/// pass, so "results from many full-scan queries can be returned in little
-/// more than the time for a single full-scan query".
+/// and shared scanning has not been implemented". This bench runs the
+/// two-scan workload concurrently through the REAL worker scheduler, whose
+/// only policy is shared scanning, and compares the modeled cluster times
+/// against a modeled FIFO baseline in which each scan pays its own pass:
+/// the bytes the same scan reads when it runs alone. With sharing,
+/// co-queued tasks on the same chunk ride one disk pass, so "results from
+/// many full-scan queries can be returned in little more than the time for
+/// a single full-scan query".
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -27,50 +30,11 @@ struct ScenarioResult {
   double bytesScanned = 0;    // paper-scale bytes both scans paid together
 };
 
-ScenarioResult runScenario(core::SchedulerMode mode) {
-  PaperSetupOptions opts;
-  opts.basePatchObjects = 1200;
-  // A ~200-chunk region with all chunk queries in flight at once: worker
-  // queues hold both scans' tasks simultaneously, the shared-scan
-  // scheduler's grouping opportunity (real shared scanning holds scan
-  // queries for the duration of a table pass).
-  opts.objectRegion = sphgeom::SphericalBox(0, -16, 30, 12);
-  opts.workerConfig.scheduler = mode;
-  opts.workerConfig.slots = 2;
-  // This ablation measures pure same-chunk sharing; keep the slow-scan
-  // eviction out of it (tier splits would break grouping on timing noise —
-  // the eviction path has its own unit tests).
-  opts.workerConfig.slowScanFactor = 0.0;
-  // Stage both scans' chunk tasks in the worker queues before any executes
-  // (real shared scanning likewise batches scan queries against the next
-  // pass over the table).
-  opts.workerConfig.startPaused = true;
-  PaperSetup setup = makePaperSetup(opts);
-
-  const std::string hv2 =
-      "SELECT objectId, ra_PS, decl_PS FROM Object "
-      "WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 4";
-
-  // Submit both scans concurrently so their chunk tasks co-queue. Both
-  // predicates are flux expressions: zone maps cannot prune them, so each
-  // is a genuine full pass over every chunk (a plain range predicate like
-  // `uRadius_PS > 0.2` is zone-pruned to zero I/O and would measure
-  // nothing).
-  core::QservFrontend::Execution e1, e2;
-  std::thread t1([&] { e1 = runQuery(setup, hv2); });
-  std::thread t2([&] {
-    e2 = runQuery(setup, "SELECT objectId, ra_PS, decl_PS FROM Object "
-                         "WHERE fluxToAbMag(gFlux_PS) - "
-                         "fluxToAbMag(rFlux_PS) > 0.8");
-  });
-  // Let both dispatchers enqueue everything, then open the floodgates.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-  for (std::size_t w = 0; w < setup.cluster->numWorkers(); ++w) {
-    setup.cluster->worker(w).resume();
-  }
-  t1.join();
-  t2.join();
-
+/// Price two scans' executions as two concurrent queries on the modeled
+/// 150-node cluster (the paper's FIFO queues).
+ScenarioResult price(const PaperSetup& setup,
+                     const core::QservFrontend::Execution& e1,
+                     const core::QservFrontend::Execution& e2) {
   simio::CostParams params = simio::CostParams::paper150();
   simio::SimQuery q1, q2;
   q1.submitSec = 0.0;
@@ -101,15 +65,58 @@ int main() {
               "§4.3 (design), §6.4/Fig 14 (FIFO measurement)",
               "FIFO: both scans ~2x solo. Shared: both near 1x solo");
 
-  auto fifo = runScenario(core::SchedulerMode::kFifo);
+  PaperSetupOptions opts;
+  opts.basePatchObjects = 1200;
+  // A ~200-chunk region with all chunk queries in flight at once: worker
+  // queues hold both scans' tasks simultaneously, the shared-scan
+  // scheduler's grouping opportunity (real shared scanning holds scan
+  // queries for the duration of a table pass).
+  opts.objectRegion = sphgeom::SphericalBox(0, -16, 30, 12);
+  opts.workerConfig.slots = 2;
+  // This ablation measures pure same-chunk sharing; keep the slow-scan
+  // eviction out of it (tier splits would break grouping on timing noise —
+  // the eviction path has its own unit tests).
+  opts.workerConfig.slowScanFactor = 0.0;
+  // Stage both scans' chunk tasks in the worker queues before any executes
+  // (real shared scanning likewise batches scan queries against the next
+  // pass over the table).
+  opts.workerConfig.startPaused = true;
+  PaperSetup setup = makePaperSetup(opts);
+
+  // Both predicates are flux expressions: zone maps cannot prune them, so
+  // each is a genuine full pass over every chunk (a plain range predicate
+  // like `uRadius_PS > 0.2` is zone-pruned to zero I/O and would measure
+  // nothing).
+  const std::string scanA =
+      "SELECT objectId, ra_PS, decl_PS FROM Object "
+      "WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 4";
+  const std::string scanB =
+      "SELECT objectId, ra_PS, decl_PS FROM Object "
+      "WHERE fluxToAbMag(gFlux_PS) - fluxToAbMag(rFlux_PS) > 0.8";
+
+  // Submit both scans concurrently so their chunk tasks co-queue.
+  core::QservFrontend::Execution e1, e2;
+  std::thread t1([&] { e1 = runQuery(setup, scanA); });
+  std::thread t2([&] { e2 = runQuery(setup, scanB); });
+  // Let both dispatchers enqueue everything, then open the floodgates.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  for (std::size_t w = 0; w < setup.cluster->numWorkers(); ++w) {
+    setup.cluster->worker(w).resume();
+  }
+  t1.join();
+  t2.join();
+  ScenarioResult shared = price(setup, e1, e2);
+
+  // The modeled FIFO baseline: each scan alone pays every chunk's read.
+  ScenarioResult fifo =
+      price(setup, runQuery(setup, scanA), runQuery(setup, scanB));
+
   std::printf("\n");
-  printKeyValue("FIFO",
+  printKeyValue("FIFO (modeled)",
                 util::format("scan A %.0f s, scan B %.0f s (%.0f%% of chunk "
                              "tasks shared a read)",
                              fifo.q1Sec, fifo.q2Sec,
                              fifo.sharedFraction * 100));
-
-  auto shared = runScenario(core::SchedulerMode::kSharedScan);
   printKeyValue("shared scanning",
                 util::format("scan A %.0f s, scan B %.0f s (%.0f%% of chunk "
                              "tasks shared a read)",
@@ -123,13 +130,14 @@ int main() {
   double gain = std::max(fifo.q1Sec, fifo.q2Sec) /
                 std::max(shared.q1Sec, shared.q2Sec);
   printKeyValue("both-scans makespan",
-                util::format("FIFO %.0f s, shared %.0f s: %.2fx faster",
+                util::format("FIFO %.0f s (modeled), shared %.0f s: %.2fx "
+                             "faster",
                              std::max(fifo.q1Sec, fifo.q2Sec),
                              std::max(shared.q1Sec, shared.q2Sec), gain));
 
-  // Under FIFO both scans pay the full table, so half the FIFO total is the
-  // single-scan byte baseline; shared scanning must bring BOTH scans in
-  // near that one pass.
+  // Under FIFO both scans pay the full table, so half the modeled FIFO
+  // total is the single-scan byte baseline; shared scanning must bring BOTH
+  // scans in near that one pass.
   double singlePass = fifo.bytesScanned / 2.0;
   printKeyValue("bytes scanned",
                 util::format("FIFO %.1f GB, shared %.1f GB (1 pass = %.1f "

@@ -101,18 +101,19 @@ set_tests_properties(perf_smoke_repair PROPERTIES
 # bench_concurrency gates interactive latency under scan load (priority-lane
 # LV p50 <= 1.5x solo while 2 HV2 scans run); bench_shared_scan gates the
 # N-scans-one-pass byte bound (shared total <= 1.25x a single scan's bytes).
-# Both abort nonzero on violation.
+# Both abort nonzero on violation. Their gates are modeled arithmetic or
+# byte counts, not wall time, hence the extra `modeled` label.
 add_test(NAME perf_smoke_concurrency
   CONFIGURATIONS perf
   COMMAND bench_concurrency)
 set_tests_properties(perf_smoke_concurrency PROPERTIES
-  LABELS "perf"
+  LABELS "perf;modeled"
   ENVIRONMENT "QSERV_METRICS_JSON=${CMAKE_BINARY_DIR}/BENCH_concurrency.json")
 add_test(NAME perf_smoke_shared_scan
   CONFIGURATIONS perf
   COMMAND bench_shared_scan)
 set_tests_properties(perf_smoke_shared_scan PROPERTIES
-  LABELS "perf"
+  LABELS "perf;modeled"
   ENVIRONMENT "QSERV_METRICS_JSON=${CMAKE_BINARY_DIR}/BENCH_shared_scan.json")
 add_custom_target(perf-smoke
   COMMAND ${CMAKE_CTEST_COMMAND} -C perf -R "^perf_smoke_"

@@ -16,9 +16,9 @@
 /// query slower than the threshold (the same summary `\slowlog` queries out
 /// of the QueryStats table).
 ///
-/// Set QSERV_SCHEDULER=shared to run workers under the §4.3 shared-scan
-/// scheduler (interactive priority lane, same-chunk scan passes, slow-scan
-/// eviction), and QSERV_SCAN_BUDGET_GB to cap concurrently locked chunk
+/// Workers run the §4.3 shared-scan scheduler (interactive priority lane
+/// with a reserved interactive-only slot, same-chunk scan passes, slow-scan
+/// eviction); set QSERV_SCAN_BUDGET_GB to cap concurrently locked chunk
 /// memory (DESIGN.md §12). EXPLAIN's `scheduler` row shows each query's
 /// class; per-class queue waits land under `worker.*` in \metrics.
 ///
@@ -68,13 +68,6 @@ int main(int argc, char** argv) {
   }
   if (const char* deadline = std::getenv("QSERV_DEADLINE_SECONDS")) {
     opts.frontend.queryDeadlineSeconds = std::atof(deadline);
-  }
-  if (const char* sched = std::getenv("QSERV_SCHEDULER")) {
-    if (std::string(sched) == "shared") {
-      opts.worker.scheduler = core::SchedulerMode::kSharedScan;
-      std::printf("shared-scan scheduler on: interactive priority lane, "
-                  "same-chunk scan passes, memory budget\n");
-    }
   }
   if (const char* budget = std::getenv("QSERV_SCAN_BUDGET_GB")) {
     opts.worker.scanMemoryBudgetBytes = std::atof(budget) * 1e9;

@@ -488,6 +488,32 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   // covers the whole overlapped interval so the profile's stage times stay
   // sequential; the collectors record each merge inside it.
   ResultMerger merger(mergeTable);
+  // Accounting follows the chunk specs (dispatch order), not the order
+  // results arrive in, which interleaves the worker streams: the modeled
+  // tasks built from it are then the same on every run. Each result fills
+  // its chunk's slot.
+  const std::vector<ChunkQuerySpec>& specs = rewrite.chunkQueries;
+  const bool specsAscending = std::is_sorted(
+      specs.begin(), specs.end(),
+      [](const ChunkQuerySpec& a, const ChunkQuerySpec& b) {
+        return a.chunkId < b.chunkId;
+      });
+  auto specSlot = [&](std::int32_t chunkId) {
+    auto it = specsAscending
+                  ? std::lower_bound(specs.begin(), specs.end(), chunkId,
+                                     [](const ChunkQuerySpec& s,
+                                        std::int32_t id) {
+                                       return s.chunkId < id;
+                                     })
+                  : std::find_if(specs.begin(), specs.end(),
+                                 [&](const ChunkQuerySpec& s) {
+                                   return s.chunkId == chunkId;
+                                 });
+    return it != specs.end() && it->chunkId == chunkId
+               ? static_cast<std::size_t>(it - specs.begin())
+               : specs.size();
+  };
+  exec.accounting.resize(specs.size());
   std::mutex sinkMutex;  // guards exec.accounting and mergeStatus
   Status mergeStatus = Status::ok();
   Result<DispatchReport> report = Status::internal("dispatch never ran");
@@ -503,9 +529,12 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
         [&](ChunkResult&& r) {
           ChunkAccounting accounting{r.chunkId, std::move(r.workerId),
                                      r.rows.observables()};
+          const std::size_t slot = specSlot(r.chunkId);
           Status merged = merger.merge(std::move(r.rows));
           std::lock_guard lock(sinkMutex);
-          exec.accounting.push_back(std::move(accounting));
+          if (slot < exec.accounting.size()) {
+            exec.accounting[slot] = std::move(accounting);
+          }
           if (mergeStatus.isOk()) mergeStatus = merged;
           return merged;  // a failure cancels the rest of the run
         },
@@ -513,6 +542,9 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   }
   QSERV_RETURN_IF_ERROR(mergeStatus);
   QSERV_RETURN_IF_ERROR(report.status());
+  // A slot no result filled has no worker (none on success).
+  std::erase_if(exec.accounting,
+                [](const ChunkAccounting& a) { return a.workerId.empty(); });
   exec.chunksDispatched = exec.accounting.size();
   exec.dispatchBatches = report->batches;
   CzarMetrics::instance().chunksDispatched.add(exec.chunksDispatched);

@@ -52,28 +52,39 @@ ScanScheduler::ScanScheduler(std::string workerId, ScanSchedulerConfig config)
 }
 
 bool ScanScheduler::enqueue(ScanTask task) {
-  {
-    std::lock_guard lock(mu_);
-    if (shuttingDown_) return false;
-    routeTask(std::move(task));
-  }
-  cv_.notify_one();
-  return true;
+  std::vector<ScanTask> one;
+  one.push_back(std::move(task));
+  return enqueueAll(std::move(one));
 }
 
 bool ScanScheduler::enqueueAll(std::vector<ScanTask> tasks) {
   std::size_t queued = 0;
+  std::size_t handedOff = 0;
   std::size_t waiting = 0;
   {
     std::lock_guard lock(mu_);
     if (shuttingDown_) return false;
-    for (ScanTask& task : tasks) queued += routeTask(std::move(task)) ? 1 : 0;
+    for (ScanTask& task : tasks) {
+      switch (routeTask(std::move(task))) {
+        case Route::kJoined:
+          break;
+        case Route::kHandedOff:
+          ++handedOff;
+          break;
+        case Route::kQueued:
+          ++queued;
+          break;
+      }
+    }
     waiting = waiting_;
   }
-  // Wake at most one waiting slot per queued task: a one-chunk batch wakes
-  // one slot, not all of them. A slot that claims nothing re-runs the same
-  // checks any other would, and busy slots find the rest when they come
-  // back to claim().
+  // A handed-off task is the reserved slot's alone, so it wakes that slot
+  // and no general one.
+  for (std::size_t i = 0; i < handedOff; ++i) reservedCv_.notify_one();
+  // Wake at most one waiting general slot per queued task: a one-chunk
+  // batch wakes one slot, not all of them. A slot that claims nothing
+  // re-runs the same checks any other would, and busy slots find the rest
+  // when they come back to claim().
   if (queued >= waiting) {
     cv_.notify_all();
   } else {
@@ -82,13 +93,21 @@ bool ScanScheduler::enqueueAll(std::vector<ScanTask> tasks) {
   return true;
 }
 
-bool ScanScheduler::routeTask(ScanTask&& task) {
-  if (config_.mode == SchedulerMode::kFifo ||
-      task.cls == QueryClass::kInteractive) {
-    // kFifo: the paper's single queue, classes ignored. kSharedScan: the
-    // interactive priority lane.
+ScanScheduler::Route ScanScheduler::routeTask(ScanTask&& task) {
+  if (task.cls == QueryClass::kInteractive) {
+    // An idle reserved slot not yet promised a task takes it directly;
+    // otherwise it waits in the priority lane for whichever slot frees
+    // first.
+    if (!paused_ && handoff_.size() < reservedWaiting_) {
+      handoff_.push_back(std::move(task));
+      return Route::kHandedOff;
+    }
     interactive_.push_back(std::move(task));
-    return true;
+    return Route::kQueued;
+  }
+  if (config_.slowScanFactor > 0.0 && task.queryId != 0) {
+    ++rates_[task.queryId].open;
+    task.rated = true;
   }
   int tier = tierOf(task.queryId);
   auto active = activePass_.find({tier, task.chunkId});
@@ -97,15 +116,38 @@ bool ScanScheduler::routeTask(ScanTask&& task) {
     // the read instead of paying a second pass.
     passes_[active->second].joined.push_back(std::move(task));
     SchedulerMetrics::instance().scanJoins.add();
-    return false;
+    return Route::kJoined;
   }
   scans_[tier].push_back(std::move(task));
-  return true;
+  return Route::kQueued;
 }
 
-ScanScheduler::Claim ScanScheduler::claim() {
-  auto& metrics = SchedulerMetrics::instance();
+ScanScheduler::Claim ScanScheduler::claimOne(std::deque<ScanTask>& lane) {
+  Claim claim;
+  claim.tasks.push_back(std::move(lane.front()));
+  lane.pop_front();
+  ++inflight_;
+  return claim;
+}
+
+ScanScheduler::Claim ScanScheduler::claimInteractiveOnly(
+    std::unique_lock<std::mutex>& lock) {
+  for (;;) {
+    if (!paused_) {
+      if (!handoff_.empty()) return claimOne(handoff_);
+      if (!interactive_.empty()) return claimOne(interactive_);
+    }
+    if (shuttingDown_) return {};  // drained: handoff_ and the lane are empty
+    ++reservedWaiting_;
+    reservedCv_.wait(lock);
+    --reservedWaiting_;
+  }
+}
+
+ScanScheduler::Claim ScanScheduler::claim(SlotKind slot) {
   std::unique_lock lock(mu_);
+  if (slot == SlotKind::kInteractiveOnly) return claimInteractiveOnly(lock);
+  auto& metrics = SchedulerMetrics::instance();
   bool budgetWaiting = false;
   util::Stopwatch budgetWatch;
   auto finishBudgetWait = [&] {
@@ -123,17 +165,13 @@ ScanScheduler::Claim ScanScheduler::claim() {
     }
     if (shuttingDown_ && interactive_.empty() &&
         scans_[kFastTier].empty() && scans_[kSlowTier].empty()) {
-      return {};  // drained
+      return {};  // drained (handed-off tasks are the reserved slots' to run)
     }
     // Interactive lane first: these tasks never wait behind a scan group
     // and never touch the memory budget.
     if (!interactive_.empty()) {
       finishBudgetWait();
-      Claim claim;
-      claim.tasks.push_back(std::move(interactive_.front()));
-      interactive_.pop_front();
-      ++inflight_;
-      return claim;
+      return claimOne(interactive_);
     }
     // Scan lanes, fast tier before slow.
     for (int tier = kFastTier; tier < kNumTiers; ++tier) {
@@ -220,10 +258,13 @@ void ScanScheduler::finishTask(const ScanTask& task, double execSeconds,
                                bool executed) {
   std::lock_guard lock(mu_);
   if (inflight_ > 0) --inflight_;
-  if (executed && config_.mode == SchedulerMode::kSharedScan &&
-      task.cls == QueryClass::kScan && config_.slowScanFactor > 0.0) {
-    rateQuery(task.queryId, execSeconds);
-  }
+  if (task.cls != QueryClass::kScan || config_.slowScanFactor <= 0.0) return;
+  if (executed) rateQuery(task.queryId, execSeconds);
+  if (!task.rated) return;
+  // The batch's last scan task here, executed or skipped as abandoned,
+  // drops its rating: rate keys are per batch and never come back.
+  auto it = rates_.find(task.queryId);
+  if (it != rates_.end() && --it->second.open == 0) rates_.erase(it);
 }
 
 int ScanScheduler::tierOf(std::uint64_t queryId) const {
@@ -248,17 +289,6 @@ void ScanScheduler::rateQuery(std::uint64_t queryId, double execSeconds) {
     SchedulerMetrics::instance().slowScanEvictions.add();
     evictToSlowTier(queryId);
   }
-  // Bound the rating table: drop fast-rated entries once it grows well past
-  // any realistic concurrent-query count.
-  if (rates_.size() > 2048) {
-    for (auto it = rates_.begin(); it != rates_.end() && rates_.size() > 1024;) {
-      if (!it->second.slow && it->first != queryId) {
-        it = rates_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 void ScanScheduler::evictToSlowTier(std::uint64_t queryId) {
@@ -277,26 +307,32 @@ void ScanScheduler::evictToSlowTier(std::uint64_t queryId) {
   }
 }
 
+std::size_t ScanScheduler::queuedLocked() const {
+  std::size_t queued = interactive_.size() + handoff_.size() +
+                       scans_[kFastTier].size() + scans_[kSlowTier].size();
+  for (const auto& [id, pass] : passes_) queued += pass.joined.size();
+  return queued;
+}
+
 std::size_t ScanScheduler::depth() const {
   std::lock_guard lock(mu_);
-  std::size_t queued = interactive_.size() + scans_[kFastTier].size() +
-                       scans_[kSlowTier].size();
-  for (const auto& [id, pass] : passes_) queued += pass.joined.size();
-  return queued + inflight_;
+  return queuedLocked() + inflight_;
 }
 
 std::size_t ScanScheduler::queuedOnly() const {
   std::lock_guard lock(mu_);
-  std::size_t queued = interactive_.size() + scans_[kFastTier].size() +
-                       scans_[kSlowTier].size();
-  for (const auto& [id, pass] : passes_) queued += pass.joined.size();
-  return queued;
+  return queuedLocked();
 }
 
 bool ScanScheduler::isSlowQuery(std::uint64_t queryId) const {
   std::lock_guard lock(mu_);
   auto it = rates_.find(queryId);
   return it != rates_.end() && it->second.slow;
+}
+
+std::size_t ScanScheduler::ratedQueries() const {
+  std::lock_guard lock(mu_);
+  return rates_.size();
 }
 
 bool ScanScheduler::isShuttingDown() const {
@@ -310,6 +346,7 @@ void ScanScheduler::resume() {
     paused_ = false;
   }
   cv_.notify_all();
+  reservedCv_.notify_all();
 }
 
 void ScanScheduler::shutdown() {
@@ -320,6 +357,7 @@ void ScanScheduler::shutdown() {
     paused_ = false;
   }
   cv_.notify_all();
+  reservedCv_.notify_all();
 }
 
 }  // namespace qserv::core

@@ -3,9 +3,11 @@
 ///
 /// The paper's workers "do not implement any concept of query cost" (§6.4):
 /// one FIFO queue, so interactive point lookups convoy behind full-chunk
-/// scans (Fig 14). This scheduler is the fix the paper plans in §4.3 and
-/// production Qserv later built (wsched::ScanScheduler + memman::MemMan +
-/// wpublish::QueriesAndChunks):
+/// scans (Fig 14). That queue now lives only in the cost model
+/// (simio/queue_sim.h with CostParams::workerPriorityLane off). This
+/// scheduler, the worker's only policy, is the fix the paper plans in §4.3
+/// and production Qserv later built (wsched::ScanScheduler +
+/// memman::MemMan + wpublish::QueriesAndChunks):
 ///
 ///  - every task arrives tagged with a query class (the czar derives it
 ///    from analysis coverage and ships it in the batch request envelope):
@@ -13,6 +15,13 @@
 ///    multi-chunk table scans;
 ///  - interactive tasks live in a priority lane and claim executor slots
 ///    ahead of any queued scan — they never wait behind a scan group;
+///  - beside the general slots, simio::kInteractiveOnlySlots executor slots
+///    serve the interactive lane only (claim(SlotKind::kInteractiveOnly)),
+///    so a lookup finds a slot even while scans hold every general one. An
+///    interactive arrival is handed straight to an idle reserved slot and
+///    woken on its own condition variable: a scan's wakeup never lands on
+///    a reserved slot, and a general slot never takes a handed-off task.
+///    The modeled lane (queue_sim.cc) runs the same slots and rule;
 ///  - scan tasks on the same chunk ride one physical pass: a claim gathers
 ///    every queued same-chunk scan into a group, and a scan arriving while
 ///    the chunk's pass is in flight joins the open pass (takeJoined) and
@@ -42,10 +51,10 @@ namespace qserv::core {
 
 struct BatchStream;
 
-enum class SchedulerMode {
-  kFifo,        ///< paper behaviour: first-in-first-out, no cost concept
-  kSharedScan,  ///< §4.3: class lanes, shared passes, memory budgeting
-};
+/// Read by nothing: shared scan is the worker's only policy. The type and
+/// WorkerConfig::scheduler stay only because benchmark harness code still
+/// assigns them.
+enum class SchedulerMode { kSharedScan };
 
 /// Query cost class, derived by the czar from analysis coverage and carried
 /// to workers in the batch request envelope.
@@ -69,10 +78,12 @@ struct ScanTask {
   /// charged against the memory budget once per chunk pass.
   double memoryBytes = 0.0;
   std::shared_ptr<BatchStream> batch;  ///< the batch this task arrived in
+  /// Set by the scheduler when it counts this task toward its batch's
+  /// rating (QueryRate::open); finishing it gives the count back.
+  bool rated = false;
 };
 
 struct ScanSchedulerConfig {
-  SchedulerMode mode = SchedulerMode::kFifo;
   /// Byte budget for concurrently locked chunk sets; <= 0 = unlimited.
   double scanMemoryBudgetBytes = 0.0;
   /// A query whose per-task EWMA exceeds this multiple of the tier
@@ -81,11 +92,15 @@ struct ScanSchedulerConfig {
   bool startPaused = false;
 };
 
-/// Thread-safe task scheduler shared by a worker's executor slots. In kFifo
-/// mode it degenerates to the paper's single queue (one task per claim, no
-/// passes, no budget). All state, including the memory budget, is mutated
-/// under one mutex, so a blocked scan claim cannot miss the wakeup that
-/// frees its memory.
+/// Which tasks an executor slot may claim.
+enum class SlotKind {
+  kGeneral,          ///< either lane, interactive first
+  kInteractiveOnly,  ///< the reserved slot: the interactive lane only
+};
+
+/// Thread-safe task scheduler shared by a worker's executor slots. All
+/// state, including the memory budget, is mutated under one mutex, so a
+/// blocked scan claim cannot miss the wakeup that frees its memory.
 class ScanScheduler {
  public:
   /// What one executor slot claimed: an interactive task alone (passId 0),
@@ -101,15 +116,18 @@ class ScanScheduler {
   /// False when shutting down (the caller answers "unavailable").
   bool enqueue(ScanTask task);
   /// Atomically enqueue all-or-none (batch arrival); returns false when
-  /// shutting down. Wakes at most as many waiting slots as it queued tasks
+  /// shutting down. Wakes at most one waiting slot per queued task: a
+  /// reserved slot for a task handed to it, a general slot otherwise
   /// (tasks that join an open pass need none).
   bool enqueueAll(std::vector<ScanTask> tasks);
 
-  /// Block until a task (group) is claimable; empty claim = shut down and
-  /// drained. Interactive tasks are claimed first and never budget-blocked;
-  /// a scan claim that cannot lock its chunk's memory waits here while
-  /// other slots keep draining (and grabs any interactive arrival instead).
-  Claim claim();
+  /// Block until a task (group) is claimable by a \p slot slot; empty
+  /// claim = shut down and drained. Interactive tasks are claimed first and
+  /// never budget-blocked; a scan claim that cannot lock its chunk's memory
+  /// waits here while other slots keep draining (and grabs any interactive
+  /// arrival instead). A kInteractiveOnly slot claims interactive tasks
+  /// only, one at a time.
+  Claim claim(SlotKind slot = SlotKind::kGeneral);
 
   /// Drain tasks that joined pass \p passId mid-flight. An empty return
   /// atomically closes the pass (unlocks its memory); callers loop until
@@ -129,6 +147,10 @@ class ScanScheduler {
 
   /// Is \p queryId currently rated slow (evicted to the slow tier)?
   bool isSlowQuery(std::uint64_t queryId) const;
+  /// Rate keys with a rating held: the batches with scan tasks still queued
+  /// or unfinished here (plus any rated by finishTask alone, with no task
+  /// ever enqueued).
+  std::size_t ratedQueries() const;
 
   bool isShuttingDown() const;
   void resume();
@@ -151,10 +173,17 @@ class ScanScheduler {
     std::deque<ScanTask> joined;
   };
 
+  /// Where routeTask put a task, and so which slot must wake for it.
+  enum class Route { kJoined, kHandedOff, kQueued };
+
   // All helpers below require mu_ held.
-  /// Queue \p task in its lane, or join it to its chunk's open pass; true
-  /// when it was queued (and so needs a slot to claim it).
-  bool routeTask(ScanTask&& task);
+  /// Hand \p task to an idle reserved slot, queue it in its lane, or join
+  /// it to its chunk's open pass.
+  Route routeTask(ScanTask&& task);
+  Claim claimInteractiveOnly(std::unique_lock<std::mutex>& lock);
+  /// Pop the front of \p lane as a one-task claim.
+  Claim claimOne(std::deque<ScanTask>& lane);
+  std::size_t queuedLocked() const;
   int tierOf(std::uint64_t queryId) const;
   void rateQuery(std::uint64_t queryId, double execSeconds);
   void evictToSlowTier(std::uint64_t queryId);
@@ -165,14 +194,19 @@ class ScanScheduler {
   util::MemoryBudget budget_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;          ///< general slots
+  std::condition_variable reservedCv_;  ///< interactive-only slots
   bool paused_ = false;
   bool shuttingDown_ = false;
-  std::size_t waiting_ = 0;  ///< slots blocked on cv_ in claim()
+  std::size_t waiting_ = 0;  ///< general slots blocked on cv_ in claim()
+  std::size_t reservedWaiting_ = 0;  ///< reserved slots blocked on reservedCv_
 
-  /// kFifo routes every task here regardless of class (single FIFO lane);
-  /// kSharedScan keeps it for the interactive priority lane only.
+  /// The interactive priority lane.
   std::deque<ScanTask> interactive_;
+  /// Interactive tasks handed to idle reserved slots: no general slot takes
+  /// them, so a general wakeup is never spent on a task a reserved slot
+  /// was woken for. At most reservedWaiting_ long.
+  std::deque<ScanTask> handoff_;
   std::deque<ScanTask> scans_[kNumTiers];
 
   std::map<std::uint64_t, Pass> passes_;  ///< passId -> open pass
@@ -182,10 +216,12 @@ class ScanScheduler {
   std::size_t inflight_ = 0;  ///< claimed (incl. joined) minus finished
 
   /// Slow-scan rating: per-query EWMA of task seconds vs a global
-  /// reference EWMA over all executed scan tasks.
+  /// reference EWMA over all executed scan tasks. An entry lives while its
+  /// batch has scan tasks here (`open`); the last one to finish drops it.
   struct QueryRate {
     double ewmaSec = 0.0;
     bool slow = false;
+    std::size_t open = 0;  ///< the batch's queued and unfinished scan tasks
   };
   std::map<std::uint64_t, QueryRate> rates_;
   double refSec_ = 0.0;

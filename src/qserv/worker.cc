@@ -120,15 +120,19 @@ Worker::Worker(std::string id, std::shared_ptr<sql::Database> database,
       chunker_(catalog.makeChunker()),
       exportedChunks_(std::move(exportedChunks)),
       config_(config),
-      sched_(id_, ScanSchedulerConfig{config.scheduler,
-                                      config.scanMemoryBudgetBytes,
+      sched_(id_, ScanSchedulerConfig{config.scanMemoryBudgetBytes,
                                       config.slowScanFactor,
                                       config.startPaused}) {
   std::sort(exportedChunks_.begin(), exportedChunks_.end());
   int slots = std::max(1, config_.slots);
-  executors_.reserve(static_cast<std::size_t>(slots));
+  executors_.reserve(
+      static_cast<std::size_t>(slots + simio::kInteractiveOnlySlots));
   for (int i = 0; i < slots; ++i) {
-    executors_.emplace_back([this] { executorLoop(); });
+    executors_.emplace_back([this] { executorLoop(SlotKind::kGeneral); });
+  }
+  for (int i = 0; i < simio::kInteractiveOnlySlots; ++i) {
+    executors_.emplace_back(
+        [this] { executorLoop(SlotKind::kInteractiveOnly); });
   }
 }
 
@@ -249,8 +253,7 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
     task.queryId = rateKey;
     task.enqueuedUs = nowUs;
     task.cls = cls;
-    if (config_.scheduler == SchedulerMode::kSharedScan &&
-        cls == QueryClass::kScan) {
+    if (cls == QueryClass::kScan) {
       task.memoryBytes = chunkMemoryBytes(chunk.chunkId);
     }
     task.batch = stream;
@@ -451,9 +454,9 @@ Status Worker::dropChunk(std::int32_t chunkId) {
 
 std::size_t Worker::queuedTasks() const { return sched_.depth(); }
 
-void Worker::executorLoop() {
+void Worker::executorLoop(SlotKind slot) {
   while (true) {
-    ScanScheduler::Claim claim = sched_.claim();
+    ScanScheduler::Claim claim = sched_.claim(slot);
     if (claim.tasks.empty()) return;  // shutdown and drained
     double maxWaitSec = 0.0;
     // In a shared-scan group only the first task that actually reads chunk
@@ -463,20 +466,18 @@ void Worker::executorLoop() {
     bool ioCharged = false;
     util::Stopwatch serviceWatch;
     std::int64_t claimedUs = util::Trace::nowUs();
-    for (const ScanTask& task : claim.tasks) {
-      runClaimedTask(task, claimedUs, ioCharged, maxWaitSec);
-    }
-    if (claim.passId != 0) {
-      // Scans that arrived while this pass was in flight joined the group;
-      // drain them until the pass closes (an empty drain closes it).
-      for (;;) {
-        std::vector<ScanTask> joined = sched_.takeJoined(claim.passId);
-        if (joined.empty()) break;
-        std::int64_t joinClaimUs = util::Trace::nowUs();
-        for (const ScanTask& task : joined) {
-          runClaimedTask(task, joinClaimUs, ioCharged, maxWaitSec);
-        }
+    // Scans that arrive while the pass is in flight join the group; each
+    // round's last task drains them (an empty drain closes the pass).
+    std::vector<ScanTask> tasks = std::move(claim.tasks);
+    std::vector<ScanTask> joined;
+    while (!tasks.empty()) {
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        runClaimedTask(tasks[i], claimedUs, ioCharged, maxWaitSec,
+                       i + 1 == tasks.size() ? claim.passId : 0, joined);
       }
+      tasks = std::move(joined);
+      joined.clear();
+      claimedUs = util::Trace::nowUs();
     }
     // Convoy indicator: how long the batch's unluckiest task waited relative
     // to the service time it then received.
@@ -486,7 +487,9 @@ void Worker::executorLoop() {
 }
 
 void Worker::runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
-                            bool& ioCharged, double& maxWaitSec) {
+                            bool& ioCharged, double& maxWaitSec,
+                            std::uint64_t drainPassId,
+                            std::vector<ScanTask>& joined) {
   auto& metrics = WorkerMetrics::instance();
   double waitSec = static_cast<double>(claimedUs - task.enqueuedUs) * 1e-6;
   metrics.queueWaitSeconds.observe(waitSec);
@@ -508,6 +511,10 @@ void Worker::runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
   // busy or this task queued.
   metrics.queueDepth.add(-1);
   metrics.busySlots.add(-1);
+  // Likewise the pass: a query that sends its next batch only after
+  // reading this frame must find the pass closed, not join it, so what a
+  // task pays never depends on how fast the czar reads.
+  if (drainPassId != 0) joined = sched_.takeJoined(drainPassId);
   if (!outcome.frame.empty()) publishBatchFrame(task, std::move(outcome.frame));
   finishBatchChunk(task.batch);
   sched_.finishTask(task, taskWatch.elapsedSeconds(), outcome.executed);

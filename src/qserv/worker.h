@@ -10,12 +10,13 @@
 /// timings before the trailer. A batch carries its query's chunk-query
 /// template once; the worker parses it once per batch and binds each chunk
 /// task's tables into its FROM list (chunk_template.h). A fixed number of
-/// executor slots (the paper's clusters ran 4) drain a ScanScheduler: in
-/// kFifo mode that is the paper's plain queue ("do not implement any
-/// concept of query cost", §6.4); in kSharedScan mode (§4.3) interactive tasks ride a priority lane ahead
-/// of scans, same-chunk scans share one physical pass (including arrivals
-/// that join a pass already in flight), and scan claims reserve chunk-table
-/// bytes against a memory budget. See scan_scheduler.h.
+/// general executor slots (the paper's clusters ran 4), plus
+/// simio::kInteractiveOnlySlots reserved for the interactive lane, drain a
+/// shared-scan ScanScheduler (§4.3): interactive tasks ride a priority lane
+/// ahead of scans, same-chunk scans share one physical pass (including
+/// arrivals that join a pass already in flight), and scan claims reserve
+/// chunk-table bytes against a memory budget. See scan_scheduler.h. The
+/// paper's FIFO queue is modeled, not run (simio/queue_sim.h).
 ///
 /// Subchunk tables (Object_CC_SS) and their overlap companions
 /// (ObjectFullOverlap_CC_SS) are built on the fly for the subchunks a batch
@@ -66,8 +67,12 @@ struct BatchStream {
 };
 
 struct WorkerConfig {
-  int slots = 4;  ///< concurrent chunk queries (paper §6.2)
-  SchedulerMode scheduler = SchedulerMode::kFifo;
+  /// General executor slots: concurrent chunk queries (paper §6.2). The
+  /// worker runs simio::kInteractiveOnlySlots more, for the interactive
+  /// lane only.
+  int slots = 4;
+  /// Read by nothing (see SchedulerMode); kept for code that still sets it.
+  SchedulerMode scheduler = SchedulerMode::kSharedScan;
   bool cacheSubchunks = false;
   /// Real rows -> paper rows multiplier for the cost model (our tables are
   /// scaled down; observables are reported at paper scale).
@@ -76,10 +81,10 @@ struct WorkerConfig {
   /// Start with executor slots paused (tests use this to stage the queue
   /// deterministically before any task is claimed).
   bool startPaused = false;
-  /// kSharedScan: paper-scale byte budget for concurrently locked chunk
-  /// sets (MemMan-style reservations); <= 0 = unlimited.
+  /// Paper-scale byte budget for concurrently locked chunk sets
+  /// (MemMan-style reservations); <= 0 = unlimited.
   double scanMemoryBudgetBytes = 0.0;
-  /// kSharedScan: slow-scan eviction threshold (see ScanSchedulerConfig).
+  /// Slow-scan eviction threshold (see ScanSchedulerConfig).
   double slowScanFactor = 4.0;
 };
 
@@ -135,15 +140,19 @@ class Worker : public xrd::OfsPlugin {
   void shutdown();
 
  private:
-  void executorLoop();
+  void executorLoop(SlotKind slot);
   /// Run one claimed task: queue-wait accounting, execution, gauges, frame
   /// publication, then scheduler finish bookkeeping. The queue-depth and
   /// busy-slot gauges drop before the frame is published. Sets
   /// \p ioCharged once a task actually pays the chunk read (scanned bytes
   /// > 0), so a group leader skipped as abandoned or zone-pruned never eats
-  /// the charge (the bytesScanned-undercount bug).
+  /// the charge (the bytesScanned-undercount bug). A nonzero
+  /// \p drainPassId marks the last task of a round on that pass: before its
+  /// frame is published, the scans that joined meanwhile move to \p joined,
+  /// and an empty drain closes the pass.
   void runClaimedTask(const ScanTask& task, std::int64_t claimedUs,
-                      bool& ioCharged, double& maxWaitSec);
+                      bool& ioCharged, double& maxWaitSec,
+                      std::uint64_t drainPassId, std::vector<ScanTask>& joined);
   /// What executeTask did with one task.
   struct TaskOutcome {
     bool executed = false;  ///< ran and produced a successful result

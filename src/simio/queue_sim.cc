@@ -1,7 +1,7 @@
 #include "simio/queue_sim.h"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <queue>
 
 namespace qserv::simio {
@@ -71,10 +71,13 @@ std::vector<SimQueryResult> simulateQueries(const std::vector<SimQuery>& queries
       if (a.arrivalSec != b.arrivalSec) return a.arrivalSec < b.arrivalSec;
       return a.seq < b.seq;
     });
-    // Min-heap of slot free times.
-    std::priority_queue<double, std::vector<double>, std::greater<>> slots;
-    for (int s = 0; s < std::max(1, params.slotsPerNode); ++s) slots.push(0.0);
+    const std::size_t generalSlots =
+        static_cast<std::size_t>(std::max(1, params.slotsPerNode));
     if (!params.workerPriorityLane) {
+      // The paper's FIFO: each task, in arrival order, takes the slot that
+      // frees first (a min-heap of slot free times).
+      std::priority_queue<double, std::vector<double>, std::greater<>> slots;
+      for (std::size_t s = 0; s < generalSlots; ++s) slots.push(0.0);
       for (const PendingTask& p : tasks) {
         double free = slots.top();
         slots.pop();
@@ -85,38 +88,44 @@ std::vector<SimQueryResult> simulateQueries(const std::vector<SimQuery>& queries
       }
       continue;
     }
-    // Priority lane (the §4.3 scheduler): event-driven — each time a slot
-    // frees, every task that has arrived by then is admitted into its class
-    // queue, and the slot takes the earliest interactive task if any is
-    // waiting, else the earliest scan. Identical to FIFO when no task is
-    // marked interactive and arrivals never queue.
-    std::deque<const PendingTask*> lanes[2];  // [0]=interactive, [1]=scan
-    std::size_t cursor = 0;
-    std::size_t remaining = tasks.size();
-    while (remaining > 0) {
-      double now = slots.top();
-      auto admitUpTo = [&](double t) {
-        while (cursor < tasks.size() && tasks[cursor].arrivalSec <= t) {
-          const PendingTask& p = tasks[cursor++];
-          lanes[p.interactive ? 0 : 1].push_back(&p);
+    // Priority lane (the §4.3 scheduler, ScanScheduler's rule): beside the
+    // general slots run kInteractiveOnlySlots slots that take interactive
+    // tasks only; a general slot takes the earliest waiting interactive task
+    // ahead of any scan. Each step starts one task on the slot that can
+    // start soonest; on a tie a reserved slot goes first, as the worker
+    // hands an interactive arrival to an idle reserved slot. Each lane is
+    // served in arrival order.
+    std::vector<const PendingTask*> lanes[2];  // [0]=interactive, [1]=scan
+    for (const PendingTask& p : tasks) lanes[p.interactive ? 0 : 1].push_back(&p);
+    std::size_t next[2] = {0, 0};
+    auto frontArrival = [&](int lane) {
+      return next[lane] < lanes[lane].size()
+                 ? lanes[lane][next[lane]]->arrivalSec
+                 : std::numeric_limits<double>::infinity();
+    };
+    struct Slot {
+      double freeSec = 0.0;
+      bool reserved = false;
+    };
+    std::vector<Slot> laneSlots(static_cast<std::size_t>(kInteractiveOnlySlots),
+                                Slot{0.0, true});
+    laneSlots.resize(laneSlots.size() + generalSlots, Slot{0.0, false});
+    for (std::size_t remaining = tasks.size(); remaining > 0; --remaining) {
+      Slot* slot = nullptr;
+      double start = std::numeric_limits<double>::infinity();
+      for (Slot& s : laneSlots) {
+        double ready = s.reserved ? frontArrival(0)
+                                  : std::min(frontArrival(0), frontArrival(1));
+        double t = std::max(s.freeSec, ready);
+        if (t < start) {
+          start = t;
+          slot = &s;
         }
-      };
-      admitUpTo(now);
-      if (lanes[0].empty() && lanes[1].empty()) {
-        // Slot idle until the next arrival.
-        now = tasks[cursor].arrivalSec;
-        admitUpTo(now);
       }
-      std::deque<const PendingTask*>& lane =
-          lanes[0].empty() ? lanes[1] : lanes[0];
-      const PendingTask* p = lane.front();
-      lane.pop_front();
-      slots.pop();
-      double start = std::max(now, p->arrivalSec);
-      double end = start + p->serviceSec;
-      slots.push(end);
-      finished.push_back({end, p->collectSec, p->queryIdx, p->seq});
-      --remaining;
+      int lane = frontArrival(0) <= start ? 0 : 1;
+      const PendingTask* p = lanes[lane][next[lane]++];
+      slot->freeSec = start + p->serviceSec;
+      finished.push_back({slot->freeSec, p->collectSec, p->queryIdx, p->seq});
     }
   }
 

@@ -615,7 +615,6 @@ TEST(DecoderFuzz, WorkerBatchWriteReturnsStatus) {
     core::WorkerConfig config;
     config.slots = 1;
     config.startPaused = true;
-    config.scheduler = core::SchedulerMode::kSharedScan;
     core::Worker worker("fuzz", std::make_shared<sql::Database>("fuzz"),
                         catalog, exported, config);
     for (int i = begin; i < std::min(n, begin + kPerWorker); ++i) {

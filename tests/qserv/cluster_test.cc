@@ -73,6 +73,44 @@ TEST(MiniCluster, PrimaryChunksPartitionTheChunkSet) {
   EXPECT_EQ(total, (*cluster)->chunkIds().size());
 }
 
+TEST(MiniCluster, ModeledTimeFollowsChunkSpecOrder) {
+  // Results arrive interleaved across the worker streams; the modeled tasks
+  // must not: they follow the dispatched chunk order, so the same query
+  // prices the same virtual seconds on every run.
+  SmallSky sky;
+  ClusterOptions opts;
+  opts.frontend.catalog = sky.catalog;
+  opts.numWorkers = 4;
+  auto cluster = MiniCluster::create(opts, sky.data);
+  ASSERT_TRUE(cluster.isOk());
+  QservFrontend& frontend = (*cluster)->frontend();
+  const std::string sql = "SELECT COUNT(*) FROM Object WHERE uFlux_PS > 0";
+  auto chunks = frontend.chunksFor(sql);
+  ASSERT_TRUE(chunks.isOk());
+  ASSERT_GT(chunks->size(), 4u);
+  std::vector<simio::SimChunkTask> firstTasks;
+  double firstSolo = 0.0;
+  for (int run = 0; run < 5; ++run) {
+    auto exec = frontend.query(sql);
+    ASSERT_TRUE(exec.isOk()) << exec.status().toString();
+    ASSERT_EQ(exec->accounting.size(), chunks->size());
+    ASSERT_EQ(exec->simTasks.size(), chunks->size());
+    for (std::size_t i = 0; i < chunks->size(); ++i) {
+      EXPECT_EQ(exec->accounting[i].chunkId, (*chunks)[i]) << "run " << run;
+    }
+    if (run == 0) {
+      firstTasks = exec->simTasks;
+      firstSolo = exec->soloTiming.completionSec;
+      continue;
+    }
+    EXPECT_EQ(exec->soloTiming.completionSec, firstSolo) << "run " << run;
+    for (std::size_t i = 0; i < firstTasks.size(); ++i) {
+      EXPECT_EQ(exec->simTasks[i].worker, firstTasks[i].worker);
+      EXPECT_EQ(exec->simTasks[i].serviceSec, firstTasks[i].serviceSec);
+    }
+  }
+}
+
 TEST(MiniCluster, ClusterMatchesSingleNodeOracle) {
   SmallSky sky;
   ClusterOptions opts;

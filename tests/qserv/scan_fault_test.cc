@@ -52,7 +52,6 @@ TEST(ScanSchedulerFaults, InteractiveDeadlinesMetWhileScansChurn) {
   opts.frontend.catalog = catalog;
   opts.numWorkers = 3;
   opts.replication = 2;
-  opts.worker.scheduler = SchedulerMode::kSharedScan;
   opts.worker.slots = 2;  // easy to saturate with scans
   opts.frontend.dispatchMaxAttempts = 6;
   opts.frontend.dispatchBackoff.base = std::chrono::microseconds(500);

@@ -1,17 +1,23 @@
 /// \file scan_scheduler_test.cc
-/// \brief Unit tests for the worker's shared-scan scheduler: class header
-/// parsing, priority-lane ordering, same-chunk pass grouping, mid-pass
-/// joins with atomic close, memory-budget blocking, slow-scan eviction,
-/// and the kFifo degenerate mode.
+/// \brief Unit tests for the worker's shared-scan scheduler: priority-lane
+/// ordering, the reserved interactive-only slot, same-chunk pass grouping,
+/// mid-pass joins with atomic close, memory-budget blocking, slow-scan
+/// eviction and its bounded rating table, wakeups, and one lane rule shared
+/// with the cost model's simulated lane.
 #include "qserv/scan_scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <thread>
 #include <vector>
+
+#include "simio/queue_sim.h"
+#include "util/rng.h"
 
 namespace qserv::core {
 namespace {
@@ -35,28 +41,8 @@ ScanTask makeInteractive(std::int32_t chunkId) {
 
 ScanSchedulerConfig sharedScan(bool startPaused = true) {
   ScanSchedulerConfig c;
-  c.mode = SchedulerMode::kSharedScan;
   c.startPaused = startPaused;
   return c;
-}
-
-// ------------------------------------------------------------- fifo mode
-
-TEST(ScanScheduler, FifoClaimsOneTaskAtATimeInArrivalOrder) {
-  ScanSchedulerConfig config;  // kFifo
-  ScanScheduler sched("w0", config);
-  // Same chunk, mixed classes: FIFO ignores both and never groups.
-  ASSERT_TRUE(sched.enqueue(makeScan(5, 1)));
-  ASSERT_TRUE(sched.enqueue(makeInteractive(5)));
-  ASSERT_TRUE(sched.enqueue(makeScan(5, 2)));
-  for (std::uint64_t want : {1u, 0u, 2u}) {
-    auto claim = sched.claim();
-    ASSERT_EQ(claim.tasks.size(), 1u);
-    EXPECT_EQ(claim.passId, 0u);
-    EXPECT_EQ(claim.tasks[0].queryId, want);
-    sched.finishTask(claim.tasks[0], 0.0, true);
-  }
-  EXPECT_EQ(sched.depth(), 0u);
 }
 
 // ---------------------------------------------------------- priority lane
@@ -261,16 +247,65 @@ TEST(ScanScheduler, EvictionMovesAlreadyQueuedTasks) {
   EXPECT_EQ(first.tasks[0].chunkId, 4);
 }
 
+TEST(ScanScheduler, RatingTableHoldsOnlyOpenBatches) {
+  // Rate keys are per batch and never come back, so a batch's rating must
+  // go when its last task finishes, slow-rated or not.
+  ScanSchedulerConfig config = sharedScan(false);
+  config.slowScanFactor = 2.0;
+  ScanScheduler sched("w0", config);
+  auto runOne = [&](double seconds) {
+    auto claim = sched.claim();
+    ASSERT_EQ(claim.tasks.size(), 1u);
+    sched.finishTask(claim.tasks[0], seconds, true);
+    EXPECT_TRUE(sched.takeJoined(claim.passId).empty());
+  };
+  // Three batches stay open: claimed, never finished.
+  std::vector<ScanScheduler::Claim> open;
+  for (std::uint64_t q = 1; q <= 3; ++q) {
+    ASSERT_TRUE(sched.enqueue(makeScan(static_cast<std::int32_t>(q), q)));
+    open.push_back(sched.claim());
+  }
+  std::uint64_t next = 100;
+  for (int i = 0; i < 5000; ++i) {
+    // Fast one-task batches hold the reference rate down.
+    for (int f = 0; f < 4; ++f) {
+      ASSERT_TRUE(sched.enqueue(makeScan(10, next++)));
+      runOne(1.0);
+    }
+    // A slow two-task batch: rated slow by its first task, dropped after
+    // its second.
+    const std::uint64_t slow = next++;
+    ASSERT_TRUE(sched.enqueue(makeScan(20, slow)));
+    ASSERT_TRUE(sched.enqueue(makeScan(21, slow)));
+    runOne(100.0);
+    ASSERT_TRUE(sched.isSlowQuery(slow)) << "batch " << i;
+    runOne(100.0);
+    ASSERT_FALSE(sched.isSlowQuery(slow));
+  }
+  EXPECT_EQ(sched.ratedQueries(), 3u);
+  for (const auto& claim : open) {
+    sched.finishTask(claim.tasks[0], 1.0, true);
+    EXPECT_TRUE(sched.takeJoined(claim.passId).empty());
+  }
+  EXPECT_EQ(sched.ratedQueries(), 0u);
+}
+
 // -------------------------------------------------------------- wakeups
 
 /// Executor slots draining \p sched the way a worker's do, counting the
-/// tasks they finish. \p gate runs before each task finishes.
+/// tasks they finish: \p general general slots and \p reserved
+/// interactive-only ones. \p gate runs before each task finishes.
 class Slots {
  public:
-  Slots(ScanScheduler& sched, int n,
+  Slots(ScanScheduler& sched, int general, int reserved = 0,
         std::function<void(const ScanTask&)> gate = {})
       : sched_(sched), gate_(std::move(gate)) {
-    for (int i = 0; i < n; ++i) threads_.emplace_back([this] { loop(); });
+    for (int i = 0; i < general; ++i) {
+      threads_.emplace_back([this] { loop(SlotKind::kGeneral); });
+    }
+    for (int i = 0; i < reserved; ++i) {
+      threads_.emplace_back([this] { loop(SlotKind::kInteractiveOnly); });
+    }
   }
   ~Slots() { join(); }
 
@@ -291,6 +326,9 @@ class Slots {
     return true;
   }
 
+  /// Scan tasks a reserved slot claimed (must stay 0).
+  int reservedScans() const { return reservedScans_.load(); }
+
  private:
   void finish(const ScanTask& task) {
     if (gate_) gate_(task);
@@ -298,11 +336,17 @@ class Slots {
     ++done_;
   }
 
-  void loop() {
+  void loop(SlotKind kind) {
     for (;;) {
-      auto claim = sched_.claim();
+      auto claim = sched_.claim(kind);
       if (claim.tasks.empty()) return;
-      for (const ScanTask& task : claim.tasks) finish(task);
+      for (const ScanTask& task : claim.tasks) {
+        if (kind == SlotKind::kInteractiveOnly &&
+            task.cls == QueryClass::kScan) {
+          ++reservedScans_;
+        }
+        finish(task);
+      }
       if (claim.passId == 0) continue;
       for (auto joined = sched_.takeJoined(claim.passId); !joined.empty();
            joined = sched_.takeJoined(claim.passId)) {
@@ -314,37 +358,53 @@ class Slots {
   ScanScheduler& sched_;
   std::function<void(const ScanTask&)> gate_;
   std::atomic<int> done_{0};
+  std::atomic<int> reservedScans_{0};
   std::vector<std::thread> threads_;
 };
 
 TEST(ScanScheduler, EnqueueAllNeverLosesAWakeup) {
-  // enqueueAll wakes at most one slot per queued task. Whatever the
-  // interleaving, every task of a batch must still be claimed: with idle
-  // slots, and with slots parked on a full memory budget.
+  // enqueueAll wakes at most one slot per queued task, and hands an
+  // interactive task to an idle reserved slot on that slot's own wakeup.
+  // Whatever the interleaving, every task of a batch must still be claimed:
+  // with idle slots, with slots parked on a full memory budget, and with a
+  // reserved slot idle beside them that must never claim a scan nor absorb
+  // a scan's wakeup.
   for (int round = 0; round < 200; ++round) {
     for (int k : {1, 3, 64}) {
       for (bool budgetBlocked : {false, true}) {
-        ScanSchedulerConfig config = sharedScan(false);
-        config.scanMemoryBudgetBytes = 100.0;
-        ScanScheduler sched("w0", config);
-        ScanScheduler::Claim held;
-        if (budgetBlocked) {
-          // This thread holds the whole budget; the slots park on the
-          // queued scan that cannot fit.
-          ASSERT_TRUE(sched.enqueue(makeScan(1, 1, 100.0)));
-          held = sched.claim();
-          ASSERT_TRUE(sched.enqueue(makeScan(2, 2, 100.0)));
-        }
-        Slots slots(sched, 4);
-        std::vector<ScanTask> batch;
-        for (int i = 0; i < k; ++i) batch.push_back(makeInteractive(10 + i));
-        ASSERT_TRUE(sched.enqueueAll(std::move(batch)));
-        ASSERT_TRUE(slots.awaitDone(k))
-            << "round " << round << " k=" << k << " blocked=" << budgetBlocked;
-        if (budgetBlocked) {
-          sched.finishTask(held.tasks[0], 0.0, true);
-          EXPECT_TRUE(sched.takeJoined(held.passId).empty());
-          ASSERT_TRUE(slots.awaitDone(k + 1)) << "round " << round;
+        for (bool withScans : {false, true}) {
+          ScanSchedulerConfig config = sharedScan(false);
+          config.scanMemoryBudgetBytes = 100.0;
+          ScanScheduler sched("w0", config);
+          ScanScheduler::Claim held;
+          if (budgetBlocked) {
+            // This thread holds the whole budget; the slots park on the
+            // queued scan that cannot fit.
+            ASSERT_TRUE(sched.enqueue(makeScan(1, 1, 100.0)));
+            held = sched.claim();
+            ASSERT_TRUE(sched.enqueue(makeScan(2, 2, 100.0)));
+          }
+          Slots slots(sched, 4, withScans ? 1 : round % 2);
+          std::vector<ScanTask> batch;
+          for (int i = 0; i < k; ++i) {
+            batch.push_back(makeInteractive(10 + i));
+            if (withScans) batch.push_back(makeScan(100 + i, 7));
+          }
+          const int tasks = static_cast<int>(batch.size());
+          ASSERT_TRUE(sched.enqueueAll(std::move(batch)));
+          // Queued scans wait behind the budget-blocked one.
+          if (!budgetBlocked || !withScans) {
+            ASSERT_TRUE(slots.awaitDone(tasks))
+                << "round " << round << " k=" << k
+                << " blocked=" << budgetBlocked << " scans=" << withScans;
+          }
+          if (budgetBlocked) {
+            sched.finishTask(held.tasks[0], 0.0, true);
+            EXPECT_TRUE(sched.takeJoined(held.passId).empty());
+            ASSERT_TRUE(slots.awaitDone(tasks + 1)) << "round " << round;
+          }
+          slots.join();
+          EXPECT_EQ(slots.reservedScans(), 0);
         }
       }
     }
@@ -352,26 +412,145 @@ TEST(ScanScheduler, EnqueueAllNeverLosesAWakeup) {
 }
 
 TEST(ScanScheduler, InteractiveArrivalWhileScansHoldEverySlot) {
-  // No slot is waiting when the interactive task arrives, so enqueueAll
-  // wakes none; the first slot to finish its scan must find it.
+  // No general slot is waiting when the interactive task arrives. Without a
+  // reserved slot, enqueueAll wakes none and the first slot to finish its
+  // scan must find it; with one, the reserved slot serves it while the
+  // scans still hold every general slot.
   for (int round = 0; round < 200; ++round) {
-    ScanScheduler sched("w0", sharedScan(false));
-    std::atomic<int> scansRunning{0};
-    std::atomic<bool> release{false};
-    Slots slots(sched, 4, [&](const ScanTask& task) {
-      if (task.cls != QueryClass::kScan) return;
-      ++scansRunning;
-      while (!release.load()) std::this_thread::yield();
-    });
-    std::vector<ScanTask> scans;
-    for (int c = 0; c < 4; ++c) scans.push_back(makeScan(c, 1));
-    ASSERT_TRUE(sched.enqueueAll(std::move(scans)));
-    while (scansRunning.load() < 4) std::this_thread::yield();
-    std::vector<ScanTask> lookup;
-    lookup.push_back(makeInteractive(99));
-    ASSERT_TRUE(sched.enqueueAll(std::move(lookup)));
-    release.store(true);
-    ASSERT_TRUE(slots.awaitDone(5)) << "round " << round;
+    for (int reserved : {0, 1}) {
+      ScanScheduler sched("w0", sharedScan(false));
+      std::atomic<int> scansRunning{0};
+      std::atomic<bool> release{false};
+      Slots slots(sched, 4, reserved, [&](const ScanTask& task) {
+        if (task.cls != QueryClass::kScan) return;
+        ++scansRunning;
+        while (!release.load()) std::this_thread::yield();
+      });
+      std::vector<ScanTask> scans;
+      for (int c = 0; c < 4; ++c) scans.push_back(makeScan(c, 1));
+      ASSERT_TRUE(sched.enqueueAll(std::move(scans)));
+      while (scansRunning.load() < 4) std::this_thread::yield();
+      std::vector<ScanTask> lookup;
+      lookup.push_back(makeInteractive(99));
+      ASSERT_TRUE(sched.enqueueAll(std::move(lookup)));
+      if (reserved > 0) {
+        EXPECT_TRUE(slots.awaitDone(1)) << "round " << round;
+      }
+      release.store(true);
+      ASSERT_TRUE(slots.awaitDone(5)) << "round " << round;
+      slots.join();
+      EXPECT_EQ(slots.reservedScans(), 0);
+    }
+  }
+}
+
+// ------------------------------------------------------ one lane rule
+
+TEST(ScanScheduler, ServiceOrderMatchesModeledLane) {
+  // One fixed trace of distinct-chunk scans and interactive tasks on one
+  // worker with 2 general slots and the reserved one, run two ways: through
+  // the cost model's lane (simio::simulateQueries), and through this
+  // scheduler driven by a virtual clock. Both must start every task at the
+  // same virtual time, so the modeled lane describes the real one.
+  struct TraceTask {
+    double arrival = 0.0;
+    double service = 0.0;
+    bool interactive = false;
+  };
+  std::vector<TraceTask> trace;
+  util::Rng rng(0x1a2e);
+  for (int i = 0; i < 120; ++i) {
+    TraceTask t;
+    t.arrival = 0.25 * static_cast<double>(rng.below(240));
+    t.interactive = rng.below(3) == 0;
+    t.service =
+        0.25 * static_cast<double>(1 + rng.below(t.interactive ? 4 : 24));
+    trace.push_back(t);
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const TraceTask& a, const TraceTask& b) {
+                     return a.arrival < b.arrival;
+                   });
+  const std::size_t n = trace.size();
+
+  // The model: one single-task query per trace entry, no master costs, so
+  // a query's last result is its task's end.
+  simio::CostParams params;
+  params.nodeCount = 1;
+  params.slotsPerNode = 2;
+  params.perQueryFixedOverheadSec = 0.0;
+  params.workerPriorityLane = true;
+  std::vector<simio::SimQuery> queries;
+  for (const TraceTask& t : trace) {
+    simio::SimQuery q;
+    q.submitSec = t.arrival;
+    q.tasks = {{0, t.service, 0.0, 0.0, t.interactive}};
+    queries.push_back(q);
+  }
+  auto results = simio::simulateQueries(queries, params);
+  std::vector<double> modeled(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    modeled[i] = results[i].lastResultSec - trace[i].service;
+  }
+
+  // The scheduler: at each virtual instant finish what ends, enqueue what
+  // arrives, then let each idle slot (the reserved one first) claim.
+  ScanSchedulerConfig config = sharedScan(false);
+  config.slowScanFactor = 0.0;
+  ScanScheduler sched("w0", config);
+  struct VirtualSlot {
+    SlotKind kind = SlotKind::kGeneral;
+    bool busy = false;
+    double freeAt = 0.0;
+    ScanScheduler::Claim claim;
+  };
+  std::vector<VirtualSlot> slots(3);
+  slots[0].kind = SlotKind::kInteractiveOnly;
+  std::vector<double> real(n, -1.0);
+  std::size_t arrived = 0, finished = 0;
+  int queuedInteractive = 0, queuedScans = 0;
+  double now = 0.0;
+  while (finished < n) {
+    for (VirtualSlot& slot : slots) {
+      if (!slot.busy || slot.freeAt > now) continue;
+      sched.finishTask(slot.claim.tasks[0], 0.0, true);
+      EXPECT_TRUE(sched.takeJoined(slot.claim.passId).empty());
+      slot.busy = false;
+      ++finished;
+    }
+    for (; arrived < n && trace[arrived].arrival <= now; ++arrived) {
+      const auto id = static_cast<std::int32_t>(arrived);
+      ASSERT_TRUE(sched.enqueue(trace[arrived].interactive
+                                    ? makeInteractive(id)
+                                    : makeScan(id, 1)));
+      ++(trace[arrived].interactive ? queuedInteractive : queuedScans);
+    }
+    for (VirtualSlot& slot : slots) {
+      bool claimable = slot.kind == SlotKind::kInteractiveOnly
+                           ? queuedInteractive > 0
+                           : queuedInteractive + queuedScans > 0;
+      if (slot.busy || !claimable) continue;
+      slot.claim = sched.claim(slot.kind);
+      ASSERT_EQ(slot.claim.tasks.size(), 1u);
+      const ScanTask& task = slot.claim.tasks[0];
+      const auto idx = static_cast<std::size_t>(task.chunkId);
+      ASSERT_EQ(task.cls == QueryClass::kInteractive, trace[idx].interactive);
+      --(task.cls == QueryClass::kInteractive ? queuedInteractive
+                                              : queuedScans);
+      real[idx] = now;
+      slot.busy = true;
+      slot.freeAt = now + trace[idx].service;
+    }
+    double next = arrived < n ? trace[arrived].arrival
+                              : std::numeric_limits<double>::infinity();
+    for (const VirtualSlot& slot : slots) {
+      if (slot.busy) next = std::min(next, slot.freeAt);
+    }
+    now = next;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_DOUBLE_EQ(real[i], modeled[i])
+        << "task " << i << (trace[i].interactive ? " (interactive)" : "");
   }
 }
 

@@ -335,7 +335,6 @@ TEST_F(WorkerTest, ParallelTasksAcrossSlots) {
 TEST_F(WorkerTest, SharedScanGroupChargesIoOnce) {
   WorkerConfig wc;
   wc.slots = 1;
-  wc.scheduler = SchedulerMode::kSharedScan;
   wc.startPaused = true;  // stage the queue before any task is claimed
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
@@ -363,41 +362,9 @@ TEST_F(WorkerTest, SharedScanGroupChargesIoOnce) {
   EXPECT_EQ(charged, 1);
 }
 
-TEST_F(WorkerTest, FifoChargesEveryScan) {
-  WorkerConfig wc;
-  wc.slots = 1;
-  wc.scheduler = SchedulerMode::kFifo;
-  wc.startPaused = true;
-  auto w = makeWorker(wc);
-  std::int32_t chunk = populatedChunk_;
-  std::vector<std::string> queries;
-  // Predicates must intersect the chunk's declination range: a scan whose
-  // range misses it entirely is zone-map pruned and pays no I/O at all.
-  for (int i = 0; i < 3; ++i) {
-    queries.push_back("SELECT COUNT(*) AS c FROM Object_" +
-                      std::to_string(chunk) + " WHERE decl_PS > " +
-                      std::to_string(-100 - i * 100) + ";");
-  }
-  std::vector<std::string> batches;
-  for (const auto& q : queries) {
-    auto batchId = submit(*w, chunk, q);
-    ASSERT_TRUE(batchId.isOk());
-    batches.push_back(*batchId);
-  }
-  w->resume();
-  int charged = 0;
-  for (const auto& batchId : batches) {
-    auto r = await(*w, batchId);
-    ASSERT_TRUE(r.isOk());
-    if (observablesOf(*r).bytesScanned > 0) ++charged;
-  }
-  EXPECT_EQ(charged, 3);
-}
-
 TEST_F(WorkerTest, InteractiveClassBypassesScanGroup) {
   WorkerConfig wc;
   wc.slots = 1;
-  wc.scheduler = SchedulerMode::kSharedScan;
   wc.startPaused = true;
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;
@@ -436,7 +403,6 @@ TEST_F(WorkerTest, AbandonedGroupLeaderDoesNotEatIoCharge) {
   // that actually runs, or the group's bytesScanned is silently zero.
   WorkerConfig wc;
   wc.slots = 1;
-  wc.scheduler = SchedulerMode::kSharedScan;
   wc.startPaused = true;
   auto w = makeWorker(wc);
   std::int32_t chunk = populatedChunk_;

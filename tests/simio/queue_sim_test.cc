@@ -100,6 +100,63 @@ TEST(QueueSim, FifoConvoysShortQueriesBehindScans) {
   EXPECT_NEAR(rs[0].elapsedSec(), 101.01, 0.1);
 }
 
+TEST(QueueSim, FifoServesOneTaskAtATimeInArrivalOrder) {
+  // The paper's FIFO (lane off) ignores classes and never groups: three
+  // tasks on one 1-slot node, scan / interactive / scan, finish in arrival
+  // order, one after another.
+  CostParams p = fastParams();
+  p.nodeCount = 1;
+  p.slotsPerNode = 1;
+  p.perQueryFixedOverheadSec = 0.0;
+  std::vector<SimQuery> qs(3);
+  qs[0].tasks = {{0, 10.0, 0.0, 0.0, false}};
+  qs[1].submitSec = 1.0;
+  qs[1].tasks = {{0, 1.0, 0.0, 0.0, true}};
+  qs[2].submitSec = 2.0;
+  qs[2].tasks = {{0, 10.0, 0.0, 0.0, false}};
+  auto rs = simulateQueries(qs, p);
+  EXPECT_DOUBLE_EQ(rs[0].lastResultSec, 10.0);
+  EXPECT_DOUBLE_EQ(rs[1].lastResultSec, 11.0);
+  EXPECT_DOUBLE_EQ(rs[2].lastResultSec, 21.0);
+}
+
+TEST(QueueSim, FifoChargesEveryScanItsOwnPass) {
+  // Three scans of the same chunk priced from their solo observables: the
+  // FIFO baseline shares nothing, so each pays a full pass in turn.
+  CostParams p = fastParams();
+  p.nodeCount = 1;
+  p.slotsPerNode = 1;
+  p.perQueryFixedOverheadSec = 0.0;
+  WorkObservables pass;
+  pass.bytesScanned = 200e6;
+  const double service = workerServiceSeconds(pass, p);
+  ASSERT_GT(service, 0.0);
+  std::vector<SimQuery> qs(3);
+  for (auto& q : qs) q.tasks = {{0, service, 0.0, 0.0, false}};
+  auto rs = simulateQueries(qs, p);
+  EXPECT_DOUBLE_EQ(rs[2].lastResultSec, 3.0 * service);
+}
+
+TEST(QueueSim, LaneReservedSlotServesInteractiveBesideBusySlots) {
+  // Lane on: both general slots hold long scans, and the reserved slot
+  // still starts an interactive arrival at once; it never runs a scan, so
+  // a third scan waits for a general slot.
+  CostParams p = fastParams();
+  p.nodeCount = 1;
+  p.slotsPerNode = 2;
+  p.perQueryFixedOverheadSec = 0.0;
+  p.workerPriorityLane = true;
+  std::vector<SimQuery> qs(4);
+  for (int i = 0; i < 3; ++i) qs[i].tasks = {{0, 100.0, 0.0, 0.0, false}};
+  qs[3].submitSec = 1.0;
+  qs[3].tasks = {{0, 1.0, 0.0, 0.0, true}};
+  auto rs = simulateQueries(qs, p);
+  EXPECT_DOUBLE_EQ(rs[3].lastResultSec, 2.0);
+  EXPECT_DOUBLE_EQ(rs[2].lastResultSec, 200.0);
+  p.workerPriorityLane = false;
+  EXPECT_GT(simulateQueries(qs, p)[3].lastResultSec, 100.0);
+}
+
 TEST(QueueSim, TwoConcurrentScansDoubleElapsedTime) {
   // Fig 14: two HV2-like scans take ~2x their solo time.
   CostParams p = CostParams::paper150();
