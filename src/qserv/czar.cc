@@ -488,27 +488,15 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   // covers the whole overlapped interval so the profile's stage times stay
   // sequential; the collectors record each merge inside it.
   ResultMerger merger(mergeTable);
-  // Accounting follows the chunk specs (dispatch order), not the order
-  // results arrive in, which interleaves the worker streams: the modeled
-  // tasks built from it are then the same on every run. Each result fills
-  // its chunk's slot.
+  // Accounting follows the chunk specs (dispatch order: ascending chunk
+  // id, as resolveChunks returns them), not the order results arrive in,
+  // which interleaves the worker streams: the modeled tasks built from it
+  // are then the same on every run. Each result fills its chunk's slot.
   const std::vector<ChunkQuerySpec>& specs = rewrite.chunkQueries;
-  const bool specsAscending = std::is_sorted(
-      specs.begin(), specs.end(),
-      [](const ChunkQuerySpec& a, const ChunkQuerySpec& b) {
-        return a.chunkId < b.chunkId;
-      });
   auto specSlot = [&](std::int32_t chunkId) {
-    auto it = specsAscending
-                  ? std::lower_bound(specs.begin(), specs.end(), chunkId,
-                                     [](const ChunkQuerySpec& s,
-                                        std::int32_t id) {
-                                       return s.chunkId < id;
-                                     })
-                  : std::find_if(specs.begin(), specs.end(),
-                                 [&](const ChunkQuerySpec& s) {
-                                   return s.chunkId == chunkId;
-                                 });
+    auto it = std::lower_bound(
+        specs.begin(), specs.end(), chunkId,
+        [](const ChunkQuerySpec& s, std::int32_t id) { return s.chunkId < id; });
     return it != specs.end() && it->chunkId == chunkId
                ? static_cast<std::size_t>(it - specs.begin())
                : specs.size();

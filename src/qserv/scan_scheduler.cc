@@ -335,6 +335,11 @@ std::size_t ScanScheduler::ratedQueries() const {
   return rates_.size();
 }
 
+std::size_t ScanScheduler::parkedSlots(SlotKind kind) const {
+  std::lock_guard lock(mu_);
+  return kind == SlotKind::kInteractiveOnly ? reservedWaiting_ : waiting_;
+}
+
 bool ScanScheduler::isShuttingDown() const {
   std::lock_guard lock(mu_);
   return shuttingDown_;

@@ -151,6 +151,8 @@ class ScanScheduler {
   /// or unfinished here (plus any rated by finishTask alone, with no task
   /// ever enqueued).
   std::size_t ratedQueries() const;
+  /// Slots of \p kind blocked in claim() with nothing to take.
+  std::size_t parkedSlots(SlotKind kind) const;
 
   bool isShuttingDown() const;
   void resume();

@@ -253,7 +253,8 @@ Status Worker::enqueueBatch(const std::string& batchId, std::string payload) {
     task.queryId = rateKey;
     task.enqueuedUs = nowUs;
     task.cls = cls;
-    if (cls == QueryClass::kScan) {
+    // An unlimited budget (the default) never reads the footprint.
+    if (cls == QueryClass::kScan && config_.scanMemoryBudgetBytes > 0) {
       task.memoryBytes = chunkMemoryBytes(chunk.chunkId);
     }
     task.batch = stream;

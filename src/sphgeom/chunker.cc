@@ -205,9 +205,9 @@ std::vector<std::int32_t> Chunker::chunksIntersecting(
       for (int c = cMin; c <= cMax; ++c) emit(c);
     } else {
       // The interval wraps (either the box wraps, or rounding produced
-      // cMin > cMax): [cMin, end) then [0, cMax].
-      for (int c = cMin; c < st.numChunks; ++c) emit(c);
+      // cMin > cMax): [0, cMax] then [cMin, end), keeping ids ascending.
       for (int c = 0; c <= cMax && c < cMin; ++c) emit(c);
+      for (int c = cMin; c < st.numChunks; ++c) emit(c);
     }
   }
   return out;

@@ -71,8 +71,8 @@ class Chunker {
   /// All subchunk ids of a chunk, ascending.
   std::vector<std::int32_t> subChunksOf(std::int32_t chunkId) const;
 
-  /// Chunks whose boxes intersect \p box (conservative: exact for boxes).
-  /// This implements areaspec-based chunk pruning (paper §5.3).
+  /// Chunks whose boxes intersect \p box (conservative: exact for boxes),
+  /// ascending. This implements areaspec-based chunk pruning (paper §5.3).
   std::vector<std::int32_t> chunksIntersecting(const SphericalBox& box) const;
 
   /// Subchunks of \p chunkId whose boxes intersect \p box.

@@ -60,7 +60,6 @@ void Histogram::observe(double x) {
   const auto& bounds = bucketBounds();
   std::lock_guard lock(mutex_);
   stats_.add(x);
-  percentiles_.add(x);
   if (bucketCounts_.empty()) bucketCounts_.assign(bounds.size(), 0);
   auto it = std::lower_bound(bounds.begin(), bounds.end(), x);
   if (it != bounds.end()) {
@@ -78,23 +77,41 @@ Histogram::Snapshot Histogram::snapshot() const {
   s.mean = stats_.mean();
   s.min = stats_.min();
   s.max = stats_.max();
-  s.p50 = percentiles_.percentile(50);
-  s.p90 = percentiles_.percentile(90);
-  s.p95 = percentiles_.percentile(95);
-  s.p99 = percentiles_.percentile(99);
   s.cumulative.assign(bucketBounds().size(), 0);
   std::int64_t running = 0;
   for (std::size_t i = 0; i < bucketCounts_.size(); ++i) {
     running += bucketCounts_[i];
     s.cumulative[i] = running;
   }
+  s.p50 = s.percentile(50);
+  s.p90 = s.percentile(90);
+  s.p95 = s.percentile(95);
+  s.p99 = s.percentile(99);
   return s;
+}
+
+double Histogram::Snapshot::percentile(double p) const {
+  if (count == 0) return std::nan("");
+  const auto& bounds = bucketBounds();
+  double rank = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(count);
+  // First bucket whose cumulative count reaches the rank; past the last
+  // bound only the implicit +Inf bucket (== count) remains.
+  std::size_t i = 0;
+  while (i < cumulative.size() && static_cast<double>(cumulative[i]) < rank) {
+    ++i;
+  }
+  std::int64_t below = i == 0 ? 0 : cumulative[i - 1];
+  std::int64_t in = (i < cumulative.size() ? cumulative[i] : count) - below;
+  double lo = std::max(min, i == 0 ? min : bounds[i - 1]);
+  double hi = std::min(max, i < bounds.size() ? bounds[i] : max);
+  if (in <= 0 || hi <= lo) return std::clamp(lo, min, max);
+  double frac = (rank - static_cast<double>(below)) / static_cast<double>(in);
+  return lo + (hi - lo) * frac;
 }
 
 void Histogram::reset() {
   std::lock_guard lock(mutex_);
   stats_ = RunningStats();
-  percentiles_ = Percentiles();
   bucketCounts_.clear();
 }
 

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "util/stats.h"
 
@@ -50,9 +51,10 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Latency/size distribution: running moments + exact percentiles + fixed
-/// log-spaced buckets (1-2.5-5 decades, 1e-6 .. 5e8) for the Prometheus
-/// exposition format, which wants cumulative bucket counts.
+/// Latency/size distribution: running moments + fixed log-spaced buckets
+/// (1-2.5-5 decades, 1e-6 .. 5e8). Memory and snapshot cost are fixed by
+/// the bucket count, not the number of observations; percentiles are read
+/// off the buckets (see Snapshot::percentile).
 class Histogram {
  public:
   /// Upper bounds of the fixed buckets (ascending). Values above the last
@@ -65,6 +67,12 @@ class Histogram {
     double p50 = 0.0, p90 = 0.0, p95 = 0.0, p99 = 0.0;
     /// Cumulative count per bucketBounds() entry: observations <= bound.
     std::vector<std::int64_t> cumulative;
+
+    /// \p p in [0,100] (clamped). The value at rank p/100 * count,
+    /// interpolated linearly inside its bucket, whose edges are clamped to
+    /// [min, max]; so p0 is min, p100 is max, and any other answer lies in
+    /// the bucket holding the exact one. NaN when empty.
+    double percentile(double p) const;
   };
 
   void observe(double x);
@@ -74,7 +82,6 @@ class Histogram {
  private:
   mutable std::mutex mutex_;
   RunningStats stats_;
-  Percentiles percentiles_;
   std::vector<std::int64_t> bucketCounts_;  ///< per-bucket (non-cumulative)
 };
 

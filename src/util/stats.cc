@@ -29,20 +29,6 @@ std::string RunningStats::toString() const {
                 static_cast<long long>(count_), mean_, min_, max_, stddev());
 }
 
-double Percentiles::percentile(double p) const {
-  if (values_.empty()) return std::nan("");
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-  p = std::clamp(p, 0.0, 100.0);
-  double rank = p / 100.0 * static_cast<double>(values_.size() - 1);
-  std::size_t lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, values_.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values_[lo] * (1.0 - frac) + values_[hi] * frac;
-}
-
 // Box-Muller; lives here to keep <cmath> out of the rng header.
 double Rng::normal(double mean, double stddev) {
   double u1 = uniform();

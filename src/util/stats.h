@@ -1,11 +1,10 @@
 /// \file stats.h
-/// \brief Running statistics and fixed-bucket histograms for benchmarks.
+/// \brief One-pass running statistics (count, mean, min, max, variance).
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace qserv::util {
 
@@ -31,25 +30,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Exact percentile over a stored sample set (fine for bench-sized data).
-/// Queries use linear interpolation between adjacent ranks.
-class Percentiles {
- public:
-  void add(double x) {
-    values_.push_back(x);
-    sorted_ = false;
-  }
-  /// \p p in [0,100]. Returns NaN when empty. Sorts lazily; const-safe so
-  /// snapshot paths (e.g. metrics histograms) need no mutable copy. Not
-  /// safe against concurrent add() — callers synchronize externally.
-  double percentile(double p) const;
-  std::size_t size() const { return values_.size(); }
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace qserv::util

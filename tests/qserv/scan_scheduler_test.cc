@@ -328,6 +328,20 @@ class Slots {
 
   /// Scan tasks a reserved slot claimed (must stay 0).
   int reservedScans() const { return reservedScans_.load(); }
+  /// Interactive tasks a reserved slot ran.
+  int reservedInteractive() const { return reservedInteractive_.load(); }
+
+  /// Wait until \p general general and \p reserved reserved slots are
+  /// parked in claim(); false after 10 s.
+  bool awaitParked(std::size_t general, std::size_t reserved) {
+    auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (sched_.parkedSlots(SlotKind::kGeneral) < general ||
+           sched_.parkedSlots(SlotKind::kInteractiveOnly) < reserved) {
+      if (std::chrono::steady_clock::now() > until) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
 
  private:
   void finish(const ScanTask& task) {
@@ -341,9 +355,9 @@ class Slots {
       auto claim = sched_.claim(kind);
       if (claim.tasks.empty()) return;
       for (const ScanTask& task : claim.tasks) {
-        if (kind == SlotKind::kInteractiveOnly &&
-            task.cls == QueryClass::kScan) {
-          ++reservedScans_;
+        if (kind == SlotKind::kInteractiveOnly) {
+          ++(task.cls == QueryClass::kScan ? reservedScans_
+                                            : reservedInteractive_);
         }
         finish(task);
       }
@@ -359,6 +373,7 @@ class Slots {
   std::function<void(const ScanTask&)> gate_;
   std::atomic<int> done_{0};
   std::atomic<int> reservedScans_{0};
+  std::atomic<int> reservedInteractive_{0};
   std::vector<std::thread> threads_;
 };
 
@@ -451,7 +466,11 @@ TEST(ScanScheduler, ServiceOrderMatchesModeledLane) {
   // worker with 2 general slots and the reserved one, run two ways: through
   // the cost model's lane (simio::simulateQueries), and through this
   // scheduler driven by a virtual clock. Both must start every task at the
-  // same virtual time, so the modeled lane describes the real one.
+  // same virtual time: the lane priority and claim(kInteractiveOnly) /
+  // claim(kGeneral) match the model. The harness claims after arrivals,
+  // reserved slot first (the model's tie rule), so no slot is parked when
+  // a task arrives; the handoff to a parked reserved slot is checked by
+  // ParkedReservedSlotTakesTheArrivalAsModeled.
   struct TraceTask {
     double arrival = 0.0;
     double service = 0.0;
@@ -551,6 +570,66 @@ TEST(ScanScheduler, ServiceOrderMatchesModeledLane) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(real[i], modeled[i])
         << "task " << i << (trace[i].interactive ? " (interactive)" : "");
+  }
+}
+
+TEST(ScanScheduler, ParkedReservedSlotTakesTheArrivalAsModeled) {
+  // The handoff rule. With every slot idle, the model gives an interactive
+  // arrival to the reserved slot, so two scans arriving while it runs both
+  // start at once on the general slots.
+  simio::CostParams params;
+  params.nodeCount = 1;
+  params.slotsPerNode = 2;
+  params.perQueryFixedOverheadSec = 0.0;
+  params.workerPriorityLane = true;
+  std::vector<simio::SimQuery> queries(3);
+  queries[0].tasks = {{0, 10.0, 0.0, 0.0, true}};
+  for (int i = 1; i <= 2; ++i) {
+    queries[static_cast<std::size_t>(i)].submitSec = 0.5;
+    queries[static_cast<std::size_t>(i)].tasks = {{0, 1.0, 0.0, 0.0, false}};
+  }
+  auto modeled = simio::simulateQueries(queries, params);
+  EXPECT_DOUBLE_EQ(modeled[0].lastResultSec, 10.0);
+  EXPECT_DOUBLE_EQ(modeled[1].lastResultSec - 1.0, 0.5);
+  EXPECT_DOUBLE_EQ(modeled[2].lastResultSec - 1.0, 0.5);
+
+  // The worker: every slot parked in claim() when the lookup arrives, so
+  // enqueue hands it to the reserved slot. Each scan holds its general
+  // slot until the other scan runs too, which needs both general slots
+  // free while the lookup still runs.
+  for (int round = 0; round < 50; ++round) {
+    ScanScheduler sched("w0", sharedScan(false));
+    std::atomic<bool> lookupRunning{false}, release{false};
+    std::atomic<int> scansRunning{0};
+    std::atomic<bool> scansOverlapped{false};
+    Slots slots(sched, 2, 1, [&](const ScanTask& task) {
+      if (task.cls == QueryClass::kInteractive) {
+        lookupRunning.store(true);
+        while (!release.load()) std::this_thread::yield();
+        return;
+      }
+      ++scansRunning;
+      auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (scansRunning.load() < 2 &&
+             std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
+      if (scansRunning.load() >= 2) scansOverlapped.store(true);
+    });
+    ASSERT_TRUE(slots.awaitParked(2, 1)) << "round " << round;
+    ASSERT_TRUE(sched.enqueue(makeInteractive(99)));
+    while (!lookupRunning.load()) std::this_thread::yield();
+    std::vector<ScanTask> scans;
+    scans.push_back(makeScan(1, 1));
+    scans.push_back(makeScan(2, 2));
+    ASSERT_TRUE(sched.enqueueAll(std::move(scans)));
+    EXPECT_TRUE(slots.awaitDone(2)) << "round " << round;
+    EXPECT_TRUE(scansOverlapped.load()) << "round " << round;
+    release.store(true);
+    ASSERT_TRUE(slots.awaitDone(3)) << "round " << round;
+    slots.join();
+    EXPECT_EQ(slots.reservedInteractive(), 1) << "round " << round;
+    EXPECT_EQ(slots.reservedScans(), 0);
   }
 }
 

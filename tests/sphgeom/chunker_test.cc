@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -157,6 +158,8 @@ TEST(Chunker, ChunksIntersectingWrappingBox) {
   for (std::int32_t id : got) {
     EXPECT_TRUE(patch.intersects(c.chunkBox(id)));
   }
+  // Ascending although the box wraps: the czar's chunk specs follow it.
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
   // Sanity: the patch covers ~7x14 deg ~ 98 deg^2 => ~22+ chunks of 4.5 deg^2.
   EXPECT_GT(got.size(), 20u);
   EXPECT_LT(got.size(), 60u);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -39,8 +43,10 @@ TEST(Metrics, HistogramSnapshotStats) {
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 100.0);
   EXPECT_NEAR(s.mean, 50.5, 1e-9);
-  EXPECT_NEAR(s.p50, 50.5, 1e-9);  // interpolated between ranks 50 and 51
-  EXPECT_NEAR(s.p99, 99.01, 1e-9);
+  // Bucket contract: rank p/100 * count, linear inside the bucket. 1..100
+  // fill (25,50] and (50,100] evenly, so the answers land on the ranks.
+  EXPECT_DOUBLE_EQ(s.p50, 50.0);
+  EXPECT_DOUBLE_EQ(s.p99, 99.0);
   EXPECT_NEAR(s.sum, 5050.0, 1e-6);
 }
 
@@ -171,7 +177,7 @@ TEST(Metrics, SnapshotP95AndCumulativeBuckets) {
   Histogram& h = reg.histogram("t.hist");
   for (int i = 1; i <= 100; ++i) h.observe(i);
   auto s = h.snapshot();
-  EXPECT_NEAR(s.p95, 95.05, 1e-9);  // interpolated like p50/p90/p99
+  EXPECT_DOUBLE_EQ(s.p95, 95.0);  // read off the (50,100] bucket
 
   const auto& bounds = Histogram::bucketBounds();
   ASSERT_EQ(s.cumulative.size(), bounds.size());
@@ -323,6 +329,104 @@ TEST(Metrics, ResetRacesObserversSafely) {
   reg.reset();
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(h.snapshot().count, 0);
+}
+
+// Percentiles are read off the fixed buckets: rank p/100 * count,
+// interpolated linearly inside its bucket, bucket edges clamped to
+// [min, max]. These pin that contract.
+
+TEST(Percentiles, MedianAndExtremes) {
+  Histogram h;
+  for (int i = 1; i <= 101; ++i) h.observe(i);
+  auto s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
+  EXPECT_DOUBLE_EQ(s.percentile(100), 101.0);
+  // Rank 50.5 falls 0.5 into (50,100], which holds 51..100: the exact
+  // median 51 lies in the same bucket.
+  EXPECT_DOUBLE_EQ(s.percentile(50), 50.5);
+}
+
+TEST(Percentiles, InterpolatesBetweenSamples) {
+  // Both samples share the (25,50] bucket, clamped to [30, 40].
+  Histogram h;
+  h.observe(30.0);
+  h.observe(40.0);
+  auto s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.percentile(50), 35.0);
+  EXPECT_DOUBLE_EQ(s.percentile(25), 32.5);
+}
+
+TEST(Percentiles, EmptyReturnsNan) {
+  Histogram h;
+  EXPECT_TRUE(std::isnan(h.snapshot().percentile(50)));
+}
+
+TEST(Percentiles, AddAfterQuerySeesNewSamples) {
+  Histogram h;
+  h.observe(3.0);
+  h.observe(1.0);
+  EXPECT_DOUBLE_EQ(h.snapshot().percentile(100), 3.0);
+  // A later observation moves the extremes and the buckets the next
+  // snapshot reads.
+  h.observe(0.5);
+  auto s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.percentile(0), 0.5);
+  EXPECT_DOUBLE_EQ(s.percentile(50), 0.75);  // half way through (0.5,1]
+  h.observe(9.0);
+  EXPECT_DOUBLE_EQ(h.snapshot().percentile(100), 9.0);
+}
+
+TEST(Percentiles, QueryThroughConstReference) {
+  Histogram h;
+  h.observe(2.0);
+  h.observe(1.0);
+  const Histogram& ch = h;
+  auto s = ch.snapshot();
+  EXPECT_DOUBLE_EQ(s.p50, 1.0);  // rank 1 ends the (0.5,1] bucket
+  EXPECT_EQ(s.count, 2);
+}
+
+TEST(Percentiles, ClampsOutOfRangeP) {
+  Histogram h;
+  h.observe(1.0);
+  h.observe(2.0);
+  auto s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.percentile(-5), 1.0);
+  EXPECT_DOUBLE_EQ(s.percentile(200), 2.0);
+}
+
+/// Heap bytes in use by this process (arena plus mmapped blocks).
+std::size_t heapBytesInUse() {
+  struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(Metrics, HistogramMemoryAndSnapshotTimeAreFlat) {
+  // Observations must not be stored: heap growth and snapshot time are the
+  // same after 10^3 and 10^7 observations.
+  auto measure = [](int n, std::size_t* grown, double* snapSeconds) {
+    std::size_t before = heapBytesInUse();
+    auto h = std::make_unique<Histogram>();
+    for (int i = 0; i < n; ++i) {
+      h->observe(1e-6 * static_cast<double>(i % 100000));
+    }
+    *grown = heapBytesInUse() - before;
+    *snapSeconds = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      auto s = h->snapshot();
+      std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+      *snapSeconds = std::min(*snapSeconds, dt.count());
+      EXPECT_EQ(s.count, n);
+    }
+  };
+  std::size_t smallBytes = 0, bigBytes = 0;
+  double smallSecs = 0, bigSecs = 0;
+  measure(1000, &smallBytes, &smallSecs);
+  measure(10000000, &bigBytes, &bigSecs);
+  EXPECT_LE(bigBytes, smallBytes + 4096) << "small " << smallBytes;
+  // Storing samples would sort 10^7 doubles per snapshot (~1 s).
+  EXPECT_LE(bigSecs, std::max(10 * smallSecs, 1e-3)) << "small " << smallSecs;
 }
 
 }  // namespace

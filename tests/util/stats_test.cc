@@ -32,59 +32,5 @@ TEST(RunningStats, EmptyIsSane) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(Percentiles, MedianAndExtremes) {
-  Percentiles p;
-  for (int i = 1; i <= 101; ++i) p.add(i);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 51.0);
-  EXPECT_DOUBLE_EQ(p.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 101.0);
-}
-
-TEST(Percentiles, InterpolatesBetweenSamples) {
-  Percentiles p;
-  p.add(10.0);
-  p.add(20.0);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 15.0);
-  EXPECT_DOUBLE_EQ(p.percentile(25), 12.5);
-}
-
-TEST(Percentiles, EmptyReturnsNan) {
-  Percentiles p;
-  EXPECT_TRUE(std::isnan(p.percentile(50)));
-}
-
-TEST(Percentiles, AddAfterQuerySeesNewSamples) {
-  Percentiles p;
-  p.add(3.0);
-  p.add(1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 3.0);
-  // A later add must invalidate the lazy sort: both new extremes and
-  // mid-range values land in the right rank on the next query.
-  p.add(0.5);
-  EXPECT_DOUBLE_EQ(p.percentile(0), 0.5);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 1.0);
-  p.add(9.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 9.0);
-}
-
-TEST(Percentiles, QueryThroughConstReference) {
-  // Snapshot paths (metrics histograms) query through const& — the lazy
-  // sort must still work.
-  Percentiles p;
-  p.add(2.0);
-  p.add(1.0);
-  const Percentiles& cp = p;
-  EXPECT_DOUBLE_EQ(cp.percentile(50), 1.5);
-  EXPECT_EQ(cp.size(), 2u);
-}
-
-TEST(Percentiles, ClampsOutOfRangeP) {
-  Percentiles p;
-  p.add(1.0);
-  p.add(2.0);
-  EXPECT_DOUBLE_EQ(p.percentile(-5), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(200), 2.0);
-}
-
 }  // namespace
 }  // namespace qserv::util
