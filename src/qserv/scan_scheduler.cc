@@ -59,28 +59,22 @@ bool ScanScheduler::enqueue(ScanTask task) {
 
 bool ScanScheduler::enqueueAll(std::vector<ScanTask> tasks) {
   std::size_t queued = 0;
-  std::size_t handedOff = 0;
+  std::size_t interactive = 0;
   std::size_t waiting = 0;
+  std::size_t reservedWaiting = 0;
   {
     std::lock_guard lock(mu_);
     if (shuttingDown_) return false;
     for (ScanTask& task : tasks) {
-      switch (routeTask(std::move(task))) {
-        case Route::kJoined:
-          break;
-        case Route::kHandedOff:
-          ++handedOff;
-          break;
-        case Route::kQueued:
-          ++queued;
-          break;
+      bool lookup = task.cls == QueryClass::kInteractive;
+      if (routeTask(std::move(task))) {
+        ++queued;
+        if (lookup) ++interactive;
       }
     }
     waiting = waiting_;
+    reservedWaiting = reservedWaiting_;
   }
-  // A handed-off task is the reserved slot's alone, so it wakes that slot
-  // and no general one.
-  for (std::size_t i = 0; i < handedOff; ++i) reservedCv_.notify_one();
   // Wake at most one waiting general slot per queued task: a one-chunk
   // batch wakes one slot, not all of them. A slot that claims nothing
   // re-runs the same checks any other would, and busy slots find the rest
@@ -90,20 +84,20 @@ bool ScanScheduler::enqueueAll(std::vector<ScanTask> tasks) {
   } else {
     for (std::size_t i = 0; i < queued; ++i) cv_.notify_one();
   }
+  // Interactive tasks beyond the waiting general slots (all of them while
+  // scans hold every general slot) wake reserved slots, on their own
+  // condition variable: a scan's wakeup never lands on a reserved slot.
+  std::size_t overflow = interactive > waiting ? interactive - waiting : 0;
+  for (std::size_t i = 0; i < std::min(overflow, reservedWaiting); ++i) {
+    reservedCv_.notify_one();
+  }
   return true;
 }
 
-ScanScheduler::Route ScanScheduler::routeTask(ScanTask&& task) {
+bool ScanScheduler::routeTask(ScanTask&& task) {
   if (task.cls == QueryClass::kInteractive) {
-    // An idle reserved slot not yet promised a task takes it directly;
-    // otherwise it waits in the priority lane for whichever slot frees
-    // first.
-    if (!paused_ && handoff_.size() < reservedWaiting_) {
-      handoff_.push_back(std::move(task));
-      return Route::kHandedOff;
-    }
     interactive_.push_back(std::move(task));
-    return Route::kQueued;
+    return true;
   }
   if (config_.slowScanFactor > 0.0 && task.queryId != 0) {
     ++rates_[task.queryId].open;
@@ -116,10 +110,10 @@ ScanScheduler::Route ScanScheduler::routeTask(ScanTask&& task) {
     // the read instead of paying a second pass.
     passes_[active->second].joined.push_back(std::move(task));
     SchedulerMetrics::instance().scanJoins.add();
-    return Route::kJoined;
+    return false;
   }
   scans_[tier].push_back(std::move(task));
-  return Route::kQueued;
+  return true;
 }
 
 ScanScheduler::Claim ScanScheduler::claimOne(std::deque<ScanTask>& lane) {
@@ -133,11 +127,8 @@ ScanScheduler::Claim ScanScheduler::claimOne(std::deque<ScanTask>& lane) {
 ScanScheduler::Claim ScanScheduler::claimInteractiveOnly(
     std::unique_lock<std::mutex>& lock) {
   for (;;) {
-    if (!paused_) {
-      if (!handoff_.empty()) return claimOne(handoff_);
-      if (!interactive_.empty()) return claimOne(interactive_);
-    }
-    if (shuttingDown_) return {};  // drained: handoff_ and the lane are empty
+    if (!paused_ && !interactive_.empty()) return claimOne(interactive_);
+    if (shuttingDown_) return {};  // drained: the lane is empty
     ++reservedWaiting_;
     reservedCv_.wait(lock);
     --reservedWaiting_;
@@ -165,7 +156,7 @@ ScanScheduler::Claim ScanScheduler::claim(SlotKind slot) {
     }
     if (shuttingDown_ && interactive_.empty() &&
         scans_[kFastTier].empty() && scans_[kSlowTier].empty()) {
-      return {};  // drained (handed-off tasks are the reserved slots' to run)
+      return {};  // drained
     }
     // Interactive lane first: these tasks never wait behind a scan group
     // and never touch the memory budget.
@@ -308,8 +299,8 @@ void ScanScheduler::evictToSlowTier(std::uint64_t queryId) {
 }
 
 std::size_t ScanScheduler::queuedLocked() const {
-  std::size_t queued = interactive_.size() + handoff_.size() +
-                       scans_[kFastTier].size() + scans_[kSlowTier].size();
+  std::size_t queued = interactive_.size() + scans_[kFastTier].size() +
+                       scans_[kSlowTier].size();
   for (const auto& [id, pass] : passes_) queued += pass.joined.size();
   return queued;
 }

@@ -18,10 +18,10 @@
 ///  - beside the general slots, simio::kInteractiveOnlySlots executor slots
 ///    serve the interactive lane only (claim(SlotKind::kInteractiveOnly)),
 ///    so a lookup finds a slot even while scans hold every general one. An
-///    interactive arrival is handed straight to an idle reserved slot and
-///    woken on its own condition variable: a scan's wakeup never lands on
-///    a reserved slot, and a general slot never takes a handed-off task.
-///    The modeled lane (queue_sim.cc) runs the same slots and rule;
+///    idle general slot takes an interactive arrival first; only arrivals
+///    beyond the waiting general slots wake a reserved slot, on its own
+///    condition variable, so a scan's wakeup never lands on it. The
+///    modeled lane (queue_sim.cc) runs the same slots and rule;
 ///  - scan tasks on the same chunk ride one physical pass: a claim gathers
 ///    every queued same-chunk scan into a group, and a scan arriving while
 ///    the chunk's pass is in flight joins the open pass (takeJoined) and
@@ -116,9 +116,9 @@ class ScanScheduler {
   /// False when shutting down (the caller answers "unavailable").
   bool enqueue(ScanTask task);
   /// Atomically enqueue all-or-none (batch arrival); returns false when
-  /// shutting down. Wakes at most one waiting slot per queued task: a
-  /// reserved slot for a task handed to it, a general slot otherwise
-  /// (tasks that join an open pass need none).
+  /// shutting down. Wakes at most one waiting general slot per queued task
+  /// (tasks that join an open pass need none), and a reserved slot per
+  /// interactive task beyond the waiting general slots.
   bool enqueueAll(std::vector<ScanTask> tasks);
 
   /// Block until a task (group) is claimable by a \p slot slot; empty
@@ -175,13 +175,10 @@ class ScanScheduler {
     std::deque<ScanTask> joined;
   };
 
-  /// Where routeTask put a task, and so which slot must wake for it.
-  enum class Route { kJoined, kHandedOff, kQueued };
-
   // All helpers below require mu_ held.
-  /// Hand \p task to an idle reserved slot, queue it in its lane, or join
-  /// it to its chunk's open pass.
-  Route routeTask(ScanTask&& task);
+  /// Queue \p task in its lane, or join it to its chunk's open pass; true
+  /// when it was queued (and so needs a slot to claim it).
+  bool routeTask(ScanTask&& task);
   Claim claimInteractiveOnly(std::unique_lock<std::mutex>& lock);
   /// Pop the front of \p lane as a one-task claim.
   Claim claimOne(std::deque<ScanTask>& lane);
@@ -205,10 +202,6 @@ class ScanScheduler {
 
   /// The interactive priority lane.
   std::deque<ScanTask> interactive_;
-  /// Interactive tasks handed to idle reserved slots: no general slot takes
-  /// them, so a general wakeup is never spent on a task a reserved slot
-  /// was woken for. At most reservedWaiting_ long.
-  std::deque<ScanTask> handoff_;
   std::deque<ScanTask> scans_[kNumTiers];
 
   std::map<std::uint64_t, Pass> passes_;  ///< passId -> open pass

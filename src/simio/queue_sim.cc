@@ -92,9 +92,9 @@ std::vector<SimQueryResult> simulateQueries(const std::vector<SimQuery>& queries
     // general slots run kInteractiveOnlySlots slots that take interactive
     // tasks only; a general slot takes the earliest waiting interactive task
     // ahead of any scan. Each step starts one task on the slot that can
-    // start soonest; on a tie a reserved slot goes first, as the worker
-    // hands an interactive arrival to an idle reserved slot. Each lane is
-    // served in arrival order.
+    // start soonest; on a tie a general slot goes first, as the worker
+    // wakes a reserved slot only for lookups beyond its idle general
+    // slots. Each lane is served in arrival order.
     std::vector<const PendingTask*> lanes[2];  // [0]=interactive, [1]=scan
     for (const PendingTask& p : tasks) lanes[p.interactive ? 0 : 1].push_back(&p);
     std::size_t next[2] = {0, 0};
@@ -107,9 +107,8 @@ std::vector<SimQueryResult> simulateQueries(const std::vector<SimQuery>& queries
       double freeSec = 0.0;
       bool reserved = false;
     };
-    std::vector<Slot> laneSlots(static_cast<std::size_t>(kInteractiveOnlySlots),
-                                Slot{0.0, true});
-    laneSlots.resize(laneSlots.size() + generalSlots, Slot{0.0, false});
+    std::vector<Slot> laneSlots(generalSlots, Slot{0.0, false});
+    laneSlots.resize(generalSlots + kInteractiveOnlySlots, Slot{0.0, true});
     for (std::size_t remaining = tasks.size(); remaining > 0; --remaining) {
       Slot* slot = nullptr;
       double start = std::numeric_limits<double>::infinity();

@@ -200,21 +200,6 @@ std::string MetricsSnapshot::toPrometheus() const {
     out += format("%s_sum %s\n", p.c_str(), promNumber(h.sum).c_str());
     out += format("%s_count %lld\n", p.c_str(),
                   static_cast<long long>(h.count));
-    // Exact percentiles travel as a companion summary family: Prometheus
-    // histograms only carry buckets, but we have the real quantiles.
-    out += format("# TYPE %s_quantiles summary\n", p.c_str());
-    const std::pair<const char*, double> qs[] = {
-        {"0.5", h.p50}, {"0.9", h.p90}, {"0.95", h.p95}, {"0.99", h.p99}};
-    for (const auto& [q, v] : qs) {
-      out += format("%s_quantiles{quantile=\"%s\"} %s\n", p.c_str(), q,
-                    promNumber(v).c_str());
-    }
-    // A summary family carries _sum/_count samples of its own; strict
-    // exposition-format parsers expect them.
-    out += format("%s_quantiles_sum %s\n", p.c_str(),
-                  promNumber(h.sum).c_str());
-    out += format("%s_quantiles_count %lld\n", p.c_str(),
-                  static_cast<long long>(h.count));
   }
   return out;
 }

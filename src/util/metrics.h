@@ -100,8 +100,7 @@ struct MetricsSnapshot {
   /// `qserv_<name with non-alphanumerics as _>`; counters/gauges emit one
   /// sample, histograms emit a cumulative `_bucket{le=...}` series for
   /// every fixed bound on every scrape (stable series set) plus
-  /// `_sum`/`_count` and a companion `<name>_quantiles` summary
-  /// (p50/p90/p95/p99 with its own `_sum`/`_count`).
+  /// `_sum`/`_count`. Quantiles are the scraper's to read off the buckets.
   std::string toPrometheus() const;
 };
 

@@ -378,8 +378,8 @@ class Slots {
 };
 
 TEST(ScanScheduler, EnqueueAllNeverLosesAWakeup) {
-  // enqueueAll wakes at most one slot per queued task, and hands an
-  // interactive task to an idle reserved slot on that slot's own wakeup.
+  // enqueueAll wakes at most one general slot per queued task, and a
+  // reserved slot, on its own wakeup, per interactive task beyond them.
   // Whatever the interleaving, every task of a batch must still be claimed:
   // with idle slots, with slots parked on a full memory budget, and with a
   // reserved slot idle beside them that must never claim a scan nor absorb
@@ -468,9 +468,9 @@ TEST(ScanScheduler, ServiceOrderMatchesModeledLane) {
   // scheduler driven by a virtual clock. Both must start every task at the
   // same virtual time: the lane priority and claim(kInteractiveOnly) /
   // claim(kGeneral) match the model. The harness claims after arrivals,
-  // reserved slot first (the model's tie rule), so no slot is parked when
-  // a task arrives; the handoff to a parked reserved slot is checked by
-  // ParkedReservedSlotTakesTheArrivalAsModeled.
+  // general slots first (the model's tie rule), so no slot is parked when
+  // a task arrives; which parked slot an arrival wakes is checked by
+  // ArrivalWakesAGeneralSlotFirstAsModeled.
   struct TraceTask {
     double arrival = 0.0;
     double service = 0.0;
@@ -513,7 +513,7 @@ TEST(ScanScheduler, ServiceOrderMatchesModeledLane) {
   }
 
   // The scheduler: at each virtual instant finish what ends, enqueue what
-  // arrives, then let each idle slot (the reserved one first) claim.
+  // arrives, then let each idle slot (the reserved one last) claim.
   ScanSchedulerConfig config = sharedScan(false);
   config.slowScanFactor = 0.0;
   ScanScheduler sched("w0", config);
@@ -524,7 +524,7 @@ TEST(ScanScheduler, ServiceOrderMatchesModeledLane) {
     ScanScheduler::Claim claim;
   };
   std::vector<VirtualSlot> slots(3);
-  slots[0].kind = SlotKind::kInteractiveOnly;
+  slots[2].kind = SlotKind::kInteractiveOnly;
   std::vector<double> real(n, -1.0);
   std::size_t arrived = 0, finished = 0;
   int queuedInteractive = 0, queuedScans = 0;
@@ -573,63 +573,66 @@ TEST(ScanScheduler, ServiceOrderMatchesModeledLane) {
   }
 }
 
-TEST(ScanScheduler, ParkedReservedSlotTakesTheArrivalAsModeled) {
-  // The handoff rule. With every slot idle, the model gives an interactive
-  // arrival to the reserved slot, so two scans arriving while it runs both
-  // start at once on the general slots.
+TEST(ScanScheduler, ArrivalWakesAGeneralSlotFirstAsModeled) {
+  // Which parked slot an arrival wakes. One general slot holds a long
+  // scan; the other and the reserved slot are parked. In the model, two
+  // lookups arriving together start at once, the first on the idle
+  // general slot (ties go to general slots) and the second on the reserved
+  // one; a lone lookup takes the general slot.
   simio::CostParams params;
   params.nodeCount = 1;
   params.slotsPerNode = 2;
   params.perQueryFixedOverheadSec = 0.0;
   params.workerPriorityLane = true;
   std::vector<simio::SimQuery> queries(3);
-  queries[0].tasks = {{0, 10.0, 0.0, 0.0, true}};
+  queries[0].tasks = {{0, 100.0, 0.0, 0.0, false}};
   for (int i = 1; i <= 2; ++i) {
     queries[static_cast<std::size_t>(i)].submitSec = 0.5;
-    queries[static_cast<std::size_t>(i)].tasks = {{0, 1.0, 0.0, 0.0, false}};
+    queries[static_cast<std::size_t>(i)].tasks = {{0, 1.0, 0.0, 0.0, true}};
   }
   auto modeled = simio::simulateQueries(queries, params);
-  EXPECT_DOUBLE_EQ(modeled[0].lastResultSec, 10.0);
   EXPECT_DOUBLE_EQ(modeled[1].lastResultSec - 1.0, 0.5);
   EXPECT_DOUBLE_EQ(modeled[2].lastResultSec - 1.0, 0.5);
 
-  // The worker: every slot parked in claim() when the lookup arrives, so
-  // enqueue hands it to the reserved slot. Each scan holds its general
-  // slot until the other scan runs too, which needs both general slots
-  // free while the lookup still runs.
-  for (int round = 0; round < 50; ++round) {
-    ScanScheduler sched("w0", sharedScan(false));
-    std::atomic<bool> lookupRunning{false}, release{false};
-    std::atomic<int> scansRunning{0};
-    std::atomic<bool> scansOverlapped{false};
-    Slots slots(sched, 2, 1, [&](const ScanTask& task) {
-      if (task.cls == QueryClass::kInteractive) {
-        lookupRunning.store(true);
-        while (!release.load()) std::this_thread::yield();
-        return;
-      }
-      ++scansRunning;
-      auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (scansRunning.load() < 2 &&
-             std::chrono::steady_clock::now() < until) {
-        std::this_thread::yield();
-      }
-      if (scansRunning.load() >= 2) scansOverlapped.store(true);
-    });
-    ASSERT_TRUE(slots.awaitParked(2, 1)) << "round " << round;
-    ASSERT_TRUE(sched.enqueue(makeInteractive(99)));
-    while (!lookupRunning.load()) std::this_thread::yield();
-    std::vector<ScanTask> scans;
-    scans.push_back(makeScan(1, 1));
-    scans.push_back(makeScan(2, 2));
-    ASSERT_TRUE(sched.enqueueAll(std::move(scans)));
-    EXPECT_TRUE(slots.awaitDone(2)) << "round " << round;
-    EXPECT_TRUE(scansOverlapped.load()) << "round " << round;
-    release.store(true);
-    ASSERT_TRUE(slots.awaitDone(3)) << "round " << round;
-    slots.join();
-    EXPECT_EQ(slots.reservedInteractive(), 1) << "round " << round;
-    EXPECT_EQ(slots.reservedScans(), 0);
+  // The worker: each lookup holds its slot until the other runs too, which
+  // needs the waiting general slot and the reserved slot both woken.
+  for (int lookups : {2, 1}) {
+    for (int round = 0; round < 25; ++round) {
+      ScanScheduler sched("w0", sharedScan(false));
+      std::atomic<bool> scanRunning{false}, release{false};
+      std::atomic<int> lookupsRunning{0};
+      std::atomic<bool> overlapped{false};
+      Slots slots(sched, 2, 1, [&](const ScanTask& task) {
+        if (task.cls == QueryClass::kScan) {
+          scanRunning.store(true);
+          while (!release.load()) std::this_thread::yield();
+          return;
+        }
+        ++lookupsRunning;
+        auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (lookups > 1 && lookupsRunning.load() < lookups &&
+               std::chrono::steady_clock::now() < until) {
+          std::this_thread::yield();
+        }
+        if (lookupsRunning.load() >= lookups) overlapped.store(true);
+      });
+      ASSERT_TRUE(sched.enqueue(makeScan(1, 1)));
+      while (!scanRunning.load()) std::this_thread::yield();
+      ASSERT_TRUE(slots.awaitParked(1, 1)) << "round " << round;
+      std::vector<ScanTask> batch;
+      for (int i = 0; i < lookups; ++i) batch.push_back(makeInteractive(90 + i));
+      ASSERT_TRUE(sched.enqueueAll(std::move(batch)));
+      EXPECT_TRUE(slots.awaitDone(lookups)) << "round " << round;
+      EXPECT_TRUE(overlapped.load()) << "round " << round;
+      // A lone lookup went to the idle general slot, not the reserved one.
+      EXPECT_EQ(slots.reservedInteractive(), lookups - 1)
+          << "round " << round << " lookups " << lookups;
+      release.store(true);
+      ASSERT_TRUE(slots.awaitDone(lookups + 1)) << "round " << round;
+      slots.join();
+      EXPECT_EQ(slots.reservedScans(), 0);
+    }
   }
 }
 
