@@ -488,20 +488,7 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   // covers the whole overlapped interval so the profile's stage times stay
   // sequential; the collectors record each merge inside it.
   ResultMerger merger(mergeTable);
-  // Accounting follows the chunk specs (dispatch order: ascending chunk
-  // id, as resolveChunks returns them), not the order results arrive in,
-  // which interleaves the worker streams: the modeled tasks built from it
-  // are then the same on every run. Each result fills its chunk's slot.
-  const std::vector<ChunkQuerySpec>& specs = rewrite.chunkQueries;
-  auto specSlot = [&](std::int32_t chunkId) {
-    auto it = std::lower_bound(
-        specs.begin(), specs.end(), chunkId,
-        [](const ChunkQuerySpec& s, std::int32_t id) { return s.chunkId < id; });
-    return it != specs.end() && it->chunkId == chunkId
-               ? static_cast<std::size_t>(it - specs.begin())
-               : specs.size();
-  };
-  exec.accounting.resize(specs.size());
+  exec.accounting.reserve(rewrite.chunkQueries.size());
   std::mutex sinkMutex;  // guards exec.accounting and mergeStatus
   Status mergeStatus = Status::ok();
   Result<DispatchReport> report = Status::internal("dispatch never ran");
@@ -517,12 +504,9 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
         [&](ChunkResult&& r) {
           ChunkAccounting accounting{r.chunkId, std::move(r.workerId),
                                      r.rows.observables()};
-          const std::size_t slot = specSlot(r.chunkId);
           Status merged = merger.merge(std::move(r.rows));
           std::lock_guard lock(sinkMutex);
-          if (slot < exec.accounting.size()) {
-            exec.accounting[slot] = std::move(accounting);
-          }
+          exec.accounting.push_back(std::move(accounting));
           if (mergeStatus.isOk()) mergeStatus = merged;
           return merged;  // a failure cancels the rest of the run
         },
@@ -530,9 +514,14 @@ Result<QservFrontend::Execution> QservFrontend::runQuery(
   }
   QSERV_RETURN_IF_ERROR(mergeStatus);
   QSERV_RETURN_IF_ERROR(report.status());
-  // A slot no result filled has no worker (none on success).
-  std::erase_if(exec.accounting,
-                [](const ChunkAccounting& a) { return a.workerId.empty(); });
+  // Results arrive interleaved across worker streams; accounting follows
+  // the chunk specs instead (dispatch order: ascending chunk id, as
+  // resolveChunks returns them), so the modeled tasks built from it are the
+  // same on every run.
+  std::sort(exec.accounting.begin(), exec.accounting.end(),
+            [](const ChunkAccounting& a, const ChunkAccounting& b) {
+              return a.chunkId < b.chunkId;
+            });
   exec.chunksDispatched = exec.accounting.size();
   exec.dispatchBatches = report->batches;
   CzarMetrics::instance().chunksDispatched.add(exec.chunksDispatched);

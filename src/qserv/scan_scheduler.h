@@ -15,13 +15,10 @@
 ///    multi-chunk table scans;
 ///  - interactive tasks live in a priority lane and claim executor slots
 ///    ahead of any queued scan — they never wait behind a scan group;
-///  - beside the general slots, simio::kInteractiveOnlySlots executor slots
-///    serve the interactive lane only (claim(SlotKind::kInteractiveOnly)),
-///    so a lookup finds a slot even while scans hold every general one. An
-///    idle general slot takes an interactive arrival first; only arrivals
-///    beyond the waiting general slots wake a reserved slot, on its own
-///    condition variable, so a scan's wakeup never lands on it. The
-///    modeled lane (queue_sim.cc) runs the same slots and rule;
+///  - simio::kInteractiveOnlySlots reserved slots serve the interactive
+///    lane only, so a lookup finds a slot while scans hold every general
+///    one; they wake only for lookups beyond the idle general slots (see
+///    enqueueAll). The modeled lane (queue_sim.cc) runs the same rule;
 ///  - scan tasks on the same chunk ride one physical pass: a claim gathers
 ///    every queued same-chunk scan into a group, and a scan arriving while
 ///    the chunk's pass is in flight joins the open pass (takeJoined) and

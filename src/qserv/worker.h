@@ -67,9 +67,8 @@ struct BatchStream {
 };
 
 struct WorkerConfig {
-  /// General executor slots: concurrent chunk queries (paper §6.2). The
-  /// worker runs simio::kInteractiveOnlySlots more, for the interactive
-  /// lane only.
+  /// General executor slots (paper §6.2); simio::kInteractiveOnlySlots run
+  /// beside them.
   int slots = 4;
   /// Read by nothing (see SchedulerMode); kept for code that still sets it.
   SchedulerMode scheduler = SchedulerMode::kSharedScan;

@@ -71,11 +71,8 @@ struct CostParams {
   double cacheFraction = 0.0;
 
   /// Scheduler policy, not hardware: when on, simulated workers run the
-  /// real worker's lane rule (qserv/scan_scheduler.h): interactive
-  /// SimChunkTasks claim free slots ahead of queued scans, and each node
-  /// runs kInteractiveOnlySlots more slots that serve interactive tasks
-  /// only. When off, the paper's pure FIFO over slotsPerNode slots (§6.4:
-  /// no "concept of query cost").
+  /// real worker's lane rule (qserv/scan_scheduler.h); off, the paper's
+  /// pure FIFO over slotsPerNode slots (§6.4: no "concept of query cost").
   bool workerPriorityLane = false;
 
   /// The paper's 150-node configuration (cold cache).
@@ -89,10 +86,8 @@ struct CostParams {
   }
 };
 
-/// Executor slots per worker that serve only the interactive lane, beside
-/// the general slots. The real worker runs this many, and so does the
-/// modeled priority lane (CostParams::workerPriorityLane); a constant, not
-/// a setting, so the two cannot drift apart.
+/// Interactive-only executor slots per worker, beside the general ones, in
+/// the real worker and the modeled lane alike (a constant, so they agree).
 inline constexpr int kInteractiveOnlySlots = 1;
 
 /// Work observables for one chunk query, at *paper scale*. The Qserv worker

@@ -7,9 +7,7 @@
 /// tasks behind them (Fig 14). Each worker node runs `slotsPerNode` executor
 /// slots; chunk-query tasks start in arrival order on the earliest free slot.
 /// With CostParams::workerPriorityLane the nodes run the real worker's lane
-/// rule instead (qserv/scan_scheduler.h): interactive tasks first, plus
-/// kInteractiveOnlySlots slots that serve only them. This model is the only
-/// place the paper's FIFO still runs.
+/// rule instead (qserv/scan_scheduler.h).
 ///
 /// The master dispatches a query's chunk tasks serially (fixed per-chunk
 /// cost — the §7.6 single-master bottleneck and the linear trend of HV1 in
@@ -34,9 +32,8 @@ struct SimChunkTask {
   double dispatchSec = -1.0;
   /// Interactive-class task (point/secondary-index lookup). Only consulted
   /// when CostParams::workerPriorityLane is on: interactive tasks then claim
-  /// a free slot ahead of any queued scan task, or a reserved
-  /// interactive-only slot (the §4.3 scheduler fix); otherwise the queue is
-  /// the paper's pure FIFO.
+  /// a free slot ahead of any queued scan task (the §4.3 scheduler fix);
+  /// otherwise the queue is the paper's pure FIFO.
   bool interactive = false;
 };
 
